@@ -731,13 +731,19 @@ class TestScoringPerf:
 
     def test_event_loop_incremental_gpr_speedup(self):
         row = run()["event_loop"]["64x40"]
-        # PR 4 acceptance: the incremental-GPR policy doubles end-to-end
-        # ONES wall-clock at 64 GPUs / 40 jobs.  The "default" side is
-        # the PR 3 trajectory (pinned bit-identical by the parity
-        # suites), itself already faster than the PR 3 build — so this
-        # in-bench ratio *understates* the speedup vs the true PR 3
-        # baseline.  Gated below 2.0 only for machine noise.
-        assert row["speedup"] >= 1.7
+        # The GPR work the incremental policy saves at 64 GPUs / 40 jobs:
+        # its GPR seconds (full refits + rank-1 appends) stay under a
+        # quarter of the paper-exact policy's.  Seven fresh unpinned
+        # runs on a 2-vCPU x86_64 VM read 0.105-0.148.
+        assert (
+            row["incremental_gpr"]["gpr_refit_seconds"]
+            <= 0.25 * row["default"]["gpr_refit_seconds"]
+        )
+        # End to end the policy must still win.  The Cholesky-native
+        # evidence kernel made the paper-exact side ~3.5x faster, so
+        # this ratio shrank by design; the floor is 0.83x the median of
+        # those seven runs (1.58, range 1.42-1.87).
+        assert row["speedup"] >= 1.3
         # The GPR-refit share must drop measurably.
         assert (
             row["incremental_gpr"]["gpr_refit_share"]

@@ -27,8 +27,8 @@ job.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.baselines.base import ClusterState, SchedulerBase, SchedulerCapabilities
 from repro.cluster.allocation import Allocation
@@ -45,6 +45,7 @@ from repro.jobs.throughput import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import active_tracer
+from repro.prediction.gpr import FitHealth
 from repro.prediction.predictor import PredictorConfig, ProgressPredictor
 from repro.scaling.overhead import ReconfigurationKind
 from repro.utils.rng import SeedLike, as_generator
@@ -63,6 +64,14 @@ class ONESConfig:
     #: Bound on the cross-invocation throughput memo (model evaluations
     #: keyed by (model, global batch, worker count, crosses servers)).
     throughput_memo_entries: int = 65536
+
+
+def predictor_health_counters(healths: Iterable[FitHealth]) -> Dict[str, int]:
+    """GPR fit-health counters summed over ``healths``, named for a registry."""
+    total = FitHealth()
+    for health in healths:
+        total.add(health)
+    return {f"predictor_{name}": value for name, value in asdict(total).items()}
 
 
 class ONESScheduler(SchedulerBase):
@@ -478,6 +487,7 @@ class ONESScheduler(SchedulerBase):
             "scoring_delta_generations": scoring["delta_generations"],
             "scoring_full_rebuilds": scoring["full_rebuilds"],
             "scoring_table_swaps": scoring["table_swaps"],
+            **predictor_health_counters([self.predictor.gpr_health]),
         }
         for name, value in counters.items():
             registry.counter(name, help="ONES scheduler counter").inc(value)

@@ -64,7 +64,11 @@ from repro.baselines.base import (
     user_local_batch,
 )
 from repro.cluster.allocation import Allocation, WorkerAssignment
-from repro.core.ones_scheduler import ONESConfig, ONESScheduler
+from repro.core.ones_scheduler import (
+    ONESConfig,
+    ONESScheduler,
+    predictor_health_counters,
+)
 from repro.jobs.job import EpochRecord, Job
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import active_tracer
@@ -697,6 +701,9 @@ class HierarchicalONESScheduler(SchedulerBase):
             ),
             "scoring_full_rebuilds": sum(s["full_rebuilds"] for s in stats),
             "scoring_table_swaps": sum(s["table_swaps"] for s in stats),
+            **predictor_health_counters(
+                p.inner.predictor.gpr_health for p in self._partitions
+            ),
         }
         for name, value in counters.items():
             registry.counter(name, help="rollup across partitions").inc(value)

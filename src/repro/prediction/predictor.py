@@ -24,7 +24,7 @@ from repro.jobs.job import Job
 from repro.prediction.beta import BetaDistribution
 from repro.prediction.blr import BayesianLinearRegression
 from repro.prediction.features import FeatureScaler, job_features
-from repro.prediction.gpr import GaussianProcessRegression
+from repro.prediction.gpr import FitHealth, GaussianProcessRegression
 from repro.prediction.history import HistoryStore, TrainingExample, examples_from_job
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_positive, check_positive_int
@@ -113,6 +113,9 @@ class ProgressPredictor:
         #: (read by profiling: ``ONESScheduler.profile_phases``).
         self.refit_seconds = 0.0
         self.partial_fit_seconds = 0.0
+        #: Numerical health of every GPR evidence optimisation so far
+        #: (exported by ``ONESScheduler.metrics_registry``).
+        self.gpr_health = FitHealth()
 
     def _make_model(self):
         if self.config.backend == "gpr":
@@ -159,6 +162,9 @@ class ProgressPredictor:
         self._model = self._make_model()
         self._model.fit(X_std, y)
         self.refit_seconds += perf_counter() - start
+        health = getattr(self._model, "health", None)
+        if health is not None:
+            self.gpr_health.add(health)
         self._fitted = True
         self._completions_since_fit = 0
         self._updates_since_full_fit = 0

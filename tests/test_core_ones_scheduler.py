@@ -126,6 +126,13 @@ class TestEndToEnd:
         ClusterSimulator(topology, scheduler, tiny_trace).run()
         assert scheduler.predictor.history.completed_jobs == len(tiny_trace)
         assert scheduler.predictor.is_fitted
+        # The fits' numerical health reaches the metrics registry.
+        state = scheduler.describe_state()
+        health = scheduler.predictor.gpr_health
+        assert state["predictor_nll_evaluations"] == health.nll_evaluations > 0
+        assert state["predictor_optimizer_iterations"] == health.optimizer_iterations
+        assert state["predictor_non_pd_evaluations"] == 0
+        assert state["predictor_unconverged_fits"] == health.unconverged_fits
 
 
 class TestThroughputMemoisation:

@@ -208,6 +208,13 @@ class TestReconcilerProperties:
         summary = scheduler.describe_state()
         assert summary["partitions"] == 2
         assert summary["assigned_jobs"] == 0  # everything pruned at the end
+        # Predictor health rolls up across the shards' inner schedulers.
+        evaluations = [
+            p.inner.predictor.gpr_health.nll_evaluations
+            for p in scheduler._partitions
+        ]
+        assert summary["predictor_nll_evaluations"] == sum(evaluations) > 0
+        assert summary["predictor_non_pd_evaluations"] == 0
 
     def test_parallel_workers_bit_identical_to_sequential(self):
         sequential, _, seq_result = self._run_recorded(_trace(num_jobs=6))

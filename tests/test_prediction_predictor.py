@@ -64,6 +64,19 @@ class TestOnlineFitting:
         assert predictor.is_fitted
         assert predictor.fit_count >= 1
 
+    def test_gpr_health_accumulates_across_refits(self):
+        predictor = ProgressPredictor(seed=0)
+        evaluations = []
+        for i in range(4):
+            predictor.observe_completion(_completed_job(job_id=f"j{i}", epochs=5 + i))
+            evaluations.append(predictor.gpr_health.nll_evaluations)
+        # Every completion from the second on refits a fresh model; the
+        # predictor keeps the running total of their counters.
+        assert predictor.fit_count == 3
+        assert 0 == evaluations[0] < evaluations[1] < evaluations[2] < evaluations[3]
+        assert predictor.gpr_health.optimizer_iterations > 0
+        assert predictor.gpr_health.non_pd_evaluations == 0
+
     def test_prediction_decreases_with_progress(self):
         predictor = ProgressPredictor(PredictorConfig(backend="blr"), seed=0)
         for i in range(4):

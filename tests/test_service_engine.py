@@ -317,6 +317,7 @@ class TestMetricsRegistry:
         # The scheduler's scoring-cache counters surface with a prefix.
         assert "scheduler_iterations_run" in values
         assert "scheduler_scoring_delta_generations" in values
+        assert "scheduler_predictor_non_pd_evaluations" in values
 
     def test_registry_histograms_are_live_not_copies(self):
         service = make_service()
