@@ -44,7 +44,7 @@ from repro.experiments.backends import simulate_trace
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.registry import create_scheduler
 from repro.experiments.runner import generate_trace, run_single
-from repro.faults import FaultConfig
+from repro.faults.config import FaultConfig
 from repro.jobs.throughput import ThroughputModel, ThroughputTable
 from repro.sim.simulator import SimulationConfig
 from repro.workload.trace import TraceConfig

@@ -22,7 +22,8 @@ import argparse
 from repro.analysis.metrics import completion_fraction_within
 from repro.analysis.reporting import ascii_bar_chart, format_table
 from repro.analysis.stats import significance_table
-from repro.experiments import ExperimentSpec, Runner
+from repro.experiments.orchestrator import Runner
+from repro.experiments.spec import ExperimentSpec
 from repro.workload.trace import TraceConfig
 
 

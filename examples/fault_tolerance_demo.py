@@ -26,7 +26,8 @@ from repro.cluster.topology import make_longhorn_cluster
 from repro.experiments.orchestrator import Runner
 from repro.experiments.registry import create_scheduler
 from repro.experiments.spec import ExperimentSpec
-from repro.faults import FaultConfig, FaultInjection, FaultKind
+from repro.faults.config import FaultConfig
+from repro.faults.plan import FaultInjection, FaultKind
 from repro.sim.simulator import ClusterSimulator, SimulationConfig
 from repro.workload.trace import TraceConfig, TraceGenerator
 

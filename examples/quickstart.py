@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from repro.analysis.reporting import format_table
 from repro.cluster.topology import make_longhorn_cluster
-from repro.experiments import create_scheduler, simulate_trace
+from repro.experiments.backends import simulate_trace
+from repro.experiments.registry import create_scheduler
 from repro.sim.simulator import SimulationConfig
 from repro.utils.units import format_duration
 from repro.workload.trace import TraceConfig, TraceGenerator

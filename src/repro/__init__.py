@@ -24,48 +24,19 @@ The package layers, bottom-up:
 * :mod:`repro.analysis` — metrics, Wilcoxon tests, text reporting.
 * :mod:`repro.experiments` — runners and figure/table generators.
 
+Each subpackage's ``__init__`` only documents it: import names from the
+module that defines them, so a process loads only the layers it uses.
+
 Quickstart
 ----------
->>> from repro.experiments import ExperimentConfig, run_comparison
->>> config = ExperimentConfig.small(num_gpus=16, num_jobs=8)
->>> comparison = run_comparison(config)          # doctest: +SKIP
->>> comparison.averages("jct")                   # doctest: +SKIP
+>>> from repro.experiments.orchestrator import Runner
+>>> from repro.experiments.spec import ExperimentSpec
+>>> from repro.workload.trace import TraceConfig
+>>> spec = ExperimentSpec.comparison(
+...     num_gpus=16, seed=2021, trace=TraceConfig(num_jobs=8, arrival_rate=1 / 30)
+... )
+>>> sweep = Runner().run(spec)                       # doctest: +SKIP
+>>> sweep.to_comparisons()[16].averages("jct")       # doctest: +SKIP
 """
 
 __version__ = "1.0.0"
-
-from repro.cluster.topology import ClusterTopology, make_longhorn_cluster
-from repro.core.ones_scheduler import ONESConfig, ONESScheduler
-from repro.baselines import (
-    DRLScheduler,
-    FIFOScheduler,
-    OptimusScheduler,
-    SRTFScheduler,
-    TiresiasScheduler,
-)
-from repro.sim.simulator import ClusterSimulator, SimulationConfig, SimulationResult
-from repro.workload.trace import TraceConfig, TraceGenerator
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import run_comparison, run_scalability_sweep, run_single
-
-__all__ = [
-    "__version__",
-    "ClusterTopology",
-    "make_longhorn_cluster",
-    "ONESConfig",
-    "ONESScheduler",
-    "DRLScheduler",
-    "FIFOScheduler",
-    "OptimusScheduler",
-    "SRTFScheduler",
-    "TiresiasScheduler",
-    "ClusterSimulator",
-    "SimulationConfig",
-    "SimulationResult",
-    "TraceConfig",
-    "TraceGenerator",
-    "ExperimentConfig",
-    "run_comparison",
-    "run_scalability_sweep",
-    "run_single",
-]

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 from repro.analysis.metrics import paired_jobs
 from repro.sim.simulator import SimulationResult
@@ -59,6 +58,8 @@ def wilcoxon_comparison(
     metric: str = "jct",
 ) -> WilcoxonReport:
     """Wilcoxon signed-rank comparison of per-job metrics of two runs."""
+    from scipy import stats  # about a second to import; only reports need it
+
     a, b = paired_jobs(ours, baseline, metric)
     differences = a - b
     if np.allclose(differences, 0.0):

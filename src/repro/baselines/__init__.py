@@ -16,32 +16,3 @@ schedulers; this subpackage implements the common scheduler interface
 * :mod:`repro.baselines.fifo` / :mod:`repro.baselines.srtf` — simple
   reference policies used in unit tests and ablations.
 """
-
-from repro.baselines.base import (
-    ClusterState,
-    SchedulerBase,
-    SchedulerCapabilities,
-    pick_gpus_packed,
-    user_local_batch,
-)
-from repro.baselines.fifo import FIFOScheduler
-from repro.baselines.srtf import SRTFScheduler
-from repro.baselines.tiresias import TiresiasScheduler
-from repro.baselines.optimus import OptimusScheduler
-from repro.baselines.drl import DRLScheduler, PolicyNetwork
-from repro.baselines.gandiva import GandivaScheduler
-
-__all__ = [
-    "ClusterState",
-    "SchedulerBase",
-    "SchedulerCapabilities",
-    "pick_gpus_packed",
-    "user_local_batch",
-    "FIFOScheduler",
-    "SRTFScheduler",
-    "TiresiasScheduler",
-    "OptimusScheduler",
-    "DRLScheduler",
-    "PolicyNetwork",
-    "GandivaScheduler",
-]

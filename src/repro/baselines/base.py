@@ -51,6 +51,45 @@ class SchedulerCapabilities:
         }
 
 
+#: Table 3 (plus the reference policies), keyed by registry name.  The
+#: scheduler classes and their registry entries both read their row here,
+#: so the registry can list a scheduler without importing its module.
+CAPABILITIES: Dict[str, SchedulerCapabilities] = {
+    "ONES": SchedulerCapabilities(
+        strategy="dynamic", allows_preemption=True,
+        elastic_job_size=True, elastic_batch_size=True,
+    ),
+    "ONES-hier": SchedulerCapabilities(
+        strategy="dynamic", allows_preemption=True,
+        elastic_job_size=True, elastic_batch_size=True,
+    ),
+    "DRL": SchedulerCapabilities(
+        strategy="dynamic", allows_preemption=False,
+        elastic_job_size=True, elastic_batch_size=False,
+    ),
+    "Tiresias": SchedulerCapabilities(
+        strategy="greedy", allows_preemption=True,
+        elastic_job_size=False, elastic_batch_size=False,
+    ),
+    "Optimus": SchedulerCapabilities(
+        strategy="greedy", allows_preemption=True,
+        elastic_job_size=True, elastic_batch_size=False,
+    ),
+    "Gandiva": SchedulerCapabilities(
+        strategy="greedy", allows_preemption=True,
+        elastic_job_size=False, elastic_batch_size=False,
+    ),
+    "FIFO": SchedulerCapabilities(
+        strategy="greedy", allows_preemption=False,
+        elastic_job_size=False, elastic_batch_size=False,
+    ),
+    "SRTF": SchedulerCapabilities(
+        strategy="greedy", allows_preemption=True,
+        elastic_job_size=False, elastic_batch_size=False,
+    ),
+}
+
+
 @dataclass
 class ClusterState:
     """Read-only snapshot handed to scheduler callbacks.

@@ -30,9 +30,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.baselines.base import (
+    CAPABILITIES,
     ClusterState,
     SchedulerBase,
-    SchedulerCapabilities,
     allocation_with_job,
     pick_gpus_packed,
     user_local_batch,
@@ -116,12 +116,7 @@ class DRLScheduler(SchedulerBase):
     """Policy-gradient scheduler: one launch decision per scheduling event."""
 
     name = "DRL"
-    capabilities = SchedulerCapabilities(
-        strategy="dynamic",
-        allows_preemption=False,
-        elastic_job_size=True,
-        elastic_batch_size=False,
-    )
+    capabilities = CAPABILITIES["DRL"]
     reconfiguration_kind = ReconfigurationKind.CHECKPOINT
 
     #: Worker counts the policy may launch a job with.

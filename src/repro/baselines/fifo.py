@@ -13,9 +13,9 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.baselines.base import (
+    CAPABILITIES,
     ClusterState,
     SchedulerBase,
-    SchedulerCapabilities,
     allocation_with_job,
     pick_gpus_packed,
     user_local_batch,
@@ -29,12 +29,7 @@ class FIFOScheduler(SchedulerBase):
     """Strict arrival-order gang scheduling with fixed job sizes."""
 
     name = "FIFO"
-    capabilities = SchedulerCapabilities(
-        strategy="greedy",
-        allows_preemption=False,
-        elastic_job_size=False,
-        elastic_batch_size=False,
-    )
+    capabilities = CAPABILITIES["FIFO"]
     reconfiguration_kind = ReconfigurationKind.CHECKPOINT
 
     def on_job_arrival(self, job: Job, state: ClusterState) -> Optional[Allocation]:

@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.baselines.base import (
+    CAPABILITIES,
     ClusterState,
     SchedulerBase,
-    SchedulerCapabilities,
     allocation_with_job,
     pick_gpus_packed,
     user_local_batch,
@@ -45,12 +45,7 @@ class GandivaScheduler(SchedulerBase):
     """Round-based time-slicing with locality-aware packing."""
 
     name = "Gandiva"
-    capabilities = SchedulerCapabilities(
-        strategy="greedy",
-        allows_preemption=True,
-        elastic_job_size=False,
-        elastic_batch_size=False,
-    )
+    capabilities = CAPABILITIES["Gandiva"]
     reconfiguration_kind = ReconfigurationKind.CHECKPOINT
     timer_interval: Optional[float] = 1.0 * MINUTE
 

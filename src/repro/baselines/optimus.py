@@ -25,9 +25,9 @@ import numpy as np
 from scipy import optimize
 
 from repro.baselines.base import (
+    CAPABILITIES,
     ClusterState,
     SchedulerBase,
-    SchedulerCapabilities,
     allocation_with_job,
     pick_gpus_packed,
     user_local_batch,
@@ -77,12 +77,7 @@ class OptimusScheduler(SchedulerBase):
     """Periodic greedy marginal-gain allocation with loss-curve prediction."""
 
     name = "Optimus"
-    capabilities = SchedulerCapabilities(
-        strategy="greedy",
-        allows_preemption=True,
-        elastic_job_size=False,  # overridden below: Optimus *does* resize jobs
-        elastic_batch_size=False,
-    )
+    capabilities = CAPABILITIES["Optimus"]
     reconfiguration_kind = ReconfigurationKind.CHECKPOINT
     timer_interval: Optional[float] = 10.0 * MINUTE
 
@@ -101,14 +96,6 @@ class OptimusScheduler(SchedulerBase):
         self.max_gpus_per_job = int(max_gpus_per_job)
         self.default_remaining_epochs = float(default_remaining_epochs)
         self.convergence_epsilon = float(convergence_epsilon)
-        # Table 3 row for Optimus: greedy, preemption allowed, elastic job
-        # size, fixed batch size.
-        self.capabilities = SchedulerCapabilities(
-            strategy="greedy",
-            allows_preemption=True,
-            elastic_job_size=True,
-            elastic_batch_size=False,
-        )
 
     # -- remaining-work estimation -----------------------------------------------------------------
 

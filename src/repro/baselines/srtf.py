@@ -15,9 +15,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.baselines.base import (
+    CAPABILITIES,
     ClusterState,
     SchedulerBase,
-    SchedulerCapabilities,
     allocation_with_job,
     allocation_without_jobs,
     pick_gpus_packed,
@@ -32,12 +32,7 @@ class SRTFScheduler(SchedulerBase):
     """Preemptive shortest-remaining-time-first with oracle estimates."""
 
     name = "SRTF-oracle"
-    capabilities = SchedulerCapabilities(
-        strategy="greedy",
-        allows_preemption=True,
-        elastic_job_size=False,
-        elastic_batch_size=False,
-    )
+    capabilities = CAPABILITIES["SRTF"]
     reconfiguration_kind = ReconfigurationKind.CHECKPOINT
 
     def on_job_arrival(self, job: Job, state: ClusterState) -> Optional[Allocation]:

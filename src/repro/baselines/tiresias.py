@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.baselines.base import (
+    CAPABILITIES,
     ClusterState,
     SchedulerBase,
-    SchedulerCapabilities,
     allocation_with_job,
     pick_gpus_packed,
     user_local_batch,
@@ -38,12 +38,7 @@ class TiresiasScheduler(SchedulerBase):
     """Discretised 2D-LAS multi-level feedback queue (Tiresias-L)."""
 
     name = "Tiresias"
-    capabilities = SchedulerCapabilities(
-        strategy="greedy",
-        allows_preemption=True,
-        elastic_job_size=False,
-        elastic_batch_size=False,
-    )
+    capabilities = CAPABILITIES["Tiresias"]
     reconfiguration_kind = ReconfigurationKind.CHECKPOINT
 
     def __init__(self, queue_thresholds: Sequence[float] = (0.25 * HOUR, 1.0 * HOUR)) -> None:

@@ -77,7 +77,6 @@ from repro.analysis.export import (
 )
 from repro.analysis.reporting import ascii_bar_chart, ascii_series, format_table
 from repro.analysis.stats import significance_table
-from repro.experiments import figures
 from repro.experiments.orchestrator import Runner
 from repro.experiments.registry import (
     available_schedulers,
@@ -88,7 +87,8 @@ from repro.experiments.registry import (
 )
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.backends import CellTimeoutError, simulate_trace
-from repro.faults import FaultConfig, available_profiles, profile_table
+from repro.faults.config import FaultConfig
+from repro.faults.profiles import available_profiles, profile_table
 from repro.sim.simulator import SimulationConfig
 from repro.workload.replay import load_trace, save_trace, trace_statistics
 from repro.workload.trace import TraceConfig, TraceGenerator
@@ -1109,6 +1109,8 @@ def cmd_fault_profiles(args) -> int:
 
 
 def cmd_figures(args) -> int:
+    from repro.experiments import figures
+
     wanted = args.which
 
     if wanted in ("fig2", "all"):

@@ -6,7 +6,7 @@ nodes.  This subpackage provides the simulated equivalent:
 
 * :mod:`repro.cluster.devices` — GPU and node hardware descriptions.
 * :mod:`repro.cluster.topology` — the cluster as a collection of nodes
-  and GPUs with intra-/inter-node bandwidths (backed by a networkx graph).
+  and GPUs with intra-/inter-node bandwidths (a star around one switch).
 * :mod:`repro.cluster.allocation` — a concrete assignment of GPU workers
   (with local batch sizes) to jobs.
 * :mod:`repro.cluster.placement` — locality/fragmentation measures and
@@ -15,34 +15,3 @@ nodes.  This subpackage provides the simulated equivalent:
 * :mod:`repro.cluster.interference` — a co-location interference model
   motivating the one-job-per-GPU constraint (Eq. 4).
 """
-
-from repro.cluster.devices import GPUSpec, NodeSpec, V100, LONGHORN_NODE
-from repro.cluster.topology import ClusterTopology, make_longhorn_cluster
-from repro.cluster.allocation import Allocation, WorkerAssignment
-from repro.cluster.events import Event, EventKind, EventQueue
-from repro.cluster.placement import (
-    fragmentation,
-    nodes_spanned,
-    pack_workers,
-    placement_quality,
-)
-from repro.cluster.interference import InterferenceModel
-
-__all__ = [
-    "GPUSpec",
-    "NodeSpec",
-    "V100",
-    "LONGHORN_NODE",
-    "ClusterTopology",
-    "make_longhorn_cluster",
-    "Allocation",
-    "WorkerAssignment",
-    "Event",
-    "EventKind",
-    "EventQueue",
-    "fragmentation",
-    "nodes_spanned",
-    "pack_workers",
-    "placement_quality",
-    "InterferenceModel",
-]

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.cluster.devices import LONGHORN_NODE, GPUSpec, NodeSpec
@@ -41,15 +40,12 @@ class ClusterTopology:
 
     Notes
     -----
-    The interconnect is represented as a star graph around a single
-    network switch (Longhorn uses a non-blocking EDR fabric, so a star
-    with uniform edge bandwidth is an adequate model).  The graph is kept
-    as a :class:`networkx.Graph` so alternative topologies (fat trees,
-    oversubscribed pods) can be plugged in by subclassing and overriding
-    :meth:`_build_network`.
+    The interconnect is a star around a single network switch (Longhorn
+    uses a non-blocking EDR fabric, so a star with uniform uplink
+    bandwidth is an adequate model).  Every cross-node path is therefore
+    uplink → switch → uplink, and its bottleneck is the slower of the two
+    servers' uplinks, kept in one per-node list.
     """
-
-    SWITCH = "switch"
 
     def __init__(self, num_nodes: int, node_spec: NodeSpec = LONGHORN_NODE) -> None:
         check_positive_int(num_nodes, "num_nodes")
@@ -61,22 +57,8 @@ class ClusterTopology:
                 gpu_id = node_id * node_spec.gpus_per_node + local
                 self._gpus.append(GPUHandle(gpu_id, node_id, node_spec.gpu))
         self._node_of = np.array([g.node_id for g in self._gpus], dtype=np.int64)
-        self._network = self._build_network()
-
-    # -- construction --------------------------------------------------------
-
-    def _build_network(self) -> nx.Graph:
-        graph = nx.Graph()
-        graph.add_node(self.SWITCH, kind="switch")
-        for node_id in range(self._num_nodes):
-            graph.add_node(node_id, kind="server")
-            graph.add_edge(
-                node_id,
-                self.SWITCH,
-                bandwidth=self._node_spec.inter_node_bandwidth,
-                latency=self._node_spec.network_latency,
-            )
-        return graph
+        #: Bandwidth of each server's link to the switch (bytes/s).
+        self._uplink = [float(node_spec.inter_node_bandwidth)] * self._num_nodes
 
     # -- basic accessors ------------------------------------------------------
 
@@ -105,11 +87,6 @@ class ClusterTopology:
         """GPUs installed per server."""
         return self._node_spec.gpus_per_node
 
-    @property
-    def network(self) -> nx.Graph:
-        """The interconnect graph (servers + switch)."""
-        return self._network
-
     def gpu(self, gpu_id: int) -> GPUHandle:
         """Return the :class:`GPUHandle` with global id ``gpu_id``."""
         if not 0 <= gpu_id < self.num_gpus:
@@ -136,15 +113,11 @@ class ClusterTopology:
         """Bottleneck bandwidth of the path between two servers (bytes/s).
 
         Within the same server this is the NVLink bandwidth; across servers
-        it is the minimum edge bandwidth along the switch path.
+        it is the slower of the two uplinks on the switch path.
         """
         if node_a == node_b:
             return self._node_spec.intra_node_bandwidth
-        path = nx.shortest_path(self._network, node_a, node_b)
-        bandwidths = [
-            self._network.edges[u, v]["bandwidth"] for u, v in zip(path, path[1:])
-        ]
-        return float(min(bandwidths))
+        return min(self._uplink[node_a], self._uplink[node_b])
 
     def ring_bandwidth(self, gpu_ids: Sequence[int]) -> float:
         """Bottleneck bandwidth of an all-reduce ring over ``gpu_ids``.
@@ -160,13 +133,10 @@ class ClusterTopology:
         nodes = set(int(n) for n in self.node_of(gpu_ids))
         if len(nodes) == 1:
             return self._node_spec.intra_node_bandwidth
-        # The bottleneck is the slowest inter-node hop of the ring.
-        nodes = sorted(nodes)
-        worst = min(
-            self.link_bandwidth(a, b)
-            for a, b in zip(nodes, nodes[1:] + nodes[:1])
-        )
-        return float(worst)
+        # Every inter-node hop of the ring crosses the switch, so the
+        # slowest uplink of the nodes it spans bounds it.
+        uplink = self._uplink
+        return min(uplink[n] for n in nodes)
 
     def ring_latency(self, gpu_ids: Sequence[int]) -> float:
         """Per-hop latency of an all-reduce ring over ``gpu_ids`` (seconds)."""

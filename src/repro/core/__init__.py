@@ -15,57 +15,3 @@
 * :mod:`repro.core.ones_scheduler` — the ONES scheduler wired into the
   common scheduler interface.
 """
-
-from repro.core.schedule import Schedule, stack_genomes, unique_schedules
-from repro.core.scoring import (
-    candidate_score,
-    probability_sample,
-    score_population,
-    select_top_k,
-)
-from repro.core.batch_limit import BatchLimitConfig, BatchSizeLimiter
-from repro.core.operators import (
-    EvolutionContext,
-    refresh,
-    reorder,
-    uniform_crossover,
-    uniform_mutation,
-)
-from repro.core.population import Population
-from repro.core.evolution import EvolutionConfig, EvolutionEngine, EvolutionarySearch
-from repro.core.evolution_batched import (
-    GenerationResult,
-    fill_idle_population,
-    refresh_population,
-    reorder_population,
-    run_generation,
-)
-from repro.core.ones_scheduler import ONESConfig, ONESScheduler
-
-__all__ = [
-    "Schedule",
-    "stack_genomes",
-    "unique_schedules",
-    "candidate_score",
-    "probability_sample",
-    "score_population",
-    "select_top_k",
-    "BatchLimitConfig",
-    "BatchSizeLimiter",
-    "EvolutionContext",
-    "refresh",
-    "reorder",
-    "uniform_crossover",
-    "uniform_mutation",
-    "Population",
-    "EvolutionConfig",
-    "EvolutionEngine",
-    "EvolutionarySearch",
-    "GenerationResult",
-    "fill_idle_population",
-    "refresh_population",
-    "reorder_population",
-    "run_generation",
-    "ONESConfig",
-    "ONESScheduler",
-]

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.baselines.base import ClusterState, SchedulerBase, SchedulerCapabilities
+from repro.baselines.base import CAPABILITIES, ClusterState, SchedulerBase
 from repro.cluster.allocation import Allocation
 from repro.core.batch_limit import BatchLimitConfig, BatchSizeLimiter
 from repro.core.evolution import EvolutionConfig, EvolutionarySearch
@@ -78,12 +78,7 @@ class ONESScheduler(SchedulerBase):
     """Online evolutionary scheduler with elastic batch-size orchestration."""
 
     name = "ONES"
-    capabilities = SchedulerCapabilities(
-        strategy="dynamic",
-        allows_preemption=True,
-        elastic_job_size=True,
-        elastic_batch_size=True,
-    )
+    capabilities = CAPABILITIES["ONES"]
     reconfiguration_kind = ReconfigurationKind.ELASTIC
 
     def __init__(self, config: Optional[ONESConfig] = None, seed: SeedLike = None) -> None:

@@ -58,9 +58,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.baselines.base import (
+    CAPABILITIES,
     ClusterState,
     SchedulerBase,
-    SchedulerCapabilities,
     user_local_batch,
 )
 from repro.cluster.allocation import Allocation, WorkerAssignment
@@ -139,12 +139,7 @@ class HierarchicalONESScheduler(SchedulerBase):
     """Two-level ONES: per-partition evolutionary search + global reconciler."""
 
     name = "ONES-hier"
-    capabilities = SchedulerCapabilities(
-        strategy="dynamic",
-        allows_preemption=True,
-        elastic_job_size=True,
-        elastic_batch_size=True,
-    )
+    capabilities = CAPABILITIES["ONES-hier"]
     reconfiguration_kind = ReconfigurationKind.ELASTIC
 
     def __init__(

@@ -28,85 +28,3 @@ The public API for producing every table and figure of the paper:
 * :mod:`repro.experiments.figures` — generators for the analytic
   figures that need no cluster simulation.
 """
-
-from repro.experiments.artifacts import RunArtifact, SweepArtifact, dead_cell_artifact
-from repro.experiments.backends import (
-    CellTimeoutError,
-    ExecutionBackend,
-    ExecutionPolicy,
-    ProcessPoolBackend,
-    QueueBackend,
-    SerialBackend,
-    execute_run,
-    make_backend,
-    simulate_run,
-    simulate_trace,
-)
-from repro.experiments.queue import CellState, LeaseLostError, WorkQueue
-from repro.experiments.config import ExperimentConfig, default_schedulers
-from repro.experiments.orchestrator import Runner, RunnerStats, run_experiment
-from repro.experiments.registry import (
-    SchedulerEntry,
-    UnknownSchedulerError,
-    available_schedulers,
-    capabilities_table,
-    create_scheduler,
-    paper_schedulers,
-    register_scheduler,
-)
-from repro.experiments.report import build_comparison_report, write_comparison_report
-from repro.experiments.runner import (
-    ComparisonResult,
-    generate_trace,
-    run_comparison,
-    run_scalability_sweep,
-    run_single,
-)
-from repro.experiments.spec import ExperimentSpec, RunSpec
-from repro.experiments import figures
-
-__all__ = [
-    # declarative API
-    "ExperimentSpec",
-    "RunSpec",
-    "Runner",
-    "RunnerStats",
-    "run_experiment",
-    "RunArtifact",
-    "SweepArtifact",
-    "dead_cell_artifact",
-    # backends
-    "CellTimeoutError",
-    "ExecutionBackend",
-    "ExecutionPolicy",
-    "SerialBackend",
-    "ProcessPoolBackend",
-    "QueueBackend",
-    "make_backend",
-    # durable work queue
-    "WorkQueue",
-    "CellState",
-    "LeaseLostError",
-    "simulate_trace",
-    "simulate_run",
-    "execute_run",
-    # registry
-    "SchedulerEntry",
-    "UnknownSchedulerError",
-    "register_scheduler",
-    "create_scheduler",
-    "available_schedulers",
-    "paper_schedulers",
-    "capabilities_table",
-    # legacy shims
-    "ExperimentConfig",
-    "default_schedulers",
-    "ComparisonResult",
-    "generate_trace",
-    "run_comparison",
-    "run_scalability_sweep",
-    "run_single",
-    "build_comparison_report",
-    "write_comparison_report",
-    "figures",
-]

@@ -25,24 +25,30 @@ Registering a new scheduler::
 
 Lookups are case-insensitive and accept aliases; unknown names raise
 :class:`UnknownSchedulerError` listing what is available.
+
+The built-in factories import their scheduler's module when they are
+called, and register the row of
+:data:`~repro.baselines.base.CAPABILITIES`: listing the registry or
+creating FIFO loads neither ONES's search and predictor nor scipy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from repro.baselines.base import SchedulerBase, SchedulerCapabilities
-from repro.baselines.drl import DRLScheduler
-from repro.baselines.fifo import FIFOScheduler
-from repro.baselines.gandiva import GandivaScheduler
-from repro.baselines.optimus import OptimusScheduler
-from repro.baselines.srtf import SRTFScheduler
-from repro.baselines.tiresias import TiresiasScheduler
-from repro.core.evolution import EvolutionConfig
-from repro.core.ones_scheduler import ONESConfig, ONESScheduler
-from repro.core.partitioned import HierarchicalConfig, HierarchicalONESScheduler
-from repro.prediction.predictor import PredictorConfig
+from repro.baselines.base import CAPABILITIES, SchedulerBase, SchedulerCapabilities
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.baselines.drl import DRLScheduler
+    from repro.baselines.fifo import FIFOScheduler
+    from repro.baselines.gandiva import GandivaScheduler
+    from repro.baselines.optimus import OptimusScheduler
+    from repro.baselines.srtf import SRTFScheduler
+    from repro.baselines.tiresias import TiresiasScheduler
+    from repro.core.evolution import EvolutionConfig
+    from repro.core.ones_scheduler import ONESConfig, ONESScheduler
+    from repro.core.partitioned import HierarchicalConfig, HierarchicalONESScheduler
 
 #: Factory signature: ``(seed, **options) -> SchedulerBase``.
 SchedulerFactory = Callable[..., SchedulerBase]
@@ -191,7 +197,7 @@ def capabilities_table() -> List[Dict[str, str]]:
 
 @register_scheduler(
     "ONES",
-    capabilities=ONESScheduler.capabilities,
+    capabilities=CAPABILITIES["ONES"],
     description="online evolutionary batch-size orchestration (the paper's scheduler)",
     paper_baseline=True,
 )
@@ -219,6 +225,10 @@ def _make_ones(
     predictor freshness for long-trace throughput (see
     :class:`~repro.prediction.predictor.PredictorConfig`).
     """
+    from repro.core.evolution import EvolutionConfig
+    from repro.core.ones_scheduler import ONESConfig, ONESScheduler
+    from repro.prediction.predictor import PredictorConfig
+
     if config is None:
         if evolution is None:
             overrides: Dict[str, object] = {}
@@ -247,7 +257,7 @@ def _make_ones(
 
 @register_scheduler(
     "ONES-hier",
-    capabilities=HierarchicalONESScheduler.capabilities,
+    capabilities=CAPABILITIES["ONES-hier"],
     description="hierarchical partitioned ONES: one search per shard + global reconciler",
     aliases=("ones-hierarchical",),
 )
@@ -275,6 +285,8 @@ def _make_ones_hier(
     override (``partitions=1`` is the flat-parity mode), and
     ``parallel_workers`` for the process-pool evolve burst.
     """
+    from repro.core.partitioned import HierarchicalConfig, HierarchicalONESScheduler
+
     if config is None:
         inner = _make_ones(
             seed,
@@ -300,31 +312,37 @@ def _make_ones_hier(
 
 @register_scheduler(
     "DRL",
-    capabilities=DRLScheduler.capabilities,
+    capabilities=CAPABILITIES["DRL"],
     description="deep-RL scheduler in the style of Chic (greedy policy rollout)",
     paper_baseline=True,
 )
 def _make_drl(seed: int, *, greedy: bool = True) -> DRLScheduler:
+    from repro.baselines.drl import DRLScheduler
+
     return DRLScheduler(seed=seed, greedy=bool(greedy))
 
 
 @register_scheduler(
     "Tiresias",
-    capabilities=TiresiasScheduler.capabilities,
+    capabilities=CAPABILITIES["Tiresias"],
     description="discretised least-attained-service multi-level feedback queue",
     paper_baseline=True,
 )
 def _make_tiresias(seed: int) -> TiresiasScheduler:
+    from repro.baselines.tiresias import TiresiasScheduler
+
     return TiresiasScheduler()
 
 
 @register_scheduler(
     "Optimus",
-    capabilities=OptimusScheduler.capabilities,
+    capabilities=CAPABILITIES["Optimus"],
     description="greedy marginal-gain allocation, reschedules every 10 minutes",
     paper_baseline=True,
 )
 def _make_optimus(seed: int, *, scheduling_interval: Optional[float] = None) -> OptimusScheduler:
+    from repro.baselines.optimus import OptimusScheduler
+
     if scheduling_interval is None:
         return OptimusScheduler()
     return OptimusScheduler(scheduling_interval=float(scheduling_interval))
@@ -332,10 +350,12 @@ def _make_optimus(seed: int, *, scheduling_interval: Optional[float] = None) -> 
 
 @register_scheduler(
     "Gandiva",
-    capabilities=GandivaScheduler.capabilities,
+    capabilities=CAPABILITIES["Gandiva"],
     description="time-slicing with locality-driven migration",
 )
 def _make_gandiva(seed: int, *, time_quantum: Optional[float] = None) -> GandivaScheduler:
+    from repro.baselines.gandiva import GandivaScheduler
+
     if time_quantum is None:
         return GandivaScheduler()
     return GandivaScheduler(time_quantum=float(time_quantum))
@@ -343,20 +363,24 @@ def _make_gandiva(seed: int, *, time_quantum: Optional[float] = None) -> Gandiva
 
 @register_scheduler(
     "FIFO",
-    capabilities=FIFOScheduler.capabilities,
+    capabilities=CAPABILITIES["FIFO"],
     description="first-in-first-out gang scheduling at the requested size",
 )
 def _make_fifo(seed: int) -> FIFOScheduler:
+    from repro.baselines.fifo import FIFOScheduler
+
     return FIFOScheduler()
 
 
 @register_scheduler(
     "SRTF",
-    capabilities=SRTFScheduler.capabilities,
+    capabilities=CAPABILITIES["SRTF"],
     description="shortest-remaining-time-first with oracle remaining-time knowledge",
     aliases=("srtf-oracle",),
 )
 def _make_srtf(seed: int) -> SRTFScheduler:
+    from repro.baselines.srtf import SRTFScheduler
+
     scheduler = SRTFScheduler()
     # Align the report label with the registry name so a single run never
     # shows up as "SRTF" in one table and "SRTF-oracle" in another.

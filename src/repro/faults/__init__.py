@@ -28,29 +28,3 @@ layered like the rest of the repo:
 * :mod:`repro.faults.masking` — node compaction, which lets ONES evolve
   schedules over the surviving nodes as if they were a smaller cluster.
 """
-
-from repro.faults.config import FaultConfig
-from repro.faults.costs import FaultCostModel
-from repro.faults.plan import FaultInjection, FaultKind, FaultPlan
-from repro.faults.profiles import (
-    UnknownFaultProfileError,
-    available_profiles,
-    build_plan,
-    profile_table,
-    register_profile,
-)
-from repro.faults.runtime import FaultRuntime
-
-__all__ = [
-    "FaultConfig",
-    "FaultCostModel",
-    "FaultInjection",
-    "FaultKind",
-    "FaultPlan",
-    "FaultRuntime",
-    "UnknownFaultProfileError",
-    "available_profiles",
-    "build_plan",
-    "profile_table",
-    "register_profile",
-]

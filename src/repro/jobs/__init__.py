@@ -19,35 +19,3 @@ reports in Figs. 2, 3, 13 and 14:
 * :mod:`repro.jobs.job` — :class:`JobSpec` (static description) and
   :class:`Job` (runtime state tracked by the simulator).
 """
-
-from repro.jobs.model_zoo import ModelSpec, MODEL_ZOO, get_model
-from repro.jobs.throughput import (
-    BoundedMemo,
-    StepTimeBreakdown,
-    ThroughputModel,
-    ThroughputTable,
-    derive_global_batch,
-)
-from repro.jobs.convergence import ConvergenceProfile, LossCurveSimulator
-from repro.jobs.lr_scaling import linear_scaled_lr, warmup_factor
-from repro.jobs.job import Job, JobSpec, JobStatus, EpochRecord, RunInterval
-
-__all__ = [
-    "ModelSpec",
-    "MODEL_ZOO",
-    "get_model",
-    "ThroughputModel",
-    "ThroughputTable",
-    "BoundedMemo",
-    "derive_global_batch",
-    "StepTimeBreakdown",
-    "ConvergenceProfile",
-    "LossCurveSimulator",
-    "linear_scaled_lr",
-    "warmup_factor",
-    "Job",
-    "JobSpec",
-    "JobStatus",
-    "EpochRecord",
-    "RunInterval",
-]

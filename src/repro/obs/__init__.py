@@ -4,47 +4,3 @@ See :mod:`repro.obs.trace` for the deterministic span/event recorder
 and :mod:`repro.obs.metrics` for the counters/gauges/histograms
 registry with Prometheus text exposition.
 """
-
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    LatencyHistogram,
-    MetricsRegistry,
-    render_prometheus,
-)
-from repro.obs.trace import (
-    SCHEMA_NAME,
-    SCHEMA_VERSION,
-    TraceRecorder,
-    active_tracer,
-    current_tracer,
-    export_chrome_trace,
-    format_tree,
-    install_tracer,
-    load_jsonl,
-    summarize,
-    uninstall_tracer,
-    validate_record,
-    validate_trace_file,
-)
-
-__all__ = [
-    "Counter",
-    "Gauge",
-    "LatencyHistogram",
-    "MetricsRegistry",
-    "render_prometheus",
-    "SCHEMA_NAME",
-    "SCHEMA_VERSION",
-    "TraceRecorder",
-    "active_tracer",
-    "current_tracer",
-    "export_chrome_trace",
-    "format_tree",
-    "install_tracer",
-    "load_jsonl",
-    "summarize",
-    "uninstall_tracer",
-    "validate_record",
-    "validate_trace_file",
-]

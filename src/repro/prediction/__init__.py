@@ -20,31 +20,3 @@ training logs of completed jobs (footnote 1 describes a GPR predictor).
   pieces together and produces per-job Beta distributions and remaining
   workload estimates (Eq. 7).
 """
-
-from repro.prediction.beta import BetaDistribution
-from repro.prediction.features import FEATURE_NAMES, FeatureScaler, job_features
-from repro.prediction.history import HistoryStore, TrainingExample
-from repro.prediction.blr import BayesianLinearRegression
-from repro.prediction.gpr import GaussianProcessRegression
-from repro.prediction.predictor import ProgressPredictor, PredictorConfig
-from repro.prediction.evaluation import (
-    PredictorEvaluation,
-    cross_validate_backends,
-    evaluate_predictor,
-)
-
-__all__ = [
-    "PredictorEvaluation",
-    "cross_validate_backends",
-    "evaluate_predictor",
-    "BetaDistribution",
-    "FEATURE_NAMES",
-    "FeatureScaler",
-    "job_features",
-    "HistoryStore",
-    "TrainingExample",
-    "BayesianLinearRegression",
-    "GaussianProcessRegression",
-    "ProgressPredictor",
-    "PredictorConfig",
-]

@@ -3,6 +3,10 @@
 The paper chooses Beta distributions because progress lives in (0, 1),
 the shape is flexible, and ``Be(α, β)`` is unimodal when ``α, β > 1``
 (which the threshold functions in Eq. 6 guarantee).
+
+``scipy.stats`` is imported inside the three methods that need it
+(quantiles and densities): it takes about a second to import, and no
+simulation calls them.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy import stats
 
 from repro.utils.rng import SeedLike, as_generator
 
@@ -76,6 +79,8 @@ class BetaDistribution:
 
     def quantile(self, q: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
         """Inverse CDF at probability ``q``."""
+        from scipy import stats
+
         result = stats.beta.ppf(q, self.alpha, self.beta)
         if np.isscalar(q):
             return float(result)
@@ -105,6 +110,8 @@ class BetaDistribution:
 
     def logpdf(self, x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
         """Log density at ``x``."""
+        from scipy import stats
+
         result = stats.beta.logpdf(x, self.alpha, self.beta)
         if np.isscalar(x):
             return float(result)
@@ -112,6 +119,8 @@ class BetaDistribution:
 
     def pdf(self, x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
         """Density at ``x``."""
+        from scipy import stats
+
         result = stats.beta.pdf(x, self.alpha, self.beta)
         if np.isscalar(x):
             return float(result)

@@ -17,31 +17,3 @@ roughly one second (Fig. 16).
 * :mod:`repro.scaling.overhead` — the overhead model comparing elastic
   scaling against checkpoint-based migration (Fig. 16).
 """
-
-from repro.scaling.messages import (
-    MessageType,
-    ScalingMessage,
-    make_scale_command,
-    make_start_command,
-    make_stop_command,
-)
-from repro.scaling.agent import AgentState, ScalingAgent
-from repro.scaling.worker_manager import WorkerManager
-from repro.scaling.coordinator import MigrationCoordinator, MigrationStep, MigrationPlan
-from repro.scaling.overhead import OverheadModel, ReconfigurationKind
-
-__all__ = [
-    "MessageType",
-    "ScalingMessage",
-    "make_scale_command",
-    "make_start_command",
-    "make_stop_command",
-    "AgentState",
-    "ScalingAgent",
-    "WorkerManager",
-    "MigrationCoordinator",
-    "MigrationStep",
-    "MigrationPlan",
-    "OverheadModel",
-    "ReconfigurationKind",
-]

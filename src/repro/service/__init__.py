@@ -26,43 +26,3 @@ through the service produces *bit-identical* placement decisions and
 final metrics to an offline ``ClusterSimulator.run`` of the same trace —
 enforced by the golden-parity test in ``tests/test_service_parity.py``.
 """
-
-from repro.service.schemas import (
-    AdmissionError,
-    JobSubmission,
-    JobType,
-    PlacementDecision,
-    SchemaValidationError,
-    ServiceConfig,
-    TenantQuota,
-)
-from repro.service.engine import LatencyHistogram, SchedulerService, TenantState
-from repro.service.streams import ALL_TENANTS, StreamHub
-from repro.service.http import DEFAULT_PORT, ServiceClient, ServiceServer, run_server
-from repro.service.load import (
-    arrival_summary,
-    generate_submissions,
-    tenant_seed,
-)
-
-__all__ = [
-    "AdmissionError",
-    "JobSubmission",
-    "JobType",
-    "PlacementDecision",
-    "SchemaValidationError",
-    "ServiceConfig",
-    "TenantQuota",
-    "LatencyHistogram",
-    "SchedulerService",
-    "TenantState",
-    "ALL_TENANTS",
-    "StreamHub",
-    "DEFAULT_PORT",
-    "ServiceClient",
-    "ServiceServer",
-    "run_server",
-    "arrival_summary",
-    "generate_submissions",
-    "tenant_seed",
-]

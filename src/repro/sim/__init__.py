@@ -46,32 +46,3 @@ wall-clock (ledger advance, per-event-kind handler time, scheduler
 phases such as GPR refits) lands in ``SimulationResult.profile`` and in
 experiment artifacts.
 """
-
-from repro.sim.kernel import EventHandler, SimulationKernel
-from repro.sim.ledger import ProgressLedger
-from repro.sim.profiling import SimProfile
-from repro.sim.simulator import ClusterSimulator, SimulationConfig, SimulationResult
-from repro.sim.telemetry import (
-    GanttSegment,
-    RunTelemetry,
-    busy_gpu_timeline,
-    job_gantt,
-    summarize_run,
-    utilization_timeline,
-)
-
-__all__ = [
-    "ClusterSimulator",
-    "EventHandler",
-    "ProgressLedger",
-    "SimProfile",
-    "SimulationConfig",
-    "SimulationKernel",
-    "SimulationResult",
-    "GanttSegment",
-    "RunTelemetry",
-    "busy_gpu_timeline",
-    "job_gantt",
-    "summarize_run",
-    "utilization_timeline",
-]

@@ -13,54 +13,3 @@ This subpackage provides:
   statistics, so experiments can replay identical workloads across
   schedulers.
 """
-
-from repro.workload.tasks import (
-    TaskFamily,
-    WorkloadTemplate,
-    build_workload_catalog,
-    make_job_spec,
-    catalog_summary,
-)
-from repro.workload.trace import TraceGenerator, TraceConfig
-from repro.workload.replay import (
-    jobspec_to_dict,
-    jobspec_from_dict,
-    save_trace,
-    load_trace,
-    trace_statistics,
-)
-from repro.workload.arrivals import (
-    ArrivalConfig,
-    ArrivalProcess,
-    BurstyArrivals,
-    DiurnalArrivals,
-    PoissonArrivals,
-    arrival_profile_table,
-    available_arrival_profiles,
-    interarrival_statistics,
-    register_arrival_profile,
-)
-
-__all__ = [
-    "ArrivalConfig",
-    "arrival_profile_table",
-    "available_arrival_profiles",
-    "register_arrival_profile",
-    "ArrivalProcess",
-    "BurstyArrivals",
-    "DiurnalArrivals",
-    "PoissonArrivals",
-    "interarrival_statistics",
-    "TaskFamily",
-    "WorkloadTemplate",
-    "build_workload_catalog",
-    "make_job_spec",
-    "catalog_summary",
-    "TraceGenerator",
-    "TraceConfig",
-    "jobspec_to_dict",
-    "jobspec_from_dict",
-    "save_trace",
-    "load_trace",
-    "trace_statistics",
-]

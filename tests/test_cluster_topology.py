@@ -1,9 +1,32 @@
 """Tests for repro.cluster.topology."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.cluster.topology import ClusterTopology, make_longhorn_cluster
+
+
+def star_link_oracle(intra: float, uplinks, node_a: int, node_b: int) -> float:
+    """Bottleneck of the star path: NVLink within a node, else the slower uplink.
+
+    A cross-node path is ``node_a -> switch -> node_b``: one hop over each
+    server's uplink.
+    """
+    if node_a == node_b:
+        return intra
+    return float(min(uplinks[node_a], uplinks[node_b]))
+
+
+def star_ring_oracle(intra: float, uplinks, node_of, gpu_ids) -> float:
+    """Bottleneck of the ring over the sorted servers the GPUs span."""
+    nodes = sorted({int(node_of[g]) for g in gpu_ids})
+    if len(nodes) == 1:
+        return intra
+    return min(
+        star_link_oracle(intra, uplinks, a, b) for a, b in zip(nodes, nodes[1:] + nodes[:1])
+    )
 
 
 class TestConstruction:
@@ -69,6 +92,50 @@ class TestBandwidth:
         local = small_topology.ring_latency([0, 1])
         remote = small_topology.ring_latency([0, 4])
         assert remote > local
+
+
+class TestStarOracle:
+    """``link_bandwidth``/``ring_bandwidth`` equal the star-path oracle exactly."""
+
+    @staticmethod
+    def _oracle_inputs(topology):
+        spec = topology.node_spec
+        uplinks = [spec.inter_node_bandwidth] * topology.num_nodes
+        node_of = topology.node_of(topology.all_gpu_ids())
+        return spec.intra_node_bandwidth, uplinks, node_of
+
+    @pytest.mark.parametrize("num_gpus", [8, 64, 1024])
+    def test_link_bandwidth_every_node_pair(self, num_gpus):
+        topology = make_longhorn_cluster(num_gpus)
+        intra, uplinks, _ = self._oracle_inputs(topology)
+        for a, b in itertools.product(range(topology.num_nodes), repeat=2):
+            assert topology.link_bandwidth(a, b) == star_link_oracle(intra, uplinks, a, b)
+
+    @pytest.mark.parametrize("num_gpus", [8, 64, 1024])
+    def test_ring_bandwidth_random_subsets(self, num_gpus):
+        topology = make_longhorn_cluster(num_gpus)
+        intra, uplinks, node_of = self._oracle_inputs(topology)
+        rng = np.random.default_rng(num_gpus)
+        for _ in range(300):
+            size = int(rng.integers(1, min(num_gpus, 32) + 1))
+            gpu_ids = rng.choice(num_gpus, size=size, replace=False).tolist()
+            expected = star_ring_oracle(intra, uplinks, node_of, gpu_ids)
+            assert topology.ring_bandwidth(gpu_ids) == expected
+
+    def test_unequal_uplinks_bound_by_the_slower_one(self):
+        topology = make_longhorn_cluster(64)
+        intra, _, node_of = self._oracle_inputs(topology)
+        # Only the uplink list differs from a stock cluster: give every
+        # server its own bandwidth so "the slower uplink" is observable.
+        uplinks = [float(10 + (7 * node) % 16) for node in range(topology.num_nodes)]
+        topology._uplink = list(uplinks)
+        for a, b in itertools.product(range(topology.num_nodes), repeat=2):
+            assert topology.link_bandwidth(a, b) == star_link_oracle(intra, uplinks, a, b)
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            gpu_ids = rng.choice(64, size=int(rng.integers(1, 17)), replace=False).tolist()
+            expected = star_ring_oracle(intra, uplinks, node_of, gpu_ids)
+            assert topology.ring_bandwidth(gpu_ids) == expected
 
 
 class TestSummaries:

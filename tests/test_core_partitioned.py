@@ -23,7 +23,8 @@ from repro.core.partitioned import (
     HierarchicalConfig,
     HierarchicalONESScheduler,
 )
-from repro.faults import FaultConfig, FaultInjection, FaultKind
+from repro.faults.config import FaultConfig
+from repro.faults.plan import FaultInjection, FaultKind
 from repro.sim.simulator import ClusterSimulator, SimulationConfig
 from repro.sim.views import partition_nodes
 from repro.workload.trace import TraceConfig, TraceGenerator

@@ -46,7 +46,8 @@ from repro.core.scoring_incremental import (
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.registry import create_scheduler
 from repro.experiments.runner import generate_trace, run_single
-from repro.faults import FaultConfig, FaultInjection, FaultKind
+from repro.faults.config import FaultConfig
+from repro.faults.plan import FaultInjection, FaultKind
 from repro.jobs.throughput import ThroughputModel, ThroughputTable
 from repro.sim.simulator import SimulationConfig
 from repro.workload.trace import TraceConfig

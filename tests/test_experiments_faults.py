@@ -15,7 +15,8 @@ import pytest
 from repro.experiments.artifacts import SweepArtifact
 from repro.experiments.orchestrator import Runner
 from repro.experiments.spec import SCHEMA_VERSION, ExperimentSpec, RunSpec
-from repro.faults import FaultConfig, FaultInjection, FaultKind
+from repro.faults.config import FaultConfig
+from repro.faults.plan import FaultInjection, FaultKind
 from repro.sim.simulator import SimulationConfig
 from repro.workload.trace import TraceConfig
 

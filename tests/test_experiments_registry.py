@@ -75,6 +75,13 @@ class TestBuiltins:
         assert scheduler.config.evolution.population_size == 4
         assert scheduler.config.evolution.mutation_rate == 0.5
 
+    @pytest.mark.parametrize(
+        "name", ["ONES", "ONES-hier", "DRL", "Tiresias", "Optimus", "Gandiva", "FIFO", "SRTF"]
+    )
+    def test_registry_row_is_the_created_schedulers_row(self, name):
+        scheduler = create_scheduler(name, 0)
+        assert resolve(name).capabilities.as_row() == scheduler.capabilities.as_row()
+
     def test_capabilities_table_matches_table3(self):
         rows = {row["Scheduler"]: row for row in capabilities_table()}
         assert rows["ONES"]["Greedy/Dynamic Strategy"] == "Dynamic"

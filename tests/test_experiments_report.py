@@ -15,7 +15,7 @@ from repro.experiments.report import (
 )
 from repro.experiments.runner import run_comparison
 from repro.experiments.spec import ExperimentSpec
-from repro.faults import FaultConfig
+from repro.faults.config import FaultConfig
 from repro.workload.trace import TraceConfig
 
 

@@ -17,16 +17,9 @@ from pathlib import Path
 import pytest
 
 from repro.cluster.events import Event, EventKind, EventQueue
-from repro.faults import (
-    FaultConfig,
-    FaultInjection,
-    FaultKind,
-    FaultPlan,
-    available_profiles,
-    profile_table,
-)
-from repro.faults.plan import Outage, assemble_plan
-from repro.faults.profiles import UnknownFaultProfileError
+from repro.faults.config import FaultConfig
+from repro.faults.plan import FaultInjection, FaultKind, FaultPlan, Outage, assemble_plan
+from repro.faults.profiles import UnknownFaultProfileError, available_profiles, profile_table
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -268,7 +261,7 @@ class TestFaultConfig:
 
 _PLAN_SNIPPET = """
 import json
-from repro.faults import FaultConfig
+from repro.faults.config import FaultConfig
 config = FaultConfig(profile={profile!r}, seed=13, mtbf_hours=0.5, repair_minutes=10)
 plan = config.build_plan(8, 4 * 3600.0)
 print(json.dumps(plan.to_dict(), sort_keys=True))

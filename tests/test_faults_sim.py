@@ -19,7 +19,8 @@ from repro.baselines.fifo import FIFOScheduler
 from repro.cluster.allocation import Allocation
 from repro.cluster.topology import make_longhorn_cluster
 from repro.experiments.registry import available_schedulers, create_scheduler
-from repro.faults import FaultConfig, FaultInjection, FaultKind
+from repro.faults.config import FaultConfig
+from repro.faults.plan import FaultInjection, FaultKind
 from repro.faults.masking import compact_state, virtual_cluster
 from repro.jobs.throughput import ThroughputModel
 from repro.sim.simulator import ClusterSimulator, SimulationConfig

@@ -24,7 +24,8 @@ from repro.cluster.topology import make_longhorn_cluster
 from repro.core.evolution import EvolutionConfig
 from repro.core.ones_scheduler import ONESConfig, ONESScheduler
 from repro.core.partitioned import HierarchicalConfig, HierarchicalONESScheduler
-from repro.faults import FaultConfig, FaultInjection, FaultKind
+from repro.faults.config import FaultConfig
+from repro.faults.plan import FaultInjection, FaultKind
 from repro.obs.trace import TraceRecorder, install_tracer, uninstall_tracer
 from repro.sim.profiling import SimProfile
 from repro.sim.simulator import ClusterSimulator, SimulationConfig

@@ -93,7 +93,8 @@ class TestSummary:
 @pytest.fixture(scope="module")
 def faulted_result():
     """FIFO run with one node down mid-run (NODE_DOWN @60s, NODE_UP @120s)."""
-    from repro.faults import FaultConfig, FaultInjection, FaultKind
+    from repro.faults.config import FaultConfig
+    from repro.faults.plan import FaultInjection, FaultKind
     from repro.sim.simulator import SimulationConfig
     from repro.workload.trace import TraceConfig, TraceGenerator
 
