@@ -102,6 +102,14 @@ class ClusterState:
     progress outside a callback: between events they may lag behind the
     ledger until the next materialization point.
 
+    Job contract: the simulator passes ``jobs`` as its index of admitted,
+    uncompleted jobs in admission order — never the jobs that already
+    finished — so the job views below cost O(live jobs), however long
+    the run.  ``on_job_completion`` therefore receives the completing
+    job as its callback argument only; it is no longer in ``jobs``.  The
+    views still filter on status and arrival time, so hand-built states
+    that hold finished or future jobs read the same.
+
     Availability contract: ``unavailable_gpus`` holds the GPUs of nodes
     that are currently down (fault injection,
     :mod:`repro.faults`).  Schedulers must place workers only on

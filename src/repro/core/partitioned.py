@@ -547,6 +547,8 @@ class HierarchicalONESScheduler(SchedulerBase):
         queued_ids = {job.job_id for job in queued}
         for job_id in [j for j in self._reserved if j not in queued_ids]:
             del self._reserved[job_id]
+        if not queued:
+            return
         taken: Set[int] = set()
         for nodes in self._reserved.values():
             taken.update(nodes)

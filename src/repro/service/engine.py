@@ -485,13 +485,8 @@ class SchedulerService:
 
     def queue_depth(self) -> int:
         """Admitted, incomplete jobs currently holding no GPUs."""
-        depth = 0
-        for job_id, job in self.sim.jobs.items():
-            if job.is_completed:
-                continue
-            if self.sim.allocation.config_of(job_id) is None:
-                depth += 1
-        return depth
+        placed = self.sim.allocation.jobs()
+        return sum(1 for job_id in self.sim.active if job_id not in placed)
 
     def submissions_per_second(self) -> float:
         """Accepted submissions per wall-clock second of *decision* time."""

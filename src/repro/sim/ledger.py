@@ -37,6 +37,15 @@ simulator only when a handler (or a scheduler callback, via
 ``pull()`` refreshes the arrays after a handler *mutates* a job
 (epoch-boundary snapping, re-configuration).  A dirty mask keeps both
 directions O(changed jobs).
+
+``materialize_all()`` — the write-back in front of every scheduler
+callback — gathers the dirty slots of each array at once and converts
+them with ``ndarray.tolist()``, one call per array instead of seven
+NumPy-scalar reads per job.  ``tolist()`` yields exactly the Python
+``float`` / ``int`` that ``float(arr[slot])`` / ``int(arr[slot])`` do
+(the same IEEE-754 double, the same integer), so the ``Job`` objects
+receive bit-identical values of the same types as through the per-slot
+``materialize()`` path, which single-job reads still use.
 """
 
 from __future__ import annotations
@@ -169,11 +178,29 @@ class ProgressLedger:
             self._write_back(slot)
 
     def materialize_all(self) -> None:
-        """Write every dirty job's array state back into its ``Job``."""
-        size = self._size
-        dirty = np.flatnonzero(self._dirty[:size])
-        for slot in dirty:
-            self._write_back(int(slot))
+        """Write every dirty job's array state back into its ``Job`` (in bulk)."""
+        dirty = np.flatnonzero(self._dirty[: self._size])
+        if dirty.size == 0:
+            return
+        jobs = self._jobs
+        for slot, samples, epochs, spike, count, mean, m2 in zip(
+            dirty.tolist(),
+            self.samples[dirty].tolist(),
+            self.effective_epochs[dirty].tolist(),
+            self.spike[dirty].tolist(),
+            self.tp_count[dirty].tolist(),
+            self.tp_mean[dirty].tolist(),
+            self.tp_m2[dirty].tolist(),
+        ):
+            job = jobs[slot]
+            job.samples_processed = samples
+            job.effective_epochs = epochs
+            job._loss_spike = spike
+            profile = job.throughput_profile
+            profile.count = count
+            profile.mean = mean
+            profile._m2 = m2
+        self._dirty[dirty] = False
 
     def _write_back(self, slot: int) -> None:
         job = self._jobs[slot]

@@ -337,8 +337,10 @@ class ClusterSimulator:
         self.online = bool(online)
         self.closed = not self.online
         self._timer_armed = False
-        # runtime state
+        # runtime state: every admitted job, and the admitted jobs not yet
+        # completed (admission order) — what scheduler callbacks see.
         self.jobs: Dict[str, Job] = {}
+        self.active: Dict[str, Job] = {}
         self.allocation: Allocation = Allocation.empty()
         self.ledger = ProgressLedger(capacity=len(self.trace))
         self.profile: Optional[SimProfile] = (
@@ -499,7 +501,7 @@ class ClusterSimulator:
             topology=self.topology,
             throughput_model=self.throughput_model,
             allocation=self.allocation,
-            jobs=self.jobs,
+            jobs=self.active,
             unavailable_gpus=self.faults.unavailable_gpus(),
         )
 
@@ -509,9 +511,7 @@ class ClusterSimulator:
             # it is never "done" — exactly like an offline run whose
             # trace still holds unarrived jobs.
             return False
-        if len(self.jobs) < len(self.trace):
-            return False
-        return all(job.is_completed for job in self.jobs.values())
+        return len(self.jobs) == len(self.trace) and not self.active
 
     # -- time advancement --------------------------------------------------------------------------
 
@@ -534,6 +534,7 @@ class ClusterSimulator:
         spec = self._spec_index[job_id]
         job = Job(spec)
         self.jobs[spec.job_id] = job
+        self.active[spec.job_id] = job
         self.ledger.register(job, self.now)
         return job
 
@@ -548,6 +549,7 @@ class ClusterSimulator:
 
     def _complete_job(self, job: Job) -> None:
         job.mark_completed(self.now)
+        del self.active[job.job_id]
         self.ledger.clear_runtime(job.job_id)
         self.ledger.pull(job)
         # Remove the job's workers from the deployed allocation.
@@ -623,10 +625,13 @@ class ClusterSimulator:
                 self._schedule_epoch_end(job)
 
     def _validate_proposal(self, proposal: Allocation) -> None:
+        named = proposal.jobs()
         proposal.validate(
             self.topology.num_gpus,
             max_local_batch={
-                job_id: job.spec.max_local_batch for job_id, job in self.jobs.items()
+                job_id: self.jobs[job_id].spec.max_local_batch
+                for job_id in named
+                if job_id in self.jobs
             },
         )
         unavailable = self.faults.unavailable_gpus()
@@ -637,7 +642,7 @@ class ClusterSimulator:
                     f"allocation places workers on unavailable GPUs {dead} "
                     f"(nodes down: {sorted(self.faults.down_nodes)})"
                 )
-        for job_id in proposal.jobs():
+        for job_id in named:
             job = self.jobs.get(job_id)
             if job is None:
                 raise ValueError(f"allocation references unknown job {job_id!r}")

@@ -6,6 +6,8 @@ tests for: the ``max_events`` cap, the time-goes-backwards
 preemption through ``_apply_allocation`` with a ``None`` config.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -242,6 +244,74 @@ class TestProgressLedger:
         ledger.register(job, 0.0)
         with pytest.raises(ValueError, match="already registered"):
             ledger.register(job, 0.0)
+
+
+def _job_fields(job):
+    fields = dict(vars(job))
+    fields["throughput_profile"] = dict(vars(job.throughput_profile))
+    return fields
+
+
+def _assert_same_fields(bulk, single):
+    assert bulk.keys() == single.keys()
+    for name, value in bulk.items():
+        if isinstance(value, dict):
+            _assert_same_fields(value, single[name])
+            continue
+        assert value == single[name], name
+        assert type(value) is type(single[name]), name
+
+
+class TestBulkWriteBack:
+    """``materialize_all`` writes exactly what per-slot ``materialize`` does."""
+
+    @staticmethod
+    def _exercised_ledger(seed):
+        rng = np.random.default_rng(seed)
+        ledger = ProgressLedger(capacity=4)  # grows during the sequence
+        jobs = []
+        now = 0.0
+        for step in range(120):
+            op = rng.integers(0, 4) if jobs else 0
+            if op == 0 and len(jobs) < 24:
+                job = Job(make_spec(job_id=f"j{len(jobs)}", dataset_size=2000))
+                if rng.random() < 0.7:
+                    gpus = int(rng.integers(1, 4))
+                    job.start_running(now, gpu_ids=list(range(gpus)), local_batches=[64] * gpus)
+                ledger.register(job, now)
+                jobs.append(job)
+            elif op == 1:
+                job = jobs[rng.integers(0, len(jobs))]
+                ledger.set_rate(job.job_id, float(rng.uniform(1.0, 500.0)))
+            elif op == 2:
+                now += float(rng.exponential(5.0))
+                ledger.advance_to(now)
+            else:
+                # A handler reads the job, mutates it (here: the loss spike
+                # a batch change injects), and pulls it back.
+                job = jobs[rng.integers(0, len(jobs))]
+                ledger.materialize(job.job_id)
+                job._loss_spike += float(rng.uniform(0.05, 0.5))
+                ledger.pull(job)
+        now += 7.5
+        ledger.advance_to(now)
+        return ledger
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_matches_per_slot_materialize(self, seed):
+        ledger = self._exercised_ledger(seed)
+        size = len(ledger)
+        assert np.count_nonzero(ledger._dirty[:size]) > 1
+        assert np.count_nonzero(ledger.spike[:size][ledger._dirty[:size]]) > 0
+        twin = copy.deepcopy(ledger)
+
+        ledger.materialize_all()
+        for job_id in list(twin._index):
+            twin.materialize(job_id)
+
+        assert not ledger._dirty[:size].any() and not twin._dirty[:size].any()
+        for bulk, single in zip(ledger._jobs, twin._jobs):
+            _assert_same_fields(_job_fields(bulk), _job_fields(single))
 
 
 class TestProfiledSimulation:
