@@ -110,6 +110,13 @@ class ClusterState:
     views still filter on status and arrival time, so hand-built states
     that hold finished or future jobs read the same.
 
+    Snapshot contract: :meth:`active_jobs` is computed once per snapshot,
+    on the first call, and every later call (including those inside
+    :meth:`running_jobs` and :meth:`pending_jobs`) returns that same
+    dict, which callers must not mutate.  The simulator builds a fresh
+    snapshot for every callback; a snapshot is not reused after a job is
+    admitted or completed, since its cached view would then be stale.
+
     Availability contract: ``unavailable_gpus`` holds the GPUs of nodes
     that are currently down (fault injection,
     :mod:`repro.faults`).  Schedulers must place workers only on
@@ -125,16 +132,23 @@ class ClusterState:
     allocation: Allocation
     jobs: Dict[str, Job]
     unavailable_gpus: FrozenSet[int] = frozenset()
+    _active: Optional[Dict[str, Job]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # -- job views ------------------------------------------------------------------
 
     def active_jobs(self) -> Dict[str, Job]:
-        """Jobs that have arrived and not yet completed."""
-        return {
-            job_id: job
-            for job_id, job in self.jobs.items()
-            if job.status is not JobStatus.COMPLETED and job.arrival_time <= self.now
-        }
+        """Jobs that have arrived and not yet completed (shared; do not mutate)."""
+        active = self._active
+        if active is None:
+            active = {
+                job_id: job
+                for job_id, job in self.jobs.items()
+                if job.status is not JobStatus.COMPLETED and job.arrival_time <= self.now
+            }
+            self._active = active
+        return active
 
     def running_jobs(self) -> Dict[str, Job]:
         """Jobs currently holding at least one GPU."""

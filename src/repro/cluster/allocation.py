@@ -57,6 +57,14 @@ class Allocation:
 
     The one-job-per-GPU constraint of Eq. 4 is enforced structurally: the
     underlying mapping has at most one worker per GPU id.
+
+    Per-job queries (:meth:`gpus_of`, :meth:`config_of`,
+    :meth:`global_batch`, :meth:`num_gpus`, :meth:`jobs`) read a job → GPU
+    index that is built on the first such query, once per object: the
+    object never changes, so the index never goes stale.  Its keys are the
+    jobs in first-seen order of the GPU mapping, so :meth:`jobs` inserts
+    them into its set in the same order a scan of every GPU would, and
+    iterates in the same order.
     """
 
     def __init__(self, assignments: Mapping[int, WorkerAssignment] | None = None) -> None:
@@ -69,6 +77,7 @@ class Allocation:
                 if not isinstance(worker, WorkerAssignment):
                     raise TypeError("assignments values must be WorkerAssignment")
                 self._assignments[gpu_id] = worker
+        self._by_job: Optional[Dict[str, List[int]]] = None
 
     # -- constructors -----------------------------------------------------------
 
@@ -96,19 +105,29 @@ class Allocation:
 
     # -- read access ------------------------------------------------------------
 
+    def _job_index(self) -> Dict[str, List[int]]:
+        """``{job_id: ascending GPU ids}``, built on first use."""
+        index = self._by_job
+        if index is None:
+            index = {}
+            for gpu_id, worker in self._assignments.items():
+                index.setdefault(worker.job_id, []).append(gpu_id)
+            for gpus in index.values():
+                gpus.sort()
+            self._by_job = index
+        return index
+
     def worker_on(self, gpu_id: int) -> Optional[WorkerAssignment]:
         """The worker on ``gpu_id`` or ``None`` if the GPU is idle."""
         return self._assignments.get(int(gpu_id))
 
     def gpus_of(self, job_id: str) -> List[int]:
         """GPU ids allocated to ``job_id`` (sorted)."""
-        return sorted(
-            gpu for gpu, worker in self._assignments.items() if worker.job_id == job_id
-        )
+        return list(self._job_index().get(job_id, ()))
 
     def config_of(self, job_id: str) -> Optional[JobConfig]:
         """The :class:`JobConfig` of ``job_id`` or ``None`` if not placed."""
-        gpus = self.gpus_of(job_id)
+        gpus = self._job_index().get(job_id)
         if not gpus:
             return None
         return JobConfig(
@@ -120,18 +139,19 @@ class Allocation:
     def global_batch(self, job_id: str) -> int:
         """Global batch size of ``job_id`` (0 if not placed)."""
         return sum(
-            worker.local_batch
-            for worker in self._assignments.values()
-            if worker.job_id == job_id
+            self._assignments[g].local_batch
+            for g in self._job_index().get(job_id, ())
         )
 
     def num_gpus(self, job_id: str) -> int:
         """Number of GPUs allocated to ``job_id`` (0 if not placed)."""
-        return sum(1 for worker in self._assignments.values() if worker.job_id == job_id)
+        return len(self._job_index().get(job_id, ()))
 
     def jobs(self) -> Set[str]:
         """Ids of all jobs with at least one worker."""
-        return {worker.job_id for worker in self._assignments.values()}
+        # Not ``set(index)``: that sizes the table up front, which can
+        # change the set's iteration order.
+        return {job_id for job_id in self._job_index()}
 
     def used_gpus(self) -> List[int]:
         """Ids of GPUs running a worker (sorted)."""
@@ -148,6 +168,14 @@ class Allocation:
             gpu: (worker.job_id, worker.local_batch)
             for gpu, worker in self._assignments.items()
         }
+
+    def workers(self) -> Dict[int, WorkerAssignment]:
+        """``{gpu_id: worker}`` in insertion order.
+
+        A copy of the mapping; the workers themselves are immutable, so
+        a new allocation can be built from them without re-creating any.
+        """
+        return dict(self._assignments)
 
     def job_configs(self) -> Dict[str, JobConfig]:
         """All per-job configurations keyed by job id."""

@@ -165,6 +165,20 @@ def reorder_population(genomes: np.ndarray) -> np.ndarray:
     return np.take_along_axis(genomes, order, axis=1)
 
 
+def first_seen_rows(genomes: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first occurrence of each distinct row.
+
+    Rows are keyed by their bytes, so the caller passes one integer
+    dtype (equal bytes then mean equal genes).  The same indices as
+    ``np.sort(np.unique(genomes, axis=0, return_index=True)[1])``,
+    without sorting the rows.
+    """
+    first: Dict[bytes, int] = {}
+    for index, row in enumerate(genomes):
+        first.setdefault(row.tobytes(), index)
+    return np.fromiter(first.values(), dtype=np.int64, count=len(first))
+
+
 def unique_rows(genomes: np.ndarray) -> np.ndarray:
     """Distinct genome rows, preserving first-seen order.
 
@@ -174,8 +188,7 @@ def unique_rows(genomes: np.ndarray) -> np.ndarray:
     genomes = np.asarray(genomes, dtype=np.int64)
     if genomes.shape[0] <= 1:
         return genomes.copy()
-    _, first_seen = np.unique(genomes, axis=0, return_index=True)
-    return genomes[np.sort(first_seen)]
+    return genomes[first_seen_rows(genomes)]
 
 
 # --- fill / refresh ------------------------------------------------------------------------------
@@ -418,11 +431,71 @@ def _charge(phases: Optional[Dict[str, float]], key: str, start: float) -> float
     (``evo_fill`` / ``evo_crossover`` / ``evo_mutation`` /
     ``evo_selection`` plus ``rescore_full`` / ``rescore_delta``); a
     ``None`` phases dict keeps both generation paths timer-free.
+    Children and mutants are repaired by one fill call after both
+    operators ran, so ``evo_fill`` holds that fill as well as the
+    refresh's, and ``evo_crossover`` / ``evo_mutation`` hold only the
+    operators' draws and array ops.
     """
     now = perf_counter()
     if phases is not None:
         phases[key] = phases.get(key, 0.0) + (now - start)
     return now
+
+
+def _crossover_children(
+    parents: np.ndarray, pairs: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Uniform crossover (Fig. 8) of ``pairs`` random parent pairs.
+
+    The loop makes only the draws, in the scalar operator's order (two
+    distinct parents, then the inheritance mask, per pair); the
+    ``2·pairs`` children are then built in two array ops.
+    """
+    num_rows, num_gpus = parents.shape
+    picks = np.empty((pairs, 2), dtype=np.int64)
+    masks = np.empty((pairs, num_gpus), dtype=bool)
+    for pair in range(pairs):
+        picks[pair] = rng.choice(num_rows, size=2, replace=False)
+        masks[pair] = rng.integers(0, 2, size=num_gpus)
+    first = parents[picks[:, 0]]
+    second = parents[picks[:, 1]]
+    children = np.empty((2 * pairs, num_gpus), dtype=np.int64)
+    children[0::2] = np.where(masks, first, second)
+    children[1::2] = np.where(masks, second, first)
+    return children
+
+
+def _mutation_draws(
+    counts: np.ndarray, size: int, rate: float, rng: np.random.Generator
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Uniform mutation's (Fig. 9) draws for ``size`` mutants.
+
+    ``counts`` is the population's ``(rows, num_jobs)`` GPU-count matrix.
+    Per mutant the loop draws the member it copies, then one coin per
+    job placed in that member (ascending job index), exactly as the
+    scalar operator does.  Returns ``(members, preempted)``:
+    ``preempted[m, j]`` says mutant ``m`` idles job ``j``, and its extra
+    last column stays False, so the IDLE gene (-1) indexes "keep".
+    """
+    placed = counts > 0
+    per_row = placed.sum(axis=1).tolist()
+    members = np.empty(size, dtype=np.int64)
+    coins = []
+    for m in range(size):
+        member = int(rng.integers(0, counts.shape[0]))
+        members[m] = member
+        coins.append(rng.random(per_row[member]))
+    preempted = np.zeros((size, counts.shape[1] + 1), dtype=bool)
+    preempted[:, :-1][placed[members]] = np.concatenate(coins) < rate
+    return members, preempted
+
+
+def _mutants(
+    population: np.ndarray, members: np.ndarray, preempted: np.ndarray
+) -> np.ndarray:
+    """The mutant genomes: each member's row with its preempted jobs idled."""
+    rows = population[members]
+    return np.where(np.take_along_axis(preempted, rows, axis=1), IDLE, rows)
 
 
 @dataclass(frozen=True)
@@ -494,50 +567,32 @@ def run_generation(
     population_rows = refreshed.shape[0]
     parts = [refreshed]
 
-    # Uniform crossover of randomly chosen parent pairs (Fig. 8).  The
-    # parent picks and inheritance masks are drawn per pair, exactly as
-    # the scalar loop does; the children's idle-GPU repair consumes no
-    # randomness, so it runs as one batched fill afterwards.
+    # Uniform crossover of randomly chosen parent pairs (Fig. 8) and
+    # uniform mutation (Fig. 9), drawing in the scalar call order.  The
+    # idle-GPU repair consumes no randomness, so children and mutants go
+    # through one batched fill afterwards.
+    offspring = []
     if config.enable_crossover and population_rows >= 2:
         pairs = config.resolved_crossover_pairs(size)
-        children = np.empty((2 * pairs, num_gpus), dtype=np.int64)
-        for pair in range(pairs):
-            first, second = ctx.rng.choice(population_rows, size=2, replace=False)
-            mask = ctx.rng.integers(0, 2, size=num_gpus).astype(bool)
-            parent_a = refreshed[int(first)]
-            parent_b = refreshed[int(second)]
-            children[2 * pair] = np.where(mask, parent_a, parent_b)
-            children[2 * pair + 1] = np.where(mask, parent_b, parent_a)
-        parts.append(
-            fill_idle_population(children, ctx, desired=desired, remaining=remaining)
-        )
+        offspring.append(_crossover_children(refreshed, pairs, ctx.rng))
         mark = _charge(phases, "evo_crossover", mark)
-
-    # Uniform mutation (Fig. 9): the member pick and the per-placed-job
-    # preemption coins follow the scalar draw order (one vectorised
-    # ``random`` call emits the same stream as the per-job scalar
-    # draws); the refill is again one batched fill.
     if config.enable_mutation:
-        mutated = np.empty((size, num_gpus), dtype=np.int64)
-        # Extra slot so the IDLE gene (-1) end-indexes a never-preempted
-        # entry in the per-mutation victim mask.
-        victim = np.zeros(num_jobs + 1, dtype=bool)
-        for m in range(size):
-            member = int(ctx.rng.integers(0, population_rows))
-            row = refreshed[member]
-            placed = np.unique(row[row != IDLE])
-            coins = ctx.rng.random(placed.size)
-            preempted = placed[coins < config.mutation_rate]
-            if preempted.size:
-                victim[preempted] = True
-                mutated[m] = np.where(victim[row], IDLE, row)
-                victim[preempted] = False
-            else:
-                mutated[m] = row
-        parts.append(
-            fill_idle_population(mutated, ctx, desired=desired, remaining=remaining)
+        counts = population_gpu_counts(refreshed, num_jobs)
+        members, preempted = _mutation_draws(
+            counts, size, config.mutation_rate, ctx.rng
         )
+        offspring.append(_mutants(refreshed, members, preempted))
         mark = _charge(phases, "evo_mutation", mark)
+    if offspring:
+        parts.append(
+            fill_idle_population(
+                np.concatenate(offspring, axis=0),
+                ctx,
+                desired=desired,
+                remaining=remaining,
+            )
+        )
+        mark = _charge(phases, "evo_fill", mark)
 
     pool = np.concatenate(parts, axis=0) if len(parts) > 1 else parts[0].copy()
     if config.enable_reorder:
@@ -623,7 +678,6 @@ def _run_generation_incremental(
     engine's cached :class:`ScoreDecomposition` instead of being
     re-derived by global bincounts, presence reductions and one-hots.
     """
-    num_gpus = genomes.shape[1]
     num_jobs = len(ctx.roster)
 
     mark = perf_counter()
@@ -633,71 +687,51 @@ def _run_generation_incremental(
     refreshed = _refresh_decomposed(genomes, ctx, decomp, desired, remaining)
     mark = _charge(phases, "evo_fill", mark)
     population_rows = refreshed.shape[0]
-    parts = [refreshed]
-    decomp_parts = [decomp]
 
+    offspring = []
+    offspring_decomps = []
     if config.enable_crossover and population_rows >= 2:
         pairs = config.resolved_crossover_pairs(size)
-        children = np.empty((2 * pairs, num_gpus), dtype=np.int64)
-        for pair in range(pairs):
-            first, second = ctx.rng.choice(population_rows, size=2, replace=False)
-            mask = ctx.rng.integers(0, 2, size=num_gpus).astype(bool)
-            parent_a = refreshed[int(first)]
-            parent_b = refreshed[int(second)]
-            children[2 * pair] = np.where(mask, parent_a, parent_b)
-            children[2 * pair + 1] = np.where(mask, parent_b, parent_a)
+        children = _crossover_children(refreshed, pairs, ctx.rng)
         # Children mix whole parents, so roughly half their cells moved:
         # a fresh build over the 2·pairs new rows is the delta update.
-        child_decomp = build_decomposition(children, num_jobs, decomp.node_of)
-        parts.append(
-            fill_idle_decomposed(children, ctx, child_decomp, desired, remaining)
+        offspring.append(children)
+        offspring_decomps.append(
+            build_decomposition(children, num_jobs, decomp.node_of)
         )
-        decomp_parts.append(child_decomp)
         mark = _charge(phases, "evo_crossover", mark)
 
     if config.enable_mutation:
-        mutated = np.empty((size, num_gpus), dtype=np.int64)
-        mut_counts = np.empty((size, num_jobs), dtype=np.int64)
-        mut_crosses = np.empty((size, num_jobs), dtype=bool)
-        mut_sole = np.empty((size, num_jobs), dtype=np.int64)
-        victim = np.zeros(num_jobs + 1, dtype=bool)
-        for m in range(size):
-            member = int(ctx.rng.integers(0, population_rows))
-            row = refreshed[member]
-            # Bit-identical to ``np.unique(row[row != IDLE])``: the
-            # cached counts row already knows the placed jobs, sorted.
-            placed = np.flatnonzero(decomp.counts[member] > 0)
-            coins = ctx.rng.random(placed.size)
-            preempted = placed[coins < config.mutation_rate]
-            mut_counts[m] = decomp.counts[member]
-            mut_crosses[m] = decomp.crosses[member]
-            mut_sole[m] = decomp.sole_node[member]
-            if preempted.size:
-                victim[preempted] = True
-                mutated[m] = np.where(victim[row], IDLE, row)
-                victim[preempted] = False
-                # Preempting a job empties exactly its own cells; every
-                # other job's placement (and hence cell) is untouched.
-                mut_counts[m, preempted] = 0
-                mut_crosses[m, preempted] = False
-                mut_sole[m, preempted] = -1
-            else:
-                mutated[m] = row
-        mut_decomp = ScoreDecomposition(
-            mut_counts, mut_crosses, mut_sole, decomp.node_of
+        # The cached counts know each member's placed jobs, sorted: the
+        # ``np.unique(row[row != IDLE])`` of the scalar operator.
+        members, preempted = _mutation_draws(
+            decomp.counts, size, config.mutation_rate, ctx.rng
         )
-        parts.append(
-            fill_idle_decomposed(mutated, ctx, mut_decomp, desired, remaining)
+        offspring.append(_mutants(refreshed, members, preempted))
+        # Preempting a job empties exactly its own cells; every other
+        # job's placement (and hence cell) is untouched.
+        kept = ~preempted[:, :-1]
+        offspring_decomps.append(
+            ScoreDecomposition(
+                np.where(kept, decomp.counts[members], 0),
+                decomp.crosses[members] & kept,
+                np.where(kept, decomp.sole_node[members], -1),
+                decomp.node_of,
+            )
         )
-        decomp_parts.append(mut_decomp)
         mark = _charge(phases, "evo_mutation", mark)
 
-    if len(parts) > 1:
-        pool = np.concatenate(parts, axis=0)
-        pool_decomp = ScoreDecomposition.concatenate(decomp_parts)
+    if offspring:
+        offspring_decomp = ScoreDecomposition.concatenate(offspring_decomps)
+        filled = fill_idle_decomposed(
+            np.concatenate(offspring, axis=0), ctx, offspring_decomp, desired, remaining
+        )
+        mark = _charge(phases, "evo_fill", mark)
+        pool = np.concatenate([refreshed, filled], axis=0)
+        pool_decomp = ScoreDecomposition.concatenate([decomp, offspring_decomp])
     else:
-        pool = parts[0].copy()
-        pool_decomp = decomp_parts[0]
+        pool = refreshed.copy()
+        pool_decomp = decomp
     if config.enable_reorder:
         pool = reorder_decomposed(pool, pool_decomp, engine.node_monotone)
 
@@ -705,8 +739,7 @@ def _run_generation_incremental(
     # first-seen rows (identical cells regardless of which duplicate's
     # cache row survives), scoring reuses counts/crossings untouched.
     if pool.shape[0] > 1:
-        _, first_seen = np.unique(pool, axis=0, return_index=True)
-        keep = np.sort(first_seen)
+        keep = first_seen_rows(pool)
         if keep.size != pool.shape[0]:
             pool = pool[keep]
             pool_decomp = pool_decomp.take(keep)

@@ -206,7 +206,9 @@ class ONESScheduler(SchedulerBase):
         roster = tuple(sorted(active))
         distributions = self.predictor.progress_distributions(active)
         remaining = {
-            job_id: self.predictor.remaining_workload(job)
+            job_id: self.predictor.remaining_workload(
+                job, distributions[job_id].mean
+            )
             for job_id, job in active.items()
         }
         executed = {

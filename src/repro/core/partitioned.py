@@ -247,7 +247,7 @@ class HierarchicalONESScheduler(SchedulerBase):
             if visible[partition.index] != self._last_visible.get(partition.index):
                 dirty.add(partition.index)
 
-        merged = dict(state.allocation.as_dict())
+        merged = state.allocation.workers()
         changed = False
         sequential: List[_Partition] = []
         background: List[_Partition] = []
@@ -273,13 +273,13 @@ class HierarchicalONESScheduler(SchedulerBase):
             if proposal is None:
                 continue
             view = views[index]
-            real = view.expand(proposal).as_dict()
+            real = view.expand(proposal).workers()
             owned = {
                 job_id
                 for job_id, part in self._assignment.items()
                 if part == index
             }
-            merged = {g: w for g, w in merged.items() if w[0] not in owned}
+            merged = {g: w for g, w in merged.items() if w.job_id not in owned}
             merged.update(real)
             changed = True
 
@@ -290,9 +290,7 @@ class HierarchicalONESScheduler(SchedulerBase):
         self._prune_assignments(state)
         if not changed:
             return None
-        return Allocation(
-            {g: WorkerAssignment(job_id, batch) for g, (job_id, batch) in merged.items()}
-        )
+        return Allocation(merged)
 
     # -- job -> partition assignment ----------------------------------------------------
 
@@ -307,14 +305,16 @@ class HierarchicalONESScheduler(SchedulerBase):
         to the lowest index.  Gangs wider than a whole partition spill to
         the wide path.  Assignments are sticky for the job's lifetime.
         """
-        visible = self._visible_nodes(down, wide_held)
-        loads = self._partition_loads(state)
         unseen = [
             job
             for job_id, job in state.active_jobs().items()
             if job_id not in self._assignment
         ]
+        if not unseen:
+            return
         unseen.sort(key=lambda j: (j.arrival_time, j.job_id))
+        visible = self._visible_nodes(down, wide_held)
+        loads = self._partition_loads(state)
         tracer = active_tracer()
         for job in unseen:
             demand = int(job.spec.requested_gpus)
@@ -401,6 +401,8 @@ class HierarchicalONESScheduler(SchedulerBase):
         for nodes in self._reserved.values():
             reserved.update(nodes)
         hidden = set(down) | set(wide_held) | reserved
+        if not hidden:
+            return {p.index: p.nodes for p in self._partitions}
         return {
             p.index: tuple(n for n in p.nodes if n not in hidden)
             for p in self._partitions
@@ -430,7 +432,7 @@ class HierarchicalONESScheduler(SchedulerBase):
             # the inner scheduler still needs to see it for bookkeeping.
             jobs.setdefault(event_job.job_id, event_job)
         assert self._views is not None
-        return self._views.view(state, nodes, jobs)
+        return self._views.view(state, partition.index, nodes, jobs)
 
     def _invoke(
         self,
@@ -604,7 +606,7 @@ class HierarchicalONESScheduler(SchedulerBase):
         self,
         state: ClusterState,
         down: frozenset,
-        merged: Dict[int, Tuple[str, int]],
+        merged: Dict[int, WorkerAssignment],
     ) -> bool:
         """Gang-place queued wide jobs whose reservations are fully idle."""
         used_gpus = set(merged)
@@ -631,7 +633,7 @@ class HierarchicalONESScheduler(SchedulerBase):
                 break  # still draining (or a reserved node went down)
             local = user_local_batch(job)
             for gpu in gpus[: int(job.spec.requested_gpus)]:
-                merged[gpu] = (job.job_id, local)
+                merged[gpu] = WorkerAssignment(job.job_id, local)
                 used_gpus.add(gpu)
             del self._reserved[job.job_id]
             self.num_wide_placements += 1

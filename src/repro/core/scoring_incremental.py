@@ -271,7 +271,8 @@ def fill_idle_decomposed(
     prefix of the row's ascending idle list, a grown placement crosses
     servers iff it already crossed, or the grabbed slots span servers
     themselves, or the job already ran on a single server different
-    from the first grabbed slot's (``sole_node``).  ``decomp`` is
+    from the first grabbed slot's (``sole_node``).  Each round applies
+    the moves of all its rows at once, with array ops.  ``decomp`` is
     updated in place and stays bit-synchronised with the returned
     genomes.
     """
@@ -322,8 +323,10 @@ def fill_idle_decomposed(
         # needed t: one boolean or-prefix over the slot nodes versus the
         # first slot's node (q0).
         max_idle = int(n_idle_a.max())
-        slot_nodes = node_ext[idle_pos[rows, :max_idle]]
-        slot_valid = np.arange(max_idle)[None, :] < n_idle_a[:, None]
+        slot_ids = np.arange(max_idle)
+        slots = idle_pos[rows, :max_idle]
+        slot_nodes = node_ext[slots]
+        slot_valid = slot_ids[None, :] < n_idle_a[:, None]
         q0 = slot_nodes[:, 0]
         spans = np.concatenate(
             [
@@ -376,22 +379,28 @@ def fill_idle_decomposed(
         keep_first = np.isnan(delta[sub_ids, first_eligible]) | np.isposinf(row_min)
         pick = np.where(keep_first, first_eligible, pick)
 
-        for sub, row in enumerate(rows):
-            job = int(pick[sub])
-            grabbed = int(take[sub, job])
-            slots = idle_pos[row, :grabbed]
-            genomes[row, slots] = job
-            was_empty = counts[row, job] == 0
-            counts[row, job] += grabbed
-            if crosses_after[sub, job]:
-                crosses[row, job] = True
-                sole[row, job] = -1
-            elif was_empty:
-                sole[row, job] = int(q0[sub])
-            left = int(n_idle[row]) - grabbed
-            idle_pos[row, :left] = idle_pos[row, grabbed : grabbed + left]
-            idle_pos[row, left:] = num_gpus
-            n_idle[row] = left
+        # Apply every row's move at once: row ``rows[s]`` hands the
+        # first ``grabbed[s]`` GPUs of its idle list to job ``pick[s]``.
+        # ``rows`` holds each row once, so the fancy-indexed updates
+        # below never collide.
+        grabbed = take[sub_ids, pick]
+        grab = slot_ids[None, :] < grabbed[:, None]
+        genomes[np.repeat(rows, grabbed), slots[grab]] = np.repeat(pick, grabbed)
+        cells = (rows, pick)
+        grown_crosses = crosses_after[sub_ids, pick]
+        sole[cells] = np.where(
+            grown_crosses, -1, np.where(counts[cells] == 0, q0, sole[cells])
+        )
+        crosses[cells] |= grown_crosses
+        counts[cells] += grabbed
+        # Drop the grabbed slots: shift each idle list left by its grab
+        # (past-the-end reads land on the sentinel column).
+        sentinel = np.full((active, 1), num_gpus, dtype=slots.dtype)
+        shifted = np.minimum(slot_ids[None, :] + grabbed[:, None], max_idle)
+        idle_pos[rows, :max_idle] = np.take_along_axis(
+            np.concatenate([slots, sentinel], axis=1), shifted, axis=1
+        )
+        n_idle[rows] -= grabbed
         rows = rows[n_idle[rows] > 0]
     return genomes
 

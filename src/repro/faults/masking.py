@@ -51,21 +51,21 @@ class CompactView:
         """Translate a virtual-id allocation back to real GPU ids."""
         return Allocation(
             {
-                int(self.to_real[gpu]): WorkerAssignment(job_id, batch)
-                for gpu, (job_id, batch) in allocation.as_dict().items()
+                int(self.to_real[gpu]): worker
+                for gpu, worker in allocation.workers().items()
             }
         )
 
     def compress(self, allocation: Allocation) -> Allocation:
         """Translate a real-id allocation (on up nodes only) to virtual ids."""
         mapping: Dict[int, WorkerAssignment] = {}
-        for gpu, (job_id, batch) in allocation.as_dict().items():
+        for gpu, worker in allocation.workers().items():
             virtual = self.from_real.get(int(gpu))
             if virtual is None:
                 raise ValueError(
-                    f"allocation places job {job_id!r} on unavailable GPU {gpu}"
+                    f"allocation places job {worker.job_id!r} on unavailable GPU {gpu}"
                 )
-            mapping[virtual] = WorkerAssignment(job_id, batch)
+            mapping[virtual] = worker
         return Allocation(mapping)
 
 
@@ -128,18 +128,18 @@ def compact_nodes(
     )
     visible_jobs = state.jobs if jobs is None else jobs
     mapping: Dict[int, WorkerAssignment] = {}
-    for gpu, (job_id, batch) in state.allocation.as_dict().items():
-        if jobs is not None and job_id not in visible_jobs:
+    for gpu, worker in state.allocation.workers().items():
+        if jobs is not None and worker.job_id not in visible_jobs:
             continue
         virtual = from_real.get(int(gpu))
         if virtual is None:
             if strict:
                 raise ValueError(
-                    f"allocation places job {job_id!r} on GPU {gpu}, outside the "
-                    f"compacted node subset"
+                    f"allocation places job {worker.job_id!r} on GPU {gpu}, "
+                    f"outside the compacted node subset"
                 )
             continue
-        mapping[virtual] = WorkerAssignment(job_id, batch)
+        mapping[virtual] = worker
     view.state = ClusterState(
         now=state.now,
         topology=topology,

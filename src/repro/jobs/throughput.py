@@ -549,14 +549,16 @@ class ThroughputTable:
         values = self._table[job_idx, counts, planes]
         nan_mask = np.isnan(values)
         if nan_mask.any():
-            triples = np.unique(
-                np.stack(
-                    [job_idx[nan_mask], counts[nan_mask], planes[nan_mask]], axis=1
-                ),
-                axis=0,
+            # One integer per missing (job, count, plane) triple, ordered
+            # like the triples themselves: entries fill in (j, c, p) order.
+            stride = self._num_gpus + 1
+            keys = np.unique(
+                (job_idx[nan_mask] * stride + counts[nan_mask]) * 2 + planes[nan_mask]
             )
-            for j, c, p in triples:
-                self._table[j, c, p] = self._compute(int(j), int(c), bool(p))
+            for key in keys.tolist():
+                j, rest = divmod(key, 2 * stride)
+                c, p = divmod(rest, 2)
+                self._table[j, c, p] = self._compute(j, c, bool(p))
             values = self._table[job_idx, counts, planes]
         return values
 

@@ -277,12 +277,15 @@ class ProgressPredictor:
         """Estimated remaining samples ``Y_j`` (Eq. 7).
 
         If ``progress`` is omitted the mean of the progress distribution
-        is used.  Jobs that have not processed a single sample yet fall
-        back to ``prior_epochs_remaining`` full epochs, so that placement
+        is used; a caller that already holds the job's distribution
+        passes its mean and saves the prediction.  Jobs that have not
+        processed a single sample yet fall back to
+        ``prior_epochs_remaining`` full epochs, so that placement
         decisions still see a non-zero cost for brand-new jobs.
         """
-        dist = self.progress_distribution(job)
-        rho = float(progress) if progress is not None else dist.mean
+        if progress is None:
+            progress = self.progress_distribution(job).mean
+        rho = float(progress)
         rho = float(np.clip(rho, 1e-9, 1.0 - 1e-9))
         processed = job.samples_processed
         if processed <= 0:

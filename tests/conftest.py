@@ -2,6 +2,21 @@
 
 from __future__ import annotations
 
+import os
+
+# BLAS and OpenMP pools are sized when numpy loads, so pin them to one
+# thread first; a value set in the environment still wins.  On two CPUs
+# unpinned pools oversubscribe the GPR solves of every ONES run.
+for _var in (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

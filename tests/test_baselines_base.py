@@ -51,6 +51,16 @@ class TestClusterState:
         assert set(state.running_jobs()) == {"run"}
         assert list(state.pending_jobs()) == ["wait"]
 
+    def test_active_jobs_computed_once_per_snapshot(self, small_topology):
+        jobs = {"run": make_running_job(job_id="run")}
+        state = _state(jobs, small_topology, now=5.0)
+        active = state.active_jobs()
+        assert state.active_jobs() is active
+        # A new job reaches callbacks only through a new snapshot.
+        jobs["wait"] = make_job(job_id="wait", arrival_time=1.0)
+        assert set(state.active_jobs()) == {"run"}
+        assert set(_state(jobs, small_topology, now=5.0).active_jobs()) == {"run", "wait"}
+
     def test_free_gpus(self, small_topology, simple_allocation):
         state = _state({}, small_topology, simple_allocation)
         assert state.free_gpus() == [4, 5, 6, 7]

@@ -1,8 +1,9 @@
 """Tests for repro.cluster.allocation."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.cluster.allocation import Allocation, WorkerAssignment
+from repro.cluster.allocation import Allocation, JobConfig, WorkerAssignment
 
 
 class TestWorkerAssignment:
@@ -90,3 +91,58 @@ class TestValidation:
         assert simple_allocation.utilization(8) == pytest.approx(0.5)
         with pytest.raises(ValueError):
             simple_allocation.utilization(0)
+
+
+class TestJobIndex:
+    """The lazy job → GPU index answers exactly what a scan of every GPU does."""
+
+    @staticmethod
+    def _scan_gpus(alloc, job_id):
+        return sorted(g for g, w in alloc._assignments.items() if w.job_id == job_id)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        workers=st.dictionaries(
+            st.integers(min_value=0, max_value=63),
+            st.tuples(
+                st.sampled_from([f"job-{i:03d}" for i in range(40)]),
+                st.integers(min_value=1, max_value=512),
+            ),
+            max_size=64,
+        )
+    )
+    def test_queries_equal_brute_force_scans(self, workers):
+        alloc = Allocation({g: WorkerAssignment(j, b) for g, (j, b) in workers.items()})
+        scanned_jobs = {w.job_id for w in alloc._assignments.values()}
+        # Same members *and* the same iteration order as the scan's set.
+        assert list(alloc.jobs()) == list(scanned_jobs)
+        for job_id in sorted(scanned_jobs) + ["job-missing"]:
+            gpus = self._scan_gpus(alloc, job_id)
+            assert alloc.gpus_of(job_id) == gpus
+            assert alloc.num_gpus(job_id) == len(gpus)
+            assert alloc.global_batch(job_id) == sum(
+                w.local_batch
+                for w in alloc._assignments.values()
+                if w.job_id == job_id
+            )
+            expected = (
+                JobConfig(
+                    job_id,
+                    tuple(gpus),
+                    tuple(alloc._assignments[g].local_batch for g in gpus),
+                )
+                if gpus
+                else None
+            )
+            assert alloc.config_of(job_id) == expected
+
+    def test_answers_are_copies(self, simple_allocation):
+        simple_allocation.gpus_of("job-a").append(99)
+        simple_allocation.jobs().add("job-z")
+        assert simple_allocation.gpus_of("job-a") == [0, 1]
+        assert simple_allocation.jobs() == {"job-a", "job-b"}
+
+    def test_index_follows_gpu_order_not_insertion_order(self):
+        alloc = Allocation({5: WorkerAssignment("a", 8), 1: WorkerAssignment("a", 4)})
+        assert alloc.gpus_of("a") == [1, 5]
+        assert alloc.config_of("a").local_batches == (4, 8)

@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster.topology import make_longhorn_cluster
 from repro.core.evolution import EvolutionConfig, EvolutionarySearch
@@ -23,6 +24,7 @@ from repro.core.evolution_batched import (
     reindex_genomes,
     reorder_population,
     run_generation,
+    first_seen_rows,
     unique_rows,
 )
 from repro.core.operators import (
@@ -407,6 +409,26 @@ def test_unique_rows_matches_unique_schedules():
     scalar = unique_schedules([Schedule(roster=roster, genome=g) for g in genomes])
     batched = unique_rows(genomes)
     assert np.array_equal(np.stack([s.genome for s in scalar]), batched)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(min_value=1, max_value=40),
+    width=st.integers(min_value=1, max_value=12),
+    num_jobs=st.integers(min_value=1, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_first_seen_rows_matches_unique_axis0(rows, width, num_jobs, seed):
+    """Byte-keyed dedup returns the first occurrence of every distinct row,
+    exactly like the sorted ``return_index`` of ``np.unique(axis=0)``."""
+    rng = np.random.default_rng(seed)
+    # Few distinct rows drawn with replacement: duplicates are the norm,
+    # and IDLE genes (-1) appear in most rows.
+    distinct = rng.integers(IDLE, num_jobs, size=(max(1, rows // 3), width))
+    genomes = distinct[rng.integers(0, distinct.shape[0], size=rows)].astype(np.int64)
+    _, first_seen = np.unique(genomes, axis=0, return_index=True)
+    assert np.array_equal(first_seen_rows(genomes), np.sort(first_seen))
+    assert np.array_equal(unique_rows(genomes), genomes[np.sort(first_seen)])
 
 
 # --- full-simulation parity ----------------------------------------------------------------------

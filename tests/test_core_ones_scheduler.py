@@ -51,6 +51,26 @@ class TestCapabilities:
         assert scheduler.lr_is_scaled()
 
 
+class TestContext:
+    def test_each_active_job_is_predicted_once(self, scheduler, topology, monkeypatch):
+        jobs = {
+            f"job-{i}": make_job(job_id=f"job-{i}", arrival_time=0.0) for i in range(3)
+        }
+        jobs["job-1"].start_running(0.0, gpu_ids=[0], local_batches=[64])
+        jobs["job-1"].advance(2000, 10.0)
+        predicted = []
+        original = scheduler.predictor.progress_distribution
+        monkeypatch.setattr(
+            scheduler.predictor,
+            "progress_distribution",
+            lambda job: predicted.append(job.job_id) or original(job),
+        )
+        ctx = scheduler._build_context(_state(jobs, topology, now=10.0))
+        assert sorted(predicted) == sorted(jobs)
+        for job_id, job in jobs.items():
+            assert ctx.remaining_workload[job_id] == scheduler.predictor.remaining_workload(job)
+
+
 class TestArrival:
     def test_first_arrival_gets_gpus_immediately(self, scheduler, topology):
         job = make_job(job_id="job-0", arrival_time=0.0)

@@ -228,6 +228,30 @@ class TestThroughputTable:
             for j, job_id in enumerate(roster):
                 assert values[k, j] == table.throughput(job_id, int(counts[k, j]))
 
+    def test_lookup_fills_missing_entries_once_in_triple_order(self, monkeypatch):
+        jobs, model, limits, num_gpus = self._fixture()
+        table = ThroughputTable(model, jobs, limits, num_gpus)
+        calls = []
+        compute = table._compute
+        monkeypatch.setattr(
+            table, "_compute", lambda j, c, p: calls.append((j, c, p)) or compute(j, c, p)
+        )
+        counts = np.array([[3, 1, 5], [1, 1, 5], [3, 8, 2]], dtype=np.int64)
+        crosses = np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=bool)
+        values = table.lookup(counts, crosses)
+        missing = {
+            (j, int(counts[k, j]), bool(crosses[k, j]))
+            for k in range(counts.shape[0])
+            for j in range(counts.shape[1])
+        }
+        assert calls == sorted(missing)
+        for k in range(counts.shape[0]):
+            for j, job_id in enumerate(table.roster):
+                expected = table.throughput(job_id, int(counts[k, j]), bool(crosses[k, j]))
+                assert values[k, j] == expected
+        table.lookup(counts, crosses)
+        assert len(calls) == len(missing)
+
     def test_lookup_validates_shape(self):
         jobs, model, limits, num_gpus = self._fixture()
         table = ThroughputTable(model, jobs, limits, num_gpus)
