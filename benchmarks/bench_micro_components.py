@@ -13,8 +13,8 @@ import numpy as np
 from repro.cluster.events import Event, EventKind, EventQueue
 from repro.cluster.topology import make_longhorn_cluster
 from repro.core.evolution import EvolutionConfig, EvolutionarySearch
-from repro.core.scoring import score_candidates
-from repro.core.population import initial_population
+from repro.core.evolution_batched import initial_population_genomes
+from repro.core.scoring_incremental import build_decomposition, score_decomposition
 from repro.jobs.model_zoo import get_model
 from repro.jobs.throughput import ThroughputModel
 from repro.prediction.gpr import GaussianProcessRegression
@@ -42,11 +42,15 @@ class TestThroughputModel:
 class TestScoring:
     def test_score_population(self, benchmark):
         ctx = _busy_context()
-        population = initial_population(ctx, size=16, seed=0)
+        genomes = initial_population_genomes(ctx, size=16, seed=0)
+        table = ctx.throughput_table
         progress = {job_id: 0.5 for job_id in ctx.roster}
-        scores = benchmark(
-            score_candidates, list(population), ctx.jobs, progress, ctx.throughput_fn
-        )
+
+        def score():
+            decomp = build_decomposition(genomes, len(ctx.roster), table.node_of)
+            return score_decomposition(decomp, ctx.roster, ctx.jobs, progress, table)
+
+        scores = benchmark(score)
         assert np.all(np.isfinite(scores))
 
 

@@ -170,10 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--arrival-interval", type=float, default=30.0)
     run.add_argument("--trace", type=Path, default=None, help="replay an existing trace JSON")
     run.add_argument("--seed", type=int, default=2021)
-    run.add_argument("--incremental-scoring", choices=["on", "off"], default=None,
-                     help="toggle the ONES delta-scoring generation kernel "
-                          "(default: on; 'off' forces full per-generation "
-                          "rescoring — results are bit-identical either way)")
     run.add_argument("--profile", action="store_true",
                      help="record per-phase wall-clock (ledger advance, handlers, "
                           "GPR refits, evolution operators) and print it after "
@@ -715,13 +711,6 @@ def cmd_run(args) -> int:
             "--partition-size/--partition-workers configure the ONES-hier "
             "scheduler; pass --scheduler ones-hier"
         )
-    if args.incremental_scoring is not None:
-        if canonical not in ("ONES", "ONES-hier"):
-            raise SystemExit(
-                "--incremental-scoring configures the ONES evolutionary "
-                "search; pass --scheduler ones or ones-hier"
-            )
-        options["incremental_scoring"] = args.incremental_scoring == "on"
     scheduler = create_scheduler(canonical, args.seed, **options)
     if args.trace:
         trace = load_trace(args.trace)

@@ -159,8 +159,8 @@ class Allocation:
 
     def free_gpus(self, all_gpu_ids: Iterable[int]) -> List[int]:
         """Ids from ``all_gpu_ids`` that are idle under this allocation."""
-        used = set(self._assignments)
-        return sorted(int(g) for g in all_gpu_ids if int(g) not in used)
+        assigned = self._assignments
+        return sorted(gpu for gpu in map(int, all_gpu_ids) if gpu not in assigned)
 
     def as_dict(self) -> Dict[int, Tuple[str, int]]:
         """Plain-dict view ``{gpu_id: (job_id, local_batch)}``."""

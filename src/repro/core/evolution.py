@@ -11,18 +11,13 @@ progress distributions) changes between invocations; the population is
 re-indexed onto the new roster and refreshed at the start of every
 iteration so stale candidates never survive unexamined.
 
-Two operator implementations drive the loop:
-
-* the **scalar reference** in :mod:`repro.core.operators` manipulates
-  one :class:`~repro.core.schedule.Schedule` at a time, and
-* the **batched engine** in :mod:`repro.core.evolution_batched` runs a
-  whole generation as array ops over the stacked ``(K, num_gpus)``
-  genome matrix, materialising a :class:`Schedule` only for the winner.
-
-``EvolutionConfig.batched_operators`` (default ``True``) selects the
-engine whenever the context carries a throughput table; both paths are
-bit-identical — same RNG stream, same genomes, same selection order —
-which ``tests/test_core_evolution_batched.py`` asserts differentially.
+The population lives as a ``(K, num_gpus)`` genome matrix between
+events, and each iteration is one call of the generation kernel
+(:func:`repro.core.evolution_batched.run_generation`); the kernel's
+score-decomposition cache
+(:class:`~repro.core.scoring_incremental.IncrementalScoringEngine`)
+rides on the search.  ``tests/_evolution_oracle.py`` holds the scalar
+reference search the kernel is pinned against.
 """
 
 from __future__ import annotations
@@ -37,17 +32,9 @@ from repro.core.evolution_batched import (
     reindex_genomes,
     run_generation,
 )
+from repro.core.operators import EvolutionContext
+from repro.core.schedule import Schedule
 from repro.core.scoring_incremental import IncrementalScoringEngine
-from repro.core.operators import (
-    EvolutionContext,
-    refresh,
-    reorder,
-    uniform_crossover,
-    uniform_mutation,
-)
-from repro.core.population import Population, initial_population
-from repro.core.schedule import Schedule, stack_genomes
-from repro.core.scoring import select_top_k
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_positive_int, check_probability
 
@@ -60,10 +47,9 @@ class EvolutionConfig:
     ----------
     population_size:
         ``K``; the paper suggests the cluster size.  ``None`` lets the
-        scheduler pick ``min(num_gpus, 64)`` — with the vectorised
-        scoring engine this covers the paper's 64-GPU cluster at the
-        intended ``K = num_gpus`` while still bounding the (Python-level)
-        operator cost on larger clusters.
+        scheduler pick ``min(num_gpus, 64)`` — the paper's
+        ``K = num_gpus`` up to its 64-GPU cluster, while still bounding
+        the per-generation cost on larger clusters.
     mutation_rate:
         Per-job preemption probability θ of the uniform mutation.
     crossover_pairs:
@@ -74,23 +60,6 @@ class EvolutionConfig:
         (the search is continuous; each event advances it a little).
     enable_crossover / enable_mutation / enable_reorder:
         Ablation switches for the operator-ablation benchmark.
-    batched_operators:
-        Run each generation through the batched genome-matrix engine
-        (:mod:`repro.core.evolution_batched`) instead of the scalar
-        per-candidate operators.  Requires the context to carry a
-        throughput table (the ONES scheduler always provides one);
-        contexts without one silently use the scalar reference.  Both
-        engines are bit-identical, so this flag only trades speed for
-        debuggability.
-    incremental_scoring:
-        Maintain the per-candidate score decomposition (GPU counts +
-        placement locality) incrementally across operators and
-        generations (:mod:`repro.core.scoring_incremental`) instead of
-        re-deriving it from the genome matrix every generation.  Only
-        affects the batched path; bit-identical to both other paths,
-        with an automatic full rebuild whenever the population, roster,
-        genome width or topology changes (fault masking, partition-view
-        swaps).  Off reproduces the PR 3 batched baseline exactly.
     """
 
     population_size: Optional[int] = None
@@ -100,8 +69,6 @@ class EvolutionConfig:
     enable_crossover: bool = True
     enable_mutation: bool = True
     enable_reorder: bool = True
-    batched_operators: bool = True
-    incremental_scoring: bool = True
 
     def __post_init__(self) -> None:
         if self.population_size is not None:
@@ -127,17 +94,16 @@ class EvolutionConfig:
 class EvolutionarySearch:
     """Maintains the population across scheduler invocations.
 
-    In batched mode the population lives as a ``(K, num_gpus)`` genome
-    matrix between events; :class:`~repro.core.schedule.Schedule`
-    objects are materialised only for the per-event winner (through the
-    validation-skipping :meth:`Schedule.from_validated_genome`) and on
-    demand through the :attr:`population` view.
+    The population is a ``(K, num_gpus)`` genome matrix over the
+    roster it was last re-indexed to; a
+    :class:`~repro.core.schedule.Schedule` is materialised only for the
+    per-event winner (through the validation-skipping
+    :meth:`Schedule.from_validated_genome`).
     """
 
     def __init__(self, config: Optional[EvolutionConfig] = None, seed: SeedLike = None) -> None:
         self.config = config or EvolutionConfig()
         self._rng = as_generator(seed)
-        self._members: Population = Population()
         self._genomes: Optional[np.ndarray] = None
         self._genome_roster: Optional[Tuple[str, ...]] = None
         self.best_candidate: Optional[Schedule] = None
@@ -147,11 +113,10 @@ class EvolutionarySearch:
         #: call — the scheduler turns these into per-generation trace
         #: events (the search itself has no clock).
         self.last_iteration_scores: List[float] = []
-        #: Delta-scoring cache (used only when
-        #: ``config.incremental_scoring`` and the batched path run).
+        #: The generation kernel's score-decomposition cache.
         self.scoring_engine = IncrementalScoringEngine()
-        #: Per-operator wall-clock accrued by the batched generation
-        #: loop (``evo_fill``/``evo_crossover``/``evo_mutation``/
+        #: Per-operator wall-clock accrued by the generation kernel
+        #: (``evo_fill``/``evo_crossover``/``evo_mutation``/
         #: ``evo_selection`` + ``rescore_full``/``rescore_delta``);
         #: surfaced through ``ONESScheduler.profile_phases``.
         self.phase_seconds: Dict[str, float] = {}
@@ -159,38 +124,20 @@ class EvolutionarySearch:
     # -- population views -----------------------------------------------------------------------
 
     @property
-    def population(self) -> Population:
-        """The current population as :class:`Schedule` objects.
+    def genomes(self) -> Optional[np.ndarray]:
+        """The current population's genome matrix (``None`` before the first step).
 
-        In batched mode this materialises the genome matrix on demand
-        (cheap: the fast-path constructor skips re-validation) — the
-        returned :class:`Population` is a *detached view*, so mutating
-        it (``search.population.add(...)``) does not feed back into the
-        search; assign a whole :class:`Population` to the property
-        instead.  In scalar mode it is the live population object.
+        Rows index the roster of the last :meth:`step`; the matrix is the
+        search's own, so treat it as read-only.
         """
-        if self._genomes is not None:
-            roster = self._genome_roster or ()
-            return Population(
-                [Schedule.from_validated_genome(roster, row) for row in self._genomes]
-            )
-        return self._members
-
-    @population.setter
-    def population(self, value: Population) -> None:
-        self._members = value
-        self._genomes = None
-        self._genome_roster = None
+        return self._genomes
 
     @property
     def population_size(self) -> int:
-        """Current population size without materialising any Schedules."""
-        if self._genomes is not None:
-            return int(self._genomes.shape[0])
-        return len(self._members)
-
-    def _use_batched(self, ctx: EvolutionContext) -> bool:
-        return self.config.batched_operators and ctx.throughput_table is not None
+        """Current population size (rows of the genome matrix)."""
+        if self._genomes is None:
+            return 0
+        return int(self._genomes.shape[0])
 
     # -- population lifecycle -------------------------------------------------------------------
 
@@ -212,36 +159,20 @@ class EvolutionarySearch:
             # longer exists.  (prepare() would also notice via the
             # population-identity check; dropping it here is explicit.)
             self.scoring_engine.invalidate()
-        if (
-            len(self._members) > 0
-            and self._members.members[0].genome.shape[0] != ctx.num_gpus
-        ):
-            self._members = Population()
-        size = self.config.resolved_population_size(ctx.num_gpus)
-        if self._genomes is not None:
-            if self._genome_roster != ctx.roster:
-                genomes = reindex_genomes(self._genomes, self._genome_roster, ctx.roster)
-                if current is not None:
-                    reindexed = current.reindexed(ctx.roster).genome
-                    genomes = np.concatenate([genomes, reindexed[None, :]], axis=0)
-                self._genomes = genomes
-                self._genome_roster = ctx.roster
+        if self._genomes is None:
+            size = self.config.resolved_population_size(ctx.num_gpus)
+            self._genomes = initial_population_genomes(
+                ctx, size, current=current, seed=self._rng
+            )
+            self._genome_roster = ctx.roster
             return
-        if len(self._members) == 0:
-            if self._use_batched(ctx):
-                self._genomes = initial_population_genomes(
-                    ctx, size, current=current, seed=self._rng
-                )
-                self._genome_roster = ctx.roster
-            else:
-                self._members = initial_population(
-                    ctx, size, current=current, seed=self._rng
-                )
-            return
-        if self._members.members[0].roster != ctx.roster:
-            self._members = self._members.reindexed(ctx.roster)
+        if self._genome_roster != ctx.roster:
+            genomes = reindex_genomes(self._genomes, self._genome_roster, ctx.roster)
             if current is not None:
-                self._members.add(current.reindexed(ctx.roster))
+                reindexed = current.reindexed(ctx.roster).genome
+                genomes = np.concatenate([genomes, reindexed[None, :]], axis=0)
+            self._genomes = genomes
+            self._genome_roster = ctx.roster
 
     # -- one iteration ------------------------------------------------------------------------------
 
@@ -262,18 +193,7 @@ class EvolutionarySearch:
         return best
 
     def _iterate(self, ctx: EvolutionContext) -> Tuple[Schedule, float]:
-        if self._use_batched(ctx):
-            return self._iterate_batched(ctx)
-        return self._iterate_scalar(ctx)
-
-    def _iterate_batched(self, ctx: EvolutionContext) -> Tuple[Schedule, float]:
         """One generation on the genome matrix (no intermediate Schedules)."""
-        if self._genomes is None:
-            # The population was built by the scalar path (e.g. a
-            # table-less event earlier); lift it onto the matrix once.
-            self._genomes = stack_genomes(self._members.members)
-            self._genome_roster = self._members.members[0].roster
-            self._members = Population()
         result = run_generation(
             self._genomes,
             ctx,
@@ -285,58 +205,3 @@ class EvolutionarySearch:
         self._genome_roster = ctx.roster
         best = Schedule.from_validated_genome(ctx.roster, result.best_genome)
         return best, result.best_score
-
-    def _iterate_scalar(self, ctx: EvolutionContext) -> Tuple[Schedule, float]:
-        """The scalar reference generation (one Schedule at a time)."""
-        size = self.config.resolved_population_size(ctx.num_gpus)
-        # Refresh every member against the live job status.
-        refreshed = [refresh(member, ctx) for member in self.population]
-        candidates: List[Schedule] = list(refreshed)
-
-        # Uniform crossover of randomly chosen parent pairs.
-        if self.config.enable_crossover and len(refreshed) >= 2:
-            pairs = self.config.resolved_crossover_pairs(size)
-            for _ in range(pairs):
-                i, j = ctx.rng.choice(len(refreshed), size=2, replace=False)
-                child_a, child_b = uniform_crossover(
-                    refreshed[int(i)], refreshed[int(j)], rng=ctx.rng
-                )
-                candidates.append(fill_or_keep(child_a, ctx))
-                candidates.append(fill_or_keep(child_b, ctx))
-
-        # Uniform mutation of randomly chosen members.
-        if self.config.enable_mutation:
-            for _ in range(size):
-                idx = int(ctx.rng.integers(0, len(refreshed)))
-                candidates.append(
-                    uniform_mutation(refreshed[idx], ctx, self.config.mutation_rate)
-                )
-
-        # Reorder for locality.
-        if self.config.enable_reorder:
-            candidates = [reorder(candidate) for candidate in candidates]
-
-        # Selection: keep the best K by probability sampling (Alg. 1);
-        # with a throughput table the whole pool is scored in one batch.
-        survivors = select_top_k(
-            candidates,
-            ctx.jobs,
-            ctx.distributions,
-            ctx.throughput_fn,
-            k=size,
-            rng=ctx.rng,
-            table=ctx.throughput_table,
-        )
-        self.population = Population([schedule for schedule, _ in survivors])
-        return survivors[0]
-
-
-#: Alias used by docs and callers that think of this as "the engine".
-EvolutionEngine = EvolutionarySearch
-
-
-def fill_or_keep(candidate: Schedule, ctx: EvolutionContext) -> Schedule:
-    """Repair helper: crossover children may leave GPUs idle; fill them."""
-    from repro.core.operators import fill_idle_gpus
-
-    return fill_idle_gpus(candidate, ctx)

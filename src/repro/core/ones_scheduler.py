@@ -8,12 +8,9 @@ interface:
 * a :class:`~repro.core.batch_limit.BatchSizeLimiter` applying the
   start / resume / scale-up / scale-down policies to ``R_j`` (§3.3.2),
 * an :class:`~repro.core.evolution.EvolutionarySearch` over schedule
-  genomes scored with the SRUF objective (Eq. 8 / Algorithm 1) — by
-  default the whole generation loop runs through the batched
-  genome-matrix engine (:mod:`repro.core.evolution_batched`), which is
-  bit-identical to the scalar operators; set
-  ``EvolutionConfig(batched_operators=False)`` to run the readable
-  scalar reference instead,
+  genomes scored with the SRUF objective (Eq. 8 / Algorithm 1), each
+  generation one pass of the genome-matrix kernel
+  (:mod:`repro.core.evolution_batched`),
 * elastic re-configuration (Fig. 11) so deploying a new candidate costs
   about a second per affected job rather than tens of seconds.
 
@@ -222,7 +219,6 @@ class ONESScheduler(SchedulerBase):
             roster=roster,
             limits=self.limiter.limits(),
             distributions=distributions,
-            throughput_fn=None,
             remaining_workload=remaining,
             executed_time=executed,
             num_gpus=state.topology.num_gpus,
@@ -288,11 +284,10 @@ class ONESScheduler(SchedulerBase):
             return None
 
         can_update = self._may_full_update(state)
-        has_slack = bool(state.free_gpus()) and bool(state.pending_jobs())
-        if not can_update and not has_slack:
+        if not can_update and not (state.pending_jobs() and state.free_gpus()):
             # Nothing this event could change: every running job is
-            # mid-epoch (no full update allowed yet) and there is no idle
-            # GPU / pending job to fill.  Skip the evolution work.
+            # mid-epoch (no full update allowed yet) and there is no
+            # pending job / idle GPU to fill.  Skip the evolution work.
             return None
 
         ctx = self._build_context(state)
@@ -445,11 +440,10 @@ class ONESScheduler(SchedulerBase):
         the run was configured with ``collect_profile=True``, which is
         how the GPR-refit share of a run becomes measurable.  The
         ``evo_*`` operator phases and the ``rescore_full`` /
-        ``rescore_delta`` attribution come from the batched generation
-        loop (see :func:`repro.core.evolution_batched.run_generation`),
-        so a ``--profile`` run shows exactly where a generation's
-        wall-clock goes and how much of it the incremental-scoring
-        cache absorbed.
+        ``rescore_delta`` attribution come from the generation kernel
+        (see :func:`repro.core.evolution_batched.run_generation`), so a
+        ``--profile`` run shows exactly where a generation's wall-clock
+        goes and how much of it the score-decomposition cache absorbed.
         """
         phases = {
             "gpr_refit": self.predictor.refit_seconds,
@@ -495,11 +489,9 @@ class ONESScheduler(SchedulerBase):
 
         Numeric fields come from :meth:`metrics_registry` so the CLI,
         the service ``/metrics`` op and this summary can never drift;
-        only the non-numeric configuration flags are added by hand.
+        only the non-numeric predictor policy is added by hand.
         """
         summary: Dict[str, object] = {
-            "batched_operators": self.config.evolution.batched_operators,
-            "incremental_scoring": self.config.evolution.incremental_scoring,
             "refit_policy": self.config.predictor.refit_policy,
         }
         summary.update(self.metrics_registry().values())

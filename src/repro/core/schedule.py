@@ -17,7 +17,7 @@ quantity the scheduler orchestrates (through ``R_j``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,8 +68,8 @@ class Schedule:
         """Fast-path constructor for genomes the engine produced itself.
 
         Skips the :meth:`__post_init__` validation (shape, roster
-        uniqueness, value bounds) — the batched evolution engine only
-        ever emits genomes derived from already-validated ones, and
+        uniqueness, value bounds) — the generation kernel only ever
+        emits genomes derived from already-validated ones, and
         re-validating every intermediate candidate showed up in
         profiles.  The genome is still defensively copied and frozen, so
         a materialised schedule can never alias the engine's mutable
@@ -203,7 +203,7 @@ class Schedule:
                 assignments[gpu] = WorkerAssignment(job_id=job_id, local_batch=max(1, batch))
         return Allocation(assignments)
 
-    # -- genome manipulation helpers (used by the operators) --------------------------------------------
+    # -- genome manipulation helpers ----------------------------------------------------------------
 
     def with_genome(self, genome: np.ndarray) -> "Schedule":
         """A copy of this schedule with a different genome (same roster)."""
@@ -234,33 +234,3 @@ class Schedule:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Schedule(jobs={self.gpu_counts()}, idle={len(self.idle_gpus())})"
-
-
-def unique_schedules(candidates: Iterable[Schedule]) -> List[Schedule]:
-    """Distinct genomes, preserving first-seen order.
-
-    The shared de-duplication used both by :class:`~repro.core.population.Population`
-    and by the selection step of Algorithm 1.
-    """
-    seen: Dict[Tuple[int, ...], Schedule] = {}
-    for candidate in candidates:
-        seen.setdefault(candidate.key(), candidate)
-    return list(seen.values())
-
-
-def stack_genomes(candidates: Sequence[Schedule]) -> np.ndarray:
-    """Stack a population's genomes into a ``(K, num_gpus)`` int64 matrix.
-
-    All candidates must share the same roster and cluster size — the
-    invariant the evolutionary search maintains anyway.
-    """
-    if not candidates:
-        raise ValueError("stack_genomes requires at least one candidate")
-    roster = candidates[0].roster
-    num_gpus = candidates[0].num_gpus
-    for candidate in candidates:
-        if candidate.roster != roster:
-            raise ValueError("candidates must share the same roster")
-        if candidate.num_gpus != num_gpus:
-            raise ValueError("candidates must cover the same number of GPUs")
-    return np.stack([candidate.genome for candidate in candidates])

@@ -1,34 +1,30 @@
-"""Incremental delta-scoring: stop re-deriving the population every generation.
+"""Incremental delta-scoring: the generation kernel's cached Eq. 8 inputs.
 
-PR 1 vectorised Eq. 8, PR 3 batched the operators; what remained is that
-every generation still *re-derives the scoring inputs from scratch* —
-the ``(K, num_jobs)`` GPU-count matrix, the per-(candidate, job)
-server-locality flags, and the greedy fill's per-round node-set
-prefixes — even though one generation changes only a small fraction of
-each genome.  This module caches those progress-independent inputs as a
+Scoring a generation needs, per candidate and roster job, the GPU count
+and the placement locality — and the greedy fill needs the latter again
+for every move it prices.  One generation changes only a small fraction
+of each genome, so instead of re-deriving those inputs from the genome
+matrix each time, this module caches them as a
 :class:`ScoreDecomposition` and keeps them *incrementally maintained*
-through every operator, so a generation touches only the (candidate,
-job) cells whose genome entries actually changed:
+through every operator; a generation touches only the (candidate, job)
+cells whose genome entries actually changed:
 
 * ``counts[k, j]`` — GPUs candidate ``k`` gives roster job ``j``
-  (the ``c_j`` of Eq. 8; previously one global ``bincount`` per use),
+  (the ``c_j`` of Eq. 8),
 * ``crosses[k, j]`` — whether that placement spans more than one
-  server (selects the locality plane of the throughput table;
-  previously a ``(K, num_jobs, num_nodes)`` presence reduction),
+  server (selects the locality plane of the throughput table),
 * ``sole_node[k, j]`` — the single occupied server when the placement
   is non-crossing (``-1`` otherwise), which is what lets the greedy
   fill decide in O(1) per cell whether a grown placement starts
-  crossing, replacing the per-round 3-D node-set prefix cumsum that
-  dominated the PR 3 profile.
+  crossing, instead of tracking per-round node-set prefixes.
 
 The Eq. 8 *score* itself is still evaluated fresh every generation —
 Algorithm 1 draws new progress samples ρ_j each time, so the weights
-change — but it is evaluated straight off the cached decomposition
-(:func:`score_decomposition`), through the very same
-:func:`~repro.core.scoring.score_count_matrix` expression the batched
-engine uses.  That is the parity contract: **identical counts and
-crossings in, identical floats out**, so the incremental path is
-bit-for-bit the batched path, which is bit-for-bit the scalar path.
+change — but straight off the cached decomposition
+(:func:`score_decomposition`), through
+:func:`~repro.core.scoring.score_count_matrix`.  The parity contract is
+**identical counts and crossings in, identical floats out**: the kernel
+is bit-for-bit the scalar reference in ``tests/_evolution_oracle.py``.
 
 Cache lifecycle (:class:`IncrementalScoringEngine`)
 ---------------------------------------------------
@@ -39,11 +35,11 @@ same population array object (identity — any population reset,
 re-index, or width change yields a new array), the same roster tuple,
 the same genome width, and the same GPU→server map.  Anything else —
 fault masking compacting the cluster, a partition-view swap inside
-:class:`~repro.core.partitioned.HierarchicalONESScheduler`, a
-scalar-path population lift — fails the check and triggers one full
-vectorised rebuild (:func:`build_decomposition`), attributed to the
-``rescore_full`` profiling phase; steady-state generations take the
-``rescore_delta`` path.  Throughput-table churn is tracked through
+:class:`~repro.core.partitioned.HierarchicalONESScheduler` — fails the
+check and triggers one full vectorised rebuild
+(:func:`build_decomposition`), attributed to the ``rescore_full``
+profiling phase; steady-state generations take the ``rescore_delta``
+path.  Throughput-table churn is tracked through
 :attr:`~repro.jobs.throughput.ThroughputTable.version` so the engine
 can count how often its table context swapped underneath it (the
 table's values feed the score gather, never the decomposition, so a
@@ -61,23 +57,24 @@ heterogeneity plane), keep the decomposition discipline:
    Only the genome-derived part belongs in :class:`ScoreDecomposition`.
 2. **Add the cached array** to :class:`ScoreDecomposition` (same
    ``(K, num_jobs)`` shape) and teach the three producers about it:
-   :func:`build_decomposition` (the full-rebuild reference — write this
-   first, it is the oracle), the per-move update in
+   :func:`build_decomposition` (the full rebuild — write this first,
+   every other producer is checked against it), the per-move update in
    :func:`fill_idle_decomposed`, and the analytic update in
    :func:`reorder_decomposed` (fall back to ``rebuild_rows`` if no
    closed form exists — correctness never depends on the fast path).
    Mutation/shrink updates live in
-   :func:`repro.core.evolution_batched` next to the operators.
+   :mod:`repro.core.evolution_batched` next to the operators.
 3. **Consume it** in :func:`score_decomposition` by extending
    :func:`~repro.core.scoring.score_count_matrix` — *never* refactor
    the existing expression (floating-point addition is not
    associative; the parity suites pin the exact evaluation order).
-4. **Pin parity**: extend ``tests/test_core_scoring_incremental.py``'s
-   fuzz loop, which asserts ``decomposition == build_decomposition``
-   after every operator and incremental == batched == scalar
-   trajectories bit-for-bit.  A term that cannot pass that suite
-   should ship behind ``EvolutionConfig.incremental_scoring=False``
-   until it can.
+4. **Pin parity**: add the term to the scalar scoring of
+   ``tests/_evolution_oracle.py`` first, then extend
+   ``tests/test_core_scoring_incremental.py``, which asserts
+   ``decomposition == build_decomposition`` after every operator and
+   kernel == oracle trajectories bit-for-bit.  Start with
+   ``rebuild_rows`` after every operator and replace it with delta
+   updates one operator at a time; the suite must pass at each step.
 """
 
 from __future__ import annotations
@@ -165,24 +162,6 @@ class ScoreDecomposition:
         self.crosses[rows] = sub.crosses
         self.sole_node[rows] = sub.sole_node
 
-    def rescore_delta(self, genomes: np.ndarray, changed_mask: np.ndarray) -> int:
-        """Refresh the decomposition after a sparse genome edit.
-
-        ``changed_mask`` is ``(K, num_gpus)`` boolean — True where a
-        genome entry changed since the decomposition was last in sync.
-        Untouched rows are guaranteed reused as-is; rows with any
-        changed entry are recomputed in one vectorised pass.  Returns
-        the number of rows recomputed (the delta cost driver).
-        """
-        changed_mask = np.asarray(changed_mask, dtype=bool)
-        if changed_mask.shape != genomes.shape:
-            raise ValueError(
-                f"changed_mask shape {changed_mask.shape} != genomes {genomes.shape}"
-            )
-        rows = np.flatnonzero(changed_mask.any(axis=1))
-        self.rebuild_rows(genomes, rows)
-        return int(rows.size)
-
     # -- verification ---------------------------------------------------------------------------
 
     def matches(self, genomes: np.ndarray) -> bool:
@@ -200,10 +179,9 @@ def build_decomposition(
 ) -> ScoreDecomposition:
     """Full vectorised (re)build of a :class:`ScoreDecomposition`.
 
-    One flattened ``bincount`` over (candidate, job, node) triples —
-    the same technique as
-    :func:`repro.core.scoring.population_node_crossings`, extended to
-    also yield the sole occupied server of non-crossing placements.
+    One flattened ``bincount`` over (candidate, job, node) triples
+    yields every placement's occupied servers: their number decides
+    ``crosses`` and, when there is one, it is ``sole_node``.
     """
     genomes = np.asarray(genomes, dtype=np.int64)
     num_candidates, num_gpus = genomes.shape
@@ -228,6 +206,16 @@ def build_decomposition(
     return ScoreDecomposition(counts, crosses, sole, node_of)
 
 
+def is_node_monotone(node_of: np.ndarray) -> bool:
+    """Whether server ids never decrease along the GPU ids.
+
+    True for every star topology (``arange // gpus_per_node``) and for
+    compacted views of one; :func:`reorder_decomposed` relies on it to
+    update the crossing flags without a rebuild.
+    """
+    return bool(np.all(np.diff(node_of) >= 0))
+
+
 # --- scoring off the cache -----------------------------------------------------------------------
 
 
@@ -242,8 +230,7 @@ def score_decomposition(
 
     A thin alias of :func:`~repro.core.scoring.score_count_matrix` fed
     the cached counts/crossings — deliberately *not* a reimplementation,
-    so the floating-point evaluation order (and hence every bit of every
-    score) is shared with the batched and scalar paths.
+    so there is one floating-point evaluation order for every score.
     """
     return score_count_matrix(
         decomp.counts, roster, jobs, progress, table, decomp.crosses
@@ -262,22 +249,24 @@ def fill_idle_decomposed(
 ) -> np.ndarray:
     """Greedy idle-GPU fill maintaining the decomposition move-by-move.
 
-    Move-for-move identical to
-    :func:`repro.core.evolution_batched.fill_idle_population` (same
-    table lookups, same utilisation deltas, same tie-breaking), but the
-    per-round ``(active, max_idle, num_nodes)`` node-set prefix — the
-    single hottest array in the PR 3 profile — collapses to an
-    ``(active, max_idle)`` *span* prefix: because every round grabs a
-    prefix of the row's ascending idle list, a grown placement crosses
-    servers iff it already crossed, or the grabbed slots span servers
-    themselves, or the job already ran on a single server different
-    from the first grabbed slot's (``sole_node``).  Each round applies
-    the moves of all its rows at once, with array ops.  ``decomp`` is
-    updated in place and stays bit-synchronised with the returned
-    genomes.
+    Each round, every still-unfinished row evaluates every
+    waiting/growable job's utilisation delta (``Δφ_j·Y_j`` of §3.2.2,
+    throughputs gathered from the context's
+    :class:`~repro.jobs.throughput.ThroughputTable`) in one
+    ``(active, num_jobs)`` array expression and applies its best move,
+    with the scalar scan's tie-breaking: the first job in roster order
+    wins ties, and ``nan`` deltas — from ``inf − inf`` on
+    zero-throughput curves — never displace an incumbent.  Locality
+    needs only an ``(active, max_idle)`` *span* prefix: because every
+    round grabs a prefix of the row's ascending idle list, a grown
+    placement crosses servers iff it already crossed, or the grabbed
+    slots span servers themselves, or the job already ran on a single
+    server different from the first grabbed slot's (``sole_node``).
+    Each round applies the moves of all its rows at once, with array
+    ops.  ``decomp`` is updated in place and stays bit-synchronised with
+    the returned genomes.
     """
     table = ctx.throughput_table
-    assert table is not None
     genomes = np.array(genomes, dtype=np.int64)
     num_candidates, num_gpus = genomes.shape
     num_jobs = len(ctx.roster)
@@ -344,9 +333,9 @@ def fill_idle_decomposed(
             | ((take >= 1) & (counts_a > 0) & ~crosses_a & (sole_a != q0[:, None]))
         )
 
-        # Identical lookups to the non-incremental fill: idle jobs and
-        # masked-out entries look up count 0 (prefilled, zero model
-        # calls), so lazily-filled table entries match exactly.
+        # Idle jobs and masked-out entries look up count 0 (prefilled,
+        # zero model calls), so no table entry is filled for a move
+        # that is never priced.
         before_counts = np.where(eligible & (counts_a > 0), counts_a, 0)
         after_counts = np.where(eligible, counts_a + take, 0)
         thr_before = table.lookup(before_counts, crosses_a)
@@ -372,6 +361,9 @@ def fill_idle_decomposed(
             )
             delta = util_after - util_before
 
+        # The scalar scan keeps the first strictly-smaller delta in
+        # roster order; a nan first candidate (or an all-inf round)
+        # pins the first eligible job.
         ranked = np.where(np.isnan(delta) | ~eligible, np.inf, delta)
         pick = np.argmin(ranked, axis=1)
         row_min = ranked[sub_ids, pick]
@@ -410,17 +402,17 @@ def reorder_decomposed(
     decomp: ScoreDecomposition,
     node_monotone: bool,
 ) -> np.ndarray:
-    """Batched reorder (Fig. 10) with an analytic decomposition update.
+    """Reorder (Fig. 10) of every row, with an analytic decomposition update.
 
-    Genome output is bit-identical to
-    :func:`repro.core.evolution_batched.reorder_population`, computed
-    via a scatter-min of first-occurrence positions instead of the
-    ``(K, num_gpus, num_values)`` one-hot.  Reordering never changes
-    ``counts``, but it *packs* each job contiguously, so on a
-    monotone GPU→server map the crossing flag reduces to "first and
-    last GPU of the packed run live on different servers"; when the map
-    is not monotone (never true for the star topology's
-    ``arange // gpus_per_node``) the affected rows are simply rebuilt.
+    Each row's workers are packed contiguously in order of the job's
+    first occurrence, idle genes at the end: one stable argsort per
+    matrix on "first occurrence of my gene" keys, found by a
+    scatter-min.  Reordering never changes ``counts``, but it *packs*
+    each job contiguously, so on a monotone GPU→server map the crossing
+    flag reduces to "first and last GPU of the packed run live on
+    different servers"; when the map is not monotone (never true for
+    the star topology's ``arange // gpus_per_node``) the affected rows
+    are simply rebuilt.
     """
     genomes = np.asarray(genomes, dtype=np.int64)
     num_candidates, num_gpus = genomes.shape
@@ -531,7 +523,7 @@ class IncrementalScoringEngine:
             self.full_rebuilds += 1
             self._roster = roster
             self._node_of = node_of.copy()
-            self.node_monotone = bool(np.all(np.diff(node_of) >= 0))
+            self.node_monotone = is_node_monotone(node_of)
             rebuilt = True
         # Ownership passes to the running generation: the operators
         # mutate the decomposition in place, so until :meth:`commit`

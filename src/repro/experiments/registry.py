@@ -210,7 +210,6 @@ def _make_ones(
     mutation_rate: Optional[float] = None,
     crossover_pairs: Optional[int] = None,
     iterations_per_invocation: Optional[int] = None,
-    incremental_scoring: Optional[bool] = None,
     refit_policy: Optional[str] = None,
     refit_interval: Optional[int] = None,
 ) -> ONESScheduler:
@@ -218,10 +217,8 @@ def _make_ones(
 
     ``config``/``evolution`` take full configuration objects (programmatic
     use); the scalar options are JSON-friendly shortcuts for the common
-    evolution knobs so declarative specs can scale the search down
-    (``incremental_scoring`` toggles the delta-scoring generation kernel,
-    parity-gated against the batched baseline), plus the GPR
-    ``refit_policy``/``refit_interval`` pair so sweeps can trade
+    evolution knobs so declarative specs can scale the search down, plus
+    the GPR ``refit_policy``/``refit_interval`` pair so sweeps can trade
     predictor freshness for long-trace throughput (see
     :class:`~repro.prediction.predictor.PredictorConfig`).
     """
@@ -240,8 +237,6 @@ def _make_ones(
                 overrides["crossover_pairs"] = int(crossover_pairs)
             if iterations_per_invocation is not None:
                 overrides["iterations_per_invocation"] = int(iterations_per_invocation)
-            if incremental_scoring is not None:
-                overrides["incremental_scoring"] = bool(incremental_scoring)
             evolution = EvolutionConfig(**overrides)
         predictor_overrides: Dict[str, object] = {}
         if refit_policy is not None:
@@ -273,7 +268,6 @@ def _make_ones_hier(
     mutation_rate: Optional[float] = None,
     crossover_pairs: Optional[int] = None,
     iterations_per_invocation: Optional[int] = None,
-    incremental_scoring: Optional[bool] = None,
     refit_policy: Optional[str] = None,
     refit_interval: Optional[int] = None,
 ) -> HierarchicalONESScheduler:
@@ -295,7 +289,6 @@ def _make_ones_hier(
             mutation_rate=mutation_rate,
             crossover_pairs=crossover_pairs,
             iterations_per_invocation=iterations_per_invocation,
-            incremental_scoring=incremental_scoring,
             refit_policy=refit_policy,
             refit_interval=refit_interval,
         ).config

@@ -26,7 +26,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (
-    Callable,
     Hashable,
     Mapping,
     MutableMapping,
@@ -582,33 +581,3 @@ class ThroughputTable:
                             idx, count, bool(plane)
                         )
         return self._table.copy()
-
-    # -- placement queries ---------------------------------------------------------
-
-    def crosses_nodes_of(self, gpu_ids: Sequence[int]) -> bool:
-        """Whether a concrete placement spans more than one server."""
-        gpu_ids = np.asarray(list(gpu_ids), dtype=np.int64)
-        if gpu_ids.size <= 1:
-            return False
-        nodes = self._node_of[gpu_ids]
-        return bool((nodes != nodes[0]).any())
-
-    # -- adapters -----------------------------------------------------------------
-
-    def as_throughput_fn(self) -> Callable:
-        """A ``(job, schedule) -> samples/s`` adapter for the scalar path.
-
-        Looks up the plane matching the schedule's actual placement
-        locality.  Jobs outside the table's roster (or with no GPUs)
-        report zero throughput, matching the previous scheduler
-        behaviour.
-        """
-
-        def throughput(job, schedule) -> float:
-            count = schedule.gpu_count(job.job_id)
-            if count == 0 or job.job_id not in self._index:
-                return 0.0
-            crosses = self.crosses_nodes_of(schedule.gpus_of(job.job_id))
-            return self.throughput(job.job_id, count, crosses)
-
-        return throughput

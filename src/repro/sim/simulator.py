@@ -552,14 +552,14 @@ class ClusterSimulator:
         del self.active[job.job_id]
         self.ledger.clear_runtime(job.job_id)
         self.ledger.pull(job)
-        # Remove the job's workers from the deployed allocation.
-        mapping = {
-            gpu: worker
-            for gpu, worker in self.allocation.as_dict().items()
-            if worker[0] != job.job_id
-        }
+        # Remove the job's workers from the deployed allocation; the
+        # surviving workers are immutable and carried over as they are.
         self.allocation = Allocation(
-            {gpu: _worker(worker) for gpu, worker in mapping.items()}
+            {
+                gpu: worker
+                for gpu, worker in self.allocation.workers().items()
+                if worker.job_id != job.job_id
+            }
         )
         proposal = self.scheduler.on_job_completion(job, self._state())
         if proposal is not None:
@@ -729,10 +729,3 @@ class ClusterSimulator:
             profile=profile,
             faults=fault_metrics,
         )
-
-
-def _worker(worker_tuple):
-    from repro.cluster.allocation import WorkerAssignment
-
-    job_id, local_batch = worker_tuple
-    return WorkerAssignment(job_id=job_id, local_batch=local_batch)

@@ -2,15 +2,27 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.cluster.topology import make_longhorn_cluster
+from repro.core.evolution_batched import (
+    _desired_vector,
+    _refresh_decomposed,
+    _remaining_vector,
+)
 from repro.core.operators import EvolutionContext
-from repro.core.schedule import Schedule
+from repro.core.schedule import IDLE
+from repro.core.scoring_incremental import (
+    build_decomposition,
+    fill_idle_decomposed,
+    is_node_monotone,
+    reorder_decomposed,
+)
 from repro.jobs.job import Job
-from repro.jobs.throughput import ThroughputModel, split_batch
+from repro.jobs.throughput import ThroughputModel, ThroughputTable
 from repro.prediction.beta import BetaDistribution
 from tests.conftest import make_job
 
@@ -44,22 +56,11 @@ def make_context(
 ) -> EvolutionContext:
     """Build a realistic EvolutionContext over a small Longhorn cluster."""
     jobs = jobs if jobs is not None else make_jobs()
-    topology = make_longhorn_cluster(num_gpus)
-    model = ThroughputModel(topology)
+    model = ThroughputModel(make_longhorn_cluster(num_gpus))
     roster = tuple(sorted(jobs))
     limits = dict(limits) if limits is not None else {
         job_id: job.spec.base_batch * 4 for job_id, job in jobs.items()
     }
-
-    def throughput_fn(job: Job, schedule: Schedule) -> float:
-        count = schedule.gpu_count(job.job_id)
-        if count == 0:
-            return 0.0
-        limit = limits.get(job.job_id, job.spec.base_batch)
-        global_batch = schedule.global_batch(job, limit)
-        gpus = schedule.gpus_of(job.job_id)
-        return model.throughput(job.spec.model, split_batch(global_batch, count), gpus)
-
     distributions = {
         job_id: BetaDistribution(max(1.0, job.processed_epochs()), 5.0)
         for job_id, job in jobs.items()
@@ -75,10 +76,74 @@ def make_context(
         roster=roster,
         limits=limits,
         distributions=distributions,
-        throughput_fn=throughput_fn,
         remaining_workload=remaining,
         executed_time=executed,
         num_gpus=num_gpus,
+        throughput_table=ThroughputTable(model, jobs, limits, num_gpus, roster=roster),
         never_started=set(never_started),
         rng=np.random.default_rng(seed),
     )
+
+
+def table_workload(num_gpus, num_jobs, seed, never_started=(), running_fraction=0.8):
+    """A randomised cluster snapshot plus a factory of identical contexts.
+
+    Each factory call builds a fresh :class:`ThroughputTable` and RNG, so
+    the kernel and the scalar oracle can be driven from identical state.
+    """
+    jobs = make_jobs(num_jobs)
+    rng = np.random.default_rng(seed)
+    for i, (job_id, job) in enumerate(jobs.items()):
+        if job_id in never_started or rng.random() > running_fraction:
+            continue
+        job.start_running(0.0, [i % num_gpus], [64])
+        job.advance(int(rng.integers(500, 5000)), 10.0)
+    model = ThroughputModel(make_longhorn_cluster(num_gpus))
+    limits = {job_id: job.spec.base_batch * 4 for job_id, job in jobs.items()}
+    roster = tuple(sorted(jobs))
+    base = make_context(
+        jobs, num_gpus=num_gpus, limits=limits, seed=seed, never_started=never_started
+    )
+
+    def fresh_ctx(rng_seed):
+        table = ThroughputTable(model, jobs, limits, num_gpus, roster=roster)
+        return replace(base, throughput_table=table, rng=np.random.default_rng(rng_seed))
+
+    return roster, fresh_ctx
+
+
+def random_genomes(roster, num_gpus, rows, seed, idle_fraction=0.35):
+    """A ``(rows, num_gpus)`` genome matrix over ``roster`` with idle genes."""
+    rng = np.random.default_rng(seed)
+    genomes = rng.integers(0, len(roster), size=(rows, num_gpus)).astype(np.int64)
+    genomes[rng.random(genomes.shape) < idle_fraction] = IDLE
+    return genomes
+
+
+# --- the kernel's operators on a standalone genome matrix --------------------------------------
+
+
+def _kernel_inputs(genomes, ctx):
+    genomes = np.array(genomes, dtype=np.int64)
+    decomp = build_decomposition(genomes, len(ctx.roster), ctx.throughput_table.node_of)
+    return genomes, decomp, _desired_vector(ctx), _remaining_vector(ctx)
+
+
+def kernel_refresh(genomes, ctx):
+    """The kernel's refresh of ``genomes``: ``(refreshed, decomposition)``."""
+    genomes, decomp, desired, remaining = _kernel_inputs(genomes, ctx)
+    return _refresh_decomposed(genomes, ctx, decomp, desired, remaining), decomp
+
+
+def kernel_fill(genomes, ctx):
+    """The kernel's idle-GPU fill of ``genomes``: ``(filled, decomposition)``."""
+    genomes, decomp, desired, remaining = _kernel_inputs(genomes, ctx)
+    return fill_idle_decomposed(genomes, ctx, decomp, desired, remaining), decomp
+
+
+def kernel_reorder(genomes, num_jobs, node_of):
+    """The kernel's reorder of ``genomes``: ``(reordered, decomposition)``."""
+    genomes = np.array(genomes, dtype=np.int64)
+    node_of = np.asarray(node_of, dtype=np.int64)
+    decomp = build_decomposition(genomes, num_jobs, node_of)
+    return reorder_decomposed(genomes, decomp, is_node_monotone(node_of)), decomp

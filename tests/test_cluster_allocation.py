@@ -1,5 +1,6 @@
 """Tests for repro.cluster.allocation."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -135,6 +136,13 @@ class TestJobIndex:
                 else None
             )
             assert alloc.config_of(job_id) == expected
+        # Free GPUs: ascending plain ints, whatever the order and integer
+        # type of the ids asked about.
+        scanned_used = {g for g in alloc._assignments}
+        asked = np.arange(72)[::-1]
+        free = alloc.free_gpus(asked)
+        assert free == sorted(int(g) for g in asked if int(g) not in scanned_used)
+        assert all(type(g) is int for g in free)
 
     def test_answers_are_copies(self, simple_allocation):
         simple_allocation.gpus_of("job-a").append(99)

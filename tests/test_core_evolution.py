@@ -6,6 +6,7 @@ import pytest
 from repro.core.evolution import EvolutionConfig, EvolutionarySearch
 from repro.core.schedule import Schedule
 from tests._core_helpers import make_context, make_jobs
+from tests._evolution_oracle import candidate_score
 
 
 class TestEvolutionConfig:
@@ -47,7 +48,7 @@ class TestEvolutionarySearch:
         assert isinstance(best, Schedule)
         assert np.isfinite(score)
         assert search.best_candidate is best
-        assert len(search.population) <= 6
+        assert search.population_size <= 6
 
     def test_population_persists_across_steps(self):
         ctx = self._context_with_progress()
@@ -98,8 +99,6 @@ class TestEvolutionarySearch:
 
     def test_search_improves_or_matches_greedy_seed(self):
         """The evolved best candidate is no worse than the deployed schedule."""
-        from repro.core.scoring import candidate_score
-
         ctx = self._context_with_progress(num_jobs=4, num_gpus=8)
         current = Schedule.from_assignment(
             ctx.roster, 8, {0: "job-0", 1: "job-1", 2: "job-2", 3: "job-3"}
@@ -107,6 +106,7 @@ class TestEvolutionarySearch:
         search = EvolutionarySearch(EvolutionConfig(population_size=8), seed=3)
         best, _ = search.step(ctx, current=current)
         progress = {j: 0.5 for j in ctx.roster}
-        assert candidate_score(best, ctx.jobs, progress, ctx.throughput_fn) <= candidate_score(
-            current, ctx.jobs, progress, ctx.throughput_fn
+        table = ctx.throughput_table
+        assert candidate_score(best, ctx.jobs, progress, table) <= candidate_score(
+            current, ctx.jobs, progress, table
         ) * 1.05

@@ -1,7 +1,7 @@
 """Golden-trace regression: a pinned-seed ONES simulation never drifts silently.
 
-The evolution operators are bit-exact by design (the batched engine is
-differentially tested against the scalar reference), so a small pinned
+The evolution operators are bit-exact by design (the generation kernel
+is differentially tested against the scalar oracle), so a small pinned
 simulation is fully deterministic.  This test replays it and compares
 per-job completion metrics and the makespan against a checked-in JSON
 fixture — any future operator change that silently alters trajectories
@@ -13,9 +13,6 @@ If a change *intentionally* alters trajectories, regenerate the fixture
 and call the change out in the PR:
 
     PYTHONPATH=src python -m tests.test_core_golden_trace --regen
-
-Both operator engines (``batched_operators`` on and off) must match the
-same fixture — the golden trace doubles as an end-to-end parity pin.
 """
 
 from __future__ import annotations
@@ -26,7 +23,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.evolution import EvolutionConfig
 from repro.core.ones_scheduler import ONESConfig, ONESScheduler
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import generate_trace, run_single
@@ -41,18 +37,14 @@ GOLDEN_NUM_JOBS = 6
 GOLDEN_SEED = 2021
 
 
-def _simulate(batched: bool):
+def _simulate():
     config = ExperimentConfig(
         num_gpus=GOLDEN_NUM_GPUS,
         trace=TraceConfig(num_jobs=GOLDEN_NUM_JOBS, arrival_rate=1.0 / 30.0),
         seed=GOLDEN_SEED,
     )
     trace = generate_trace(config)
-    scheduler = ONESScheduler(
-        ONESConfig(evolution=EvolutionConfig(batched_operators=batched)),
-        seed=GOLDEN_SEED,
-    )
-    return run_single(scheduler, trace, config)
+    return run_single(ONESScheduler(ONESConfig(), seed=GOLDEN_SEED), trace, config)
 
 
 def _snapshot(result) -> dict:
@@ -78,15 +70,14 @@ def _snapshot(result) -> dict:
     }
 
 
-@pytest.mark.parametrize("batched", [True, False], ids=["batched", "scalar"])
-def test_golden_ones_trajectory(batched):
+def test_golden_ones_trajectory():
     if not FIXTURE.exists():  # pragma: no cover - only before first regen
         pytest.fail(
             f"golden fixture missing; generate it with "
             f"`PYTHONPATH=src python -m tests.test_core_golden_trace --regen`"
         )
     golden = json.loads(FIXTURE.read_text())
-    snapshot = _snapshot(_simulate(batched))
+    snapshot = _snapshot(_simulate())
     assert snapshot == golden, (
         "the pinned-seed ONES trajectory changed; if intentional, regenerate "
         "with `PYTHONPATH=src python -m tests.test_core_golden_trace --regen` "
@@ -99,13 +90,7 @@ def main(argv):  # pragma: no cover - manual regeneration entry point
         print(__doc__)
         return 1
     FIXTURE.parent.mkdir(parents=True, exist_ok=True)
-    snapshot = _snapshot(_simulate(batched=True))
-    scalar = _snapshot(_simulate(batched=False))
-    if snapshot != scalar:
-        raise SystemExit(
-            "batched and scalar trajectories disagree; fix the parity "
-            "regression before regenerating the golden fixture"
-        )
+    snapshot = _snapshot(_simulate())
     FIXTURE.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
     print(f"wrote {FIXTURE}")
     return 0

@@ -1,17 +1,23 @@
-"""Tests for repro.core.operators (refresh / crossover / mutation / reorder)."""
+"""Semantics of the §3.2.2 operators (refresh / crossover / mutation / reorder).
+
+Checked on the scalar reference in ``tests/_evolution_oracle.py``, the
+readable statement of each operator; the generation kernel is pinned to
+it bit for bit by ``test_core_evolution_batched.py``.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core.operators import (
+from repro.core.operators import EvolutionContext
+from repro.core.schedule import IDLE, Schedule
+from tests._core_helpers import make_context, make_jobs
+from tests._evolution_oracle import (
     fill_idle_gpus,
     refresh,
     reorder,
     uniform_crossover,
     uniform_mutation,
 )
-from repro.core.schedule import IDLE, Schedule
-from tests._core_helpers import make_context, make_jobs
 
 
 class TestRefresh:
@@ -154,3 +160,22 @@ class TestReorder:
         assert topology16.nodes_spanned(packed.gpus_of("job-0")) <= topology16.nodes_spanned(
             scattered.gpus_of("job-0")
         )
+
+
+class TestEvolutionContext:
+    def test_throughput_table_required(self):
+        ctx = make_context(make_jobs(2), num_gpus=4)
+        fields = dict(
+            jobs=ctx.jobs,
+            roster=ctx.roster,
+            limits=ctx.limits,
+            distributions=ctx.distributions,
+            remaining_workload=ctx.remaining_workload,
+            executed_time=ctx.executed_time,
+            num_gpus=4,
+        )
+        with pytest.raises(TypeError):
+            EvolutionContext(**fields)
+        with pytest.raises(ValueError):
+            EvolutionContext(**fields, throughput_table=None)
+        assert EvolutionContext(**fields, throughput_table=ctx.throughput_table).num_gpus == 4

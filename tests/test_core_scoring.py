@@ -1,18 +1,27 @@
-"""Tests for repro.core.scoring (SRUF / Algorithm 1)."""
+"""Tests for Eq. 8 (SRUF) and Algorithm 1.
+
+Eq. 8 is checked on the production scoring
+(:func:`~repro.core.scoring_incremental.score_decomposition`, the
+kernel's scoring step); Algorithm 1's stand-alone selection lives only
+in the scalar reference, ``tests/_evolution_oracle.py``, whose parity
+with the kernel ``test_core_scoring_vectorized.py`` pins.
+"""
 
 import numpy as np
 import pytest
 
+import tests._evolution_oracle as oracle
 from repro.core.schedule import IDLE, Schedule
-from repro.core.scoring import (
-    candidate_score,
-    probability_sample,
-    sample_progress,
-    score_candidates,
-    select_top_k,
-)
-from repro.prediction.beta import BetaDistribution
+from repro.core.scoring import sample_progress
+from repro.core.scoring_incremental import build_decomposition, score_decomposition
 from tests._core_helpers import make_context, make_jobs
+
+
+def _scores(ctx, schedules, progress):
+    """Eq. 8 of every schedule, as the generation kernel computes it."""
+    genomes = np.stack([schedule.genome for schedule in schedules])
+    decomp = build_decomposition(genomes, len(ctx.roster), ctx.throughput_table.node_of)
+    return score_decomposition(decomp, ctx.roster, ctx.jobs, progress, ctx.throughput_table)
 
 
 @pytest.fixture
@@ -51,7 +60,7 @@ class TestCandidateScore:
     def test_score_is_finite_and_positive(self, context):
         schedule = _schedule(context, [2, 1, 1])
         progress = {j: 0.5 for j in context.roster}
-        score = candidate_score(schedule, context.jobs, progress, context.throughput_fn)
+        (score,) = _scores(context, [schedule], progress)
         assert np.isfinite(score)
         assert score > 0
 
@@ -60,21 +69,21 @@ class TestCandidateScore:
         fresh_jobs = make_jobs(2)
         ctx = make_context(fresh_jobs, num_gpus=4)
         schedule = Schedule(roster=ctx.roster, genome=np.array([0, 1, IDLE, IDLE]))
-        score = candidate_score(schedule, ctx.jobs, {j: 0.5 for j in ctx.roster}, ctx.throughput_fn)
+        (score,) = _scores(ctx, [schedule], {j: 0.5 for j in ctx.roster})
         assert score == 0.0
 
     def test_lower_progress_means_higher_score(self, context):
         schedule = _schedule(context, [2, 1, 1])
         optimistic = {j: 0.9 for j in context.roster}
         pessimistic = {j: 0.1 for j in context.roster}
-        assert candidate_score(
-            schedule, context.jobs, pessimistic, context.throughput_fn
-        ) > candidate_score(schedule, context.jobs, optimistic, context.throughput_fn)
+        assert _scores(context, [schedule], pessimistic) > _scores(
+            context, [schedule], optimistic
+        )
 
     def test_score_candidates_vectorises(self, context):
         schedules = [_schedule(context, [2, 1, 1]), _schedule(context, [1, 2, 1])]
         progress = {j: 0.5 for j in context.roster}
-        scores = score_candidates(schedules, context.jobs, progress, context.throughput_fn)
+        scores = _scores(context, schedules, progress)
         assert scores.shape == (2,)
 
 
@@ -84,15 +93,17 @@ class TestProbabilitySample:
         # A candidate that leaves the heaviest job unscheduled scores lower
         # utilisation but probability_sample only compares what is given.
         candidates = [good, _schedule(context, [1, 1, 1])]
-        best, score = probability_sample(
-            candidates, context.jobs, context.distributions, context.throughput_fn, rng=1
+        best, score = oracle.probability_sample(
+            candidates, context.jobs, context.distributions, context.throughput_table, rng=1
         )
         assert best in candidates
         assert np.isfinite(score)
 
     def test_empty_candidates_rejected(self, context):
         with pytest.raises(ValueError):
-            probability_sample([], context.jobs, context.distributions, context.throughput_fn)
+            oracle.probability_sample(
+                [], context.jobs, context.distributions, context.throughput_table
+            )
 
 
 class TestSelectTopK:
@@ -103,8 +114,8 @@ class TestSelectTopK:
             _schedule(context, [1, 1, 2]),
             _schedule(context, [2, 1, 1]),  # duplicate genome
         ]
-        survivors = select_top_k(
-            candidates, context.jobs, context.distributions, context.throughput_fn, k=3, rng=2
+        survivors = oracle.select_top_k(
+            candidates, context.jobs, context.distributions, context.throughput_table, k=3, rng=2
         )
         assert len(survivors) == 3
         scores = [s for _, s in survivors]
@@ -114,11 +125,13 @@ class TestSelectTopK:
 
     def test_k_larger_than_pool(self, context):
         candidates = [_schedule(context, [2, 1, 1])]
-        survivors = select_top_k(
-            candidates, context.jobs, context.distributions, context.throughput_fn, k=5, rng=2
+        survivors = oracle.select_top_k(
+            candidates, context.jobs, context.distributions, context.throughput_table, k=5, rng=2
         )
         assert len(survivors) == 1
 
     def test_invalid_k(self, context):
         with pytest.raises(ValueError):
-            select_top_k([], context.jobs, context.distributions, context.throughput_fn, k=0)
+            oracle.select_top_k(
+                [], context.jobs, context.distributions, context.throughput_table, k=0
+            )

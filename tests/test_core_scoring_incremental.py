@@ -1,47 +1,39 @@
 """Differential fuzz suite for the incremental delta-scoring kernel.
 
-Parity contract (see :mod:`repro.core.scoring_incremental`): with
-``EvolutionConfig.incremental_scoring`` on, every generation — and hence
-every simulated trajectory — must be **bit-identical** to the batched
-baseline (itself pinned against the scalar operators by
-``test_core_evolution_batched.py``).  This suite fuzzes that contract at
-three levels:
+Parity contract (see :mod:`repro.core.scoring_incremental`): every
+generation the kernel runs over its maintained score decomposition —
+and hence every simulated trajectory — must be **bit-identical** to the
+scalar reference in ``tests/_evolution_oracle.py``.  This suite fuzzes
+that contract at three levels:
 
-* decomposition algebra: ``build_decomposition`` /
-  ``rescore_delta`` / ``rebuild_rows`` against fresh rebuilds over
-  random genomes and random edit masks;
+* decomposition algebra: ``build_decomposition`` / ``rebuild_rows`` /
+  ``take`` / ``concatenate`` against fresh rebuilds and the oracle's
+  per-schedule counts and crossings, over random genomes and edits;
 * operator parity: ``fill_idle_decomposed`` / ``reorder_decomposed``
-  against the baseline batched operators from identical state, with the
-  maintained decomposition re-validated after every op;
+  against the oracle's operators from identical state, with the
+  maintained decomposition re-validated after every op, and chained
+  generations against the oracle's;
 * trajectory parity: seeded multi-event simulations (unfaulted, faulted
   with node compaction mid-search, and hierarchical with partition-view
-  swaps) run incremental-on vs incremental-off vs scalar, compared on
+  swaps) run with the kernel and with the oracle search, compared on
   the full per-job completion record.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
+import tests._evolution_oracle as oracle
 from repro.cluster.topology import make_longhorn_cluster
 from repro.core.evolution import EvolutionConfig
-from repro.core.evolution_batched import (
-    fill_idle_population,
-    refresh_population,
-    reorder_population,
-    run_generation,
-)
+from repro.core.evolution_batched import run_generation
 from repro.core.ones_scheduler import ONESConfig, ONESScheduler
-from repro.core.scoring import population_gpu_counts, population_node_crossings
+from repro.core.schedule import Schedule
 from repro.core.scoring_incremental import (
     IncrementalScoringEngine,
     ScoreDecomposition,
     build_decomposition,
-    fill_idle_decomposed,
-    reorder_decomposed,
 )
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.registry import create_scheduler
@@ -51,52 +43,15 @@ from repro.faults.plan import FaultInjection, FaultKind
 from repro.jobs.throughput import ThroughputModel, ThroughputTable
 from repro.sim.simulator import SimulationConfig
 from repro.workload.trace import TraceConfig
-from tests._core_helpers import make_context, make_jobs
-
-IDLE = -1
+from tests._core_helpers import (
+    kernel_fill,
+    kernel_reorder,
+    make_jobs,
+    random_genomes,
+    table_workload,
+)
 
 CASES = [(8, 3, 0), (8, 5, 1), (16, 7, 2), (16, 12, 3), (32, 20, 4)]
-
-
-def _table_workload(num_gpus, num_jobs, seed, never_started=()):
-    """Randomised cluster snapshot + factory for table-backed contexts."""
-    jobs = make_jobs(num_jobs)
-    rng = np.random.default_rng(seed)
-    for i, (job_id, job) in enumerate(jobs.items()):
-        if job_id in never_started or rng.random() > 0.8:
-            continue
-        job.start_running(0.0, [i % num_gpus], [64])
-        job.advance(int(rng.integers(500, 5000)), 10.0)
-    model = ThroughputModel(make_longhorn_cluster(num_gpus))
-    limits = {job_id: job.spec.base_batch * 4 for job_id, job in jobs.items()}
-    roster = tuple(sorted(jobs))
-    base = make_context(
-        jobs, num_gpus=num_gpus, limits=limits, seed=seed, never_started=never_started
-    )
-
-    def fresh_ctx(rng_seed):
-        table = ThroughputTable(model, jobs, limits, num_gpus, roster=roster)
-        return replace(
-            base,
-            throughput_fn=None,
-            throughput_table=table,
-            rng=np.random.default_rng(rng_seed),
-        )
-
-    return roster, fresh_ctx
-
-
-def _random_genomes(roster, num_gpus, rows, seed, idle_fraction=0.35):
-    rng = np.random.default_rng(seed)
-    genomes = rng.integers(0, len(roster), size=(rows, num_gpus)).astype(np.int64)
-    genomes[rng.random(genomes.shape) < idle_fraction] = IDLE
-    return genomes
-
-
-def _desired_remaining(ctx):
-    from repro.core.evolution_batched import _desired_vector, _remaining_vector
-
-    return _desired_vector(ctx), _remaining_vector(ctx)
 
 
 def _assert_decomp_fresh(decomp, genomes, node_of):
@@ -107,23 +62,28 @@ def _assert_decomp_fresh(decomp, genomes, node_of):
     np.testing.assert_array_equal(decomp.sole_node, fresh.sole_node)
 
 
+def _rows(schedules):
+    return np.stack([schedule.genome for schedule in schedules])
+
+
 # --- decomposition algebra -----------------------------------------------------------------------
 
 
 class TestDecomposition:
     @pytest.mark.parametrize("num_gpus,num_jobs,seed", CASES)
     def test_build_matches_scoring_primitives(self, num_gpus, num_jobs, seed):
-        roster, fresh_ctx = _table_workload(num_gpus, num_jobs, seed)
-        ctx = fresh_ctx(seed)
-        node_of = np.asarray(ctx.throughput_table.node_of, dtype=np.int64)
-        genomes = _random_genomes(roster, num_gpus, 16, seed + 10)
-        decomp = build_decomposition(genomes, num_jobs, node_of)
-        np.testing.assert_array_equal(
-            decomp.counts, population_gpu_counts(genomes, num_jobs)
-        )
-        np.testing.assert_array_equal(
-            decomp.crosses, population_node_crossings(genomes, num_jobs, node_of)
-        )
+        """Counts and crossings equal the oracle's per-schedule queries."""
+        roster, fresh_ctx = table_workload(num_gpus, num_jobs, seed)
+        table = fresh_ctx(seed).throughput_table
+        genomes = random_genomes(roster, num_gpus, 16, seed + 10)
+        decomp = build_decomposition(genomes, num_jobs, table.node_of)
+        for k, genome in enumerate(genomes):
+            schedule = Schedule(roster=roster, genome=genome)
+            for j, job_id in enumerate(roster):
+                assert decomp.counts[k, j] == schedule.gpu_count(job_id)
+                assert decomp.crosses[k, j] == oracle.crosses_nodes(
+                    table, schedule.gpus_of(job_id)
+                )
         assert decomp.matches(genomes)
         # sole_node: defined exactly on non-crossing placed jobs.
         placed = decomp.counts > 0
@@ -131,31 +91,23 @@ class TestDecomposition:
 
     @pytest.mark.parametrize("num_gpus,num_jobs,seed", CASES)
     def test_rescore_delta_tracks_random_edits(self, num_gpus, num_jobs, seed):
-        roster, fresh_ctx = _table_workload(num_gpus, num_jobs, seed)
+        """Rebuilding only the edited rows keeps the whole cache exact."""
+        roster, fresh_ctx = table_workload(num_gpus, num_jobs, seed)
         node_of = np.asarray(fresh_ctx(seed).throughput_table.node_of, dtype=np.int64)
-        genomes = _random_genomes(roster, num_gpus, 20, seed + 20)
+        genomes = random_genomes(roster, num_gpus, 20, seed + 20)
         decomp = build_decomposition(genomes, num_jobs, node_of)
         rng = np.random.default_rng(seed + 30)
         for _ in range(5):
             changed = rng.random(genomes.shape) < 0.15
             edits = rng.integers(-1, num_jobs, size=genomes.shape).astype(np.int64)
             genomes[changed] = edits[changed]
-            rebuilt = decomp.rescore_delta(genomes, changed)
-            assert rebuilt == int(changed.any(axis=1).sum())
+            decomp.rebuild_rows(genomes, np.flatnonzero(changed.any(axis=1)))
             _assert_decomp_fresh(decomp, genomes, node_of)
 
-    def test_rescore_delta_rejects_shape_mismatch(self):
-        roster, fresh_ctx = _table_workload(8, 3, 0)
-        node_of = np.asarray(fresh_ctx(0).throughput_table.node_of, dtype=np.int64)
-        genomes = _random_genomes(roster, 8, 4, 1)
-        decomp = build_decomposition(genomes, 3, node_of)
-        with pytest.raises(ValueError):
-            decomp.rescore_delta(genomes, np.zeros((5, 8), dtype=bool))
-
     def test_take_and_concatenate_roundtrip(self):
-        roster, fresh_ctx = _table_workload(16, 7, 2)
+        roster, fresh_ctx = table_workload(16, 7, 2)
         node_of = np.asarray(fresh_ctx(2).throughput_table.node_of, dtype=np.int64)
-        genomes = _random_genomes(roster, 16, 10, 3)
+        genomes = random_genomes(roster, 16, 10, 3)
         decomp = build_decomposition(genomes, 7, node_of)
         order = np.array([4, 0, 9, 2])
         taken = decomp.take(order)
@@ -170,57 +122,55 @@ class TestDecomposition:
 class TestOperatorParity:
     @pytest.mark.parametrize("num_gpus,num_jobs,seed", CASES)
     def test_fill_decomposed_bit_identical(self, num_gpus, num_jobs, seed):
-        roster, fresh_ctx = _table_workload(num_gpus, num_jobs, seed)
-        genomes = _random_genomes(roster, num_gpus, 12, seed + 40, idle_fraction=0.5)
+        roster, fresh_ctx = table_workload(num_gpus, num_jobs, seed)
+        genomes = random_genomes(roster, num_gpus, 12, seed + 40, idle_fraction=0.5)
         ctx_a, ctx_b = fresh_ctx(9), fresh_ctx(9)
-        baseline = fill_idle_population(genomes, ctx_a)
-        desired, remaining = _desired_remaining(ctx_b)
-        node_of = np.asarray(ctx_b.throughput_table.node_of, dtype=np.int64)
-        work = genomes.copy()
-        decomp = build_decomposition(work, num_jobs, node_of)
-        filled = fill_idle_decomposed(work, ctx_b, decomp, desired, remaining)
-        np.testing.assert_array_equal(baseline, filled)
-        _assert_decomp_fresh(decomp, filled, node_of)
+        scalar = _rows(
+            oracle.fill_idle_gpus(Schedule(roster=roster, genome=g), ctx_a) for g in genomes
+        )
+        filled, decomp = kernel_fill(genomes, ctx_b)
+        np.testing.assert_array_equal(scalar, filled)
+        _assert_decomp_fresh(decomp, filled, ctx_b.throughput_table.node_of)
 
     @pytest.mark.parametrize("num_gpus,num_jobs,seed", CASES)
     def test_reorder_decomposed_bit_identical(self, num_gpus, num_jobs, seed):
-        roster, fresh_ctx = _table_workload(num_gpus, num_jobs, seed)
+        roster, fresh_ctx = table_workload(num_gpus, num_jobs, seed)
         node_of = np.asarray(fresh_ctx(seed).throughput_table.node_of, dtype=np.int64)
-        genomes = _random_genomes(roster, num_gpus, 15, seed + 50)
-        decomp = build_decomposition(genomes, num_jobs, node_of)
-        monotone = bool(np.all(np.diff(node_of) >= 0))
-        reordered = reorder_decomposed(genomes.copy(), decomp, monotone)
-        np.testing.assert_array_equal(reorder_population(genomes), reordered)
+        genomes = random_genomes(roster, num_gpus, 15, seed + 50)
+        scalar = _rows(oracle.reorder(Schedule(roster=roster, genome=g)) for g in genomes)
+        reordered, decomp = kernel_reorder(genomes, num_jobs, node_of)
+        np.testing.assert_array_equal(scalar, reordered)
         _assert_decomp_fresh(decomp, reordered, node_of)
 
     def test_reorder_decomposed_non_monotone_fallback(self):
         """A shuffled GPU→server map must route through rebuild_rows."""
-        roster, fresh_ctx = _table_workload(16, 7, 2)
+        roster, fresh_ctx = table_workload(16, 7, 2)
         node_of = np.asarray(fresh_ctx(2).throughput_table.node_of, dtype=np.int64)
         perm = np.random.default_rng(0).permutation(node_of.size)
         shuffled = node_of[perm]
-        genomes = _random_genomes(roster, 16, 12, 6)
-        decomp = build_decomposition(genomes, 7, shuffled)
-        reordered = reorder_decomposed(genomes.copy(), decomp, False)
-        np.testing.assert_array_equal(reorder_population(genomes), reordered)
+        genomes = random_genomes(roster, 16, 12, 6)
+        scalar = _rows(oracle.reorder(Schedule(roster=roster, genome=g)) for g in genomes)
+        reordered, decomp = kernel_reorder(genomes, 7, shuffled)
+        np.testing.assert_array_equal(scalar, reordered)
         _assert_decomp_fresh(decomp, reordered, shuffled)
 
     @pytest.mark.parametrize("num_gpus,num_jobs,seed", CASES)
     def test_generation_bit_identical(self, num_gpus, num_jobs, seed):
-        """Chained generations: engine path == baseline path, including RNG."""
-        roster, fresh_ctx = _table_workload(num_gpus, num_jobs, seed)
-        genomes = _random_genomes(roster, num_gpus, 10, seed + 60)
-        config_off = EvolutionConfig(incremental_scoring=False)
-        config_on = EvolutionConfig(incremental_scoring=True)
+        """Chained generations: kernel == oracle, including RNG, with the
+        decomposition served from the engine's cache after the first."""
+        roster, fresh_ctx = table_workload(num_gpus, num_jobs, seed)
+        genomes = random_genomes(roster, num_gpus, 10, seed + 60)
+        config = EvolutionConfig()
         engine = IncrementalScoringEngine()
         ctx_a, ctx_b = fresh_ctx(11), fresh_ctx(11)
-        base, inc = genomes.copy(), genomes.copy()
+        population = [Schedule(roster=roster, genome=g) for g in genomes]
         for _ in range(4):
-            res_a = run_generation(base, ctx_a, config_off)
-            res_b = run_generation(inc, ctx_b, config_on, engine=engine)
-            np.testing.assert_array_equal(res_a.population, res_b.population)
-            np.testing.assert_array_equal(res_a.scores, res_b.scores)
-            base, inc = res_a.population, res_b.population
+            survivors, _ = oracle.generation(population, ctx_a, config)
+            result = run_generation(genomes, ctx_b, config, engine=engine)
+            np.testing.assert_array_equal(_rows(s for s, _ in survivors), result.population)
+            np.testing.assert_array_equal([score for _, score in survivors], result.scores)
+            population, genomes = [s for s, _ in survivors], result.population
+        assert ctx_a.rng.integers(2**31) == ctx_b.rng.integers(2**31)
         stats = engine.stats()
         assert stats["full_rebuilds"] == 1  # cold start only
         assert stats["delta_generations"] == 3  # cache hits thereafter
@@ -231,15 +181,15 @@ class TestOperatorParity:
 
 class TestEngineLifecycle:
     def _setup(self, seed=2):
-        roster, fresh_ctx = _table_workload(16, 7, seed)
+        roster, fresh_ctx = table_workload(16, 7, seed)
         ctx = fresh_ctx(seed)
-        genomes = _random_genomes(roster, 16, 8, seed + 70)
+        genomes = random_genomes(roster, 16, 8, seed + 70)
         return ctx, genomes
 
     def test_population_identity_invalidates(self):
         ctx, genomes = self._setup()
         engine = IncrementalScoringEngine()
-        config = EvolutionConfig(incremental_scoring=True)
+        config = EvolutionConfig()
         res = run_generation(genomes, ctx, config, engine=engine)
         # A copied survivor matrix (different array object) forces a rebuild.
         run_generation(res.population.copy(), ctx, config, engine=engine)
@@ -248,7 +198,7 @@ class TestEngineLifecycle:
     def test_explicit_invalidate_forces_rebuild(self):
         ctx, genomes = self._setup()
         engine = IncrementalScoringEngine()
-        config = EvolutionConfig(incremental_scoring=True)
+        config = EvolutionConfig()
         res = run_generation(genomes, ctx, config, engine=engine)
         engine.invalidate()
         run_generation(res.population, ctx, config, engine=engine)
@@ -258,10 +208,10 @@ class TestEngineLifecycle:
     def test_table_swap_is_counted_but_keeps_cache(self):
         """A fresh table over the same cluster reuses the decomposition —
         table values feed the score gather, never the decomposition."""
-        roster, fresh_ctx = _table_workload(16, 7, 3)
-        genomes = _random_genomes(roster, 16, 8, 73)
+        roster, fresh_ctx = table_workload(16, 7, 3)
+        genomes = random_genomes(roster, 16, 8, 73)
         engine = IncrementalScoringEngine()
-        config = EvolutionConfig(incremental_scoring=True)
+        config = EvolutionConfig()
         res = run_generation(genomes, fresh_ctx(5), config, engine=engine)
         run_generation(res.population, fresh_ctx(5), config, engine=engine)
         stats = engine.stats()
@@ -312,21 +262,9 @@ class TestTrajectoryParity:
             seed=seed,
         )
         trace = generate_trace(config)
-
-        def run(batched, incremental):
-            sched = ONESScheduler(
-                ONESConfig(
-                    evolution=EvolutionConfig(
-                        batched_operators=batched, incremental_scoring=incremental
-                    )
-                ),
-                seed=seed,
-            )
-            return _trajectory(sched, trace, config)
-
-        on = run(True, True)
-        assert on == run(True, False)
-        assert on == run(False, False)
+        kernel = ONESScheduler(ONESConfig(), seed=seed)
+        scalar = oracle.use_oracle_search(ONESScheduler(ONESConfig(), seed=seed))
+        assert _trajectory(kernel, trace, config) == _trajectory(scalar, trace, config)
 
     @pytest.mark.parametrize("seed", [5, 23])
     def test_faulted_node_compaction_parity(self, seed):
@@ -345,37 +283,27 @@ class TestTrajectoryParity:
             seed=seed,
         )
         trace = generate_trace(config)
-
-        def run(incremental):
-            sched = ONESScheduler(
-                ONESConfig(
-                    evolution=EvolutionConfig(incremental_scoring=incremental)
-                ),
-                seed=seed,
-            )
-            return _trajectory(sched, trace, config)
-
-        assert run(True) == run(False)
+        kernel = ONESScheduler(ONESConfig(), seed=seed)
+        scalar = oracle.use_oracle_search(ONESScheduler(ONESConfig(), seed=seed))
+        assert _trajectory(kernel, trace, config) == _trajectory(scalar, trace, config)
+        assert kernel.search.scoring_engine.stats()["full_rebuilds"] > 1
 
     @pytest.mark.parametrize("seed", [9, 31])
     def test_hierarchical_partition_view_parity(self, seed):
         """ones-hier swaps per-partition views every event — each shard's
-        engine must invalidate/rebuild correctly and match non-incremental."""
+        engine must invalidate/rebuild correctly and match the oracle."""
         config = ExperimentConfig(
             num_gpus=32,
             trace=TraceConfig(num_jobs=12, arrival_rate=1.0 / 15.0),
             seed=seed,
         )
         trace = generate_trace(config)
-
-        def run(incremental):
-            sched = create_scheduler(
-                "ONES-hier", seed, partition_size=16, incremental_scoring=incremental
-            )
-            return _trajectory(sched, trace, config), sched
-
-        on, sched_on = run(True)
-        off, _ = run(False)
-        assert on == off
-        state = sched_on.describe_state()
-        assert state["scoring_delta_generations"] > 0
+        kernel = create_scheduler("ONES-hier", seed, partition_size=16)
+        scalar = oracle.use_oracle_search(
+            create_scheduler("ONES-hier", seed, partition_size=16)
+        )
+        assert _trajectory(kernel, trace, config) == _trajectory(scalar, trace, config)
+        assert all(
+            isinstance(p.inner.search, oracle.OracleSearch) for p in scalar._partitions
+        )
+        assert kernel.describe_state()["scoring_delta_generations"] > 0

@@ -276,10 +276,11 @@ class TestThroughputTable:
 
     def test_as_throughput_fn_adapter(self):
         from repro.core.schedule import IDLE, Schedule
+        from tests._evolution_oracle import table_throughput_fn
 
         jobs, model, limits, num_gpus = self._fixture()
         table = ThroughputTable(model, jobs, limits, num_gpus)
-        fn = table.as_throughput_fn()
+        fn = table_throughput_fn(table)
         roster = table.roster
         genome = np.full(num_gpus, IDLE, dtype=np.int64)
         genome[:2] = 0
@@ -303,11 +304,11 @@ class TestThroughputTable:
         the table agrees with the analytic model on ANY placement, packed
         or node-straddling, on the uniform star topology."""
         from repro.core.schedule import IDLE, Schedule
-        from tests._core_helpers import make_jobs
+        from tests._evolution_oracle import table_throughput_fn
 
         jobs, model, limits, num_gpus = self._fixture(num_gpus=16, num_jobs=3)
         table = ThroughputTable(model, jobs, limits, num_gpus)
-        fn = table.as_throughput_fn()
+        fn = table_throughput_fn(table)
         roster = table.roster
         rng = np.random.default_rng(0)
         for _ in range(20):

@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster.allocation import Allocation, WorkerAssignment
 from repro.core.schedule import IDLE, Schedule
-from repro.core.operators import reorder, uniform_crossover
 from repro.jobs.convergence import ConvergenceProfile
 from repro.jobs.lr_scaling import linear_scaled_lr
 from repro.jobs.throughput import split_batch
 from repro.prediction.beta import BetaDistribution
 from repro.utils.stats import cumulative_frequency, summarize
+from tests._evolution_oracle import reorder, uniform_crossover
 
 # --- strategies -----------------------------------------------------------------------------
 

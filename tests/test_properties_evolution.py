@@ -1,4 +1,4 @@
-"""Property-based invariants of the evolution operators (scalar & batched).
+"""Property-based invariants of the evolution operators (kernel & oracle).
 
 Regardless of inputs, the operators must uphold the §3.2.2 contracts:
 
@@ -20,18 +20,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.cluster.topology import make_longhorn_cluster
 from repro.core.evolution import EvolutionConfig
-from repro.core.evolution_batched import (
-    fill_idle_population,
-    refresh_population,
-    reorder_population,
-    run_generation,
-)
-from repro.core.operators import fill_idle_gpus, refresh, reorder
+from repro.core.evolution_batched import run_generation
 from repro.core.schedule import IDLE, Schedule
-from repro.jobs.throughput import ThroughputModel, ThroughputTable
-from tests._core_helpers import make_context, make_jobs
+from repro.core.scoring_incremental import IncrementalScoringEngine
+from tests._core_helpers import (
+    kernel_fill,
+    kernel_refresh,
+    kernel_reorder,
+    make_context,
+    make_jobs,
+)
+from tests._evolution_oracle import fill_idle_gpus, refresh, reorder
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -56,14 +56,9 @@ def _scenario(num_nodes, num_jobs, seed, idle_fraction):
             continue
         job.start_running(0.0, [i % num_gpus], [64])
         job.advance(int(rng.integers(200, 6000)), 10.0)
-    model = ThroughputModel(make_longhorn_cluster(num_gpus))
     limits = {j: job.spec.base_batch * int(rng.integers(1, 6)) for j, job in jobs.items()}
-    roster = tuple(sorted(jobs))
-    table = ThroughputTable(model, jobs, limits, num_gpus, roster=roster)
     ctx = replace(
         make_context(jobs, num_gpus=num_gpus, limits=limits, seed=seed, never_started=never),
-        throughput_fn=None,
-        throughput_table=table,
         rng=np.random.default_rng(seed + 1),
     )
     rows = int(rng.integers(2, 10))
@@ -120,21 +115,21 @@ def run_all_invariants(num_nodes, num_jobs, seed, idle_fraction):
     ctx, genomes = _scenario(num_nodes, num_jobs, seed, idle_fraction)
     num_jobs = len(ctx.roster)
 
-    refreshed = refresh_population(genomes, ctx)
+    refreshed, _ = kernel_refresh(genomes, ctx)
     check_genomes_well_formed(refreshed, num_jobs)
     check_respects_gpu_limits(refreshed, ctx)
     check_no_strandable_idle_gpu(refreshed, ctx)
 
-    filled = fill_idle_population(genomes, ctx)
+    filled, _ = kernel_fill(genomes, ctx)
     check_genomes_well_formed(filled, num_jobs)
     check_no_strandable_idle_gpu(filled, ctx)
 
-    reordered = reorder_population(refreshed)
+    reordered, _ = kernel_reorder(refreshed, num_jobs, ctx.throughput_table.node_of)
     check_genomes_well_formed(reordered, num_jobs)
     check_reorder_contract(refreshed, reordered)
 
-    # The scalar reference upholds the same contracts (differential
-    # parity is asserted elsewhere; here we only need the invariants).
+    # The scalar oracle upholds the same contracts (differential parity
+    # is asserted elsewhere; here we only need the invariants).
     roster = ctx.roster
     scalar = np.stack(
         [refresh(Schedule(roster=roster, genome=g), ctx).genome for g in genomes]
@@ -152,7 +147,9 @@ def run_all_invariants(num_nodes, num_jobs, seed, idle_fraction):
 
     # A full generation only ever emits well-formed genomes, and its
     # survivors (post refresh+fill) never waste a GPU a job could use.
-    result = run_generation(refreshed, ctx, EvolutionConfig(population_size=6))
+    result = run_generation(
+        refreshed, ctx, EvolutionConfig(population_size=6), IncrementalScoringEngine()
+    )
     check_genomes_well_formed(result.population, num_jobs)
     check_genomes_well_formed(result.best_genome[None, :], num_jobs)
     # Survivors must be constructible through the validating public API.

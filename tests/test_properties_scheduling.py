@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.batch_limit import BatchLimitConfig, BatchSizeLimiter
-from repro.core.operators import fill_idle_gpus, refresh, uniform_mutation
 from repro.core.schedule import IDLE, Schedule
 from tests._core_helpers import make_context, make_jobs
+from tests._evolution_oracle import fill_idle_gpus, refresh, uniform_mutation
 from tests.conftest import make_job
 
 

@@ -97,6 +97,36 @@ class TestMultiJob:
         result = ClusterSimulator(small_topology, TiresiasScheduler(), tiny_trace).run()
         assert result.num_reconfigurations >= len(tiny_trace)
 
+    def test_completion_keeps_surviving_worker_objects(self, small_topology):
+        """Completing a job drops its workers and carries every other
+        deployed worker over as the same object."""
+        trace = [
+            make_spec(job_id=f"j{i}", requested_gpus=2, dataset_size=1000 * (i + 1),
+                      base_epochs=2.0, patience=2, arrival_time=0.0)
+            for i in range(3)
+        ]
+        deployed, survivors = [], []
+
+        class Recording(FIFOScheduler):
+            def on_job_completion(self, job, state):
+                survivors.append((job.job_id, state.allocation.workers()))
+                return super().on_job_completion(job, state)
+
+        sim = ClusterSimulator(small_topology, Recording(), trace)
+        complete = sim._complete_job
+
+        def recording_complete(job):
+            deployed.append(sim.allocation.workers())
+            complete(job)
+
+        sim._complete_job = recording_complete
+        sim.run()
+        assert len(survivors) == len(trace)
+        for before, (job_id, after) in zip(deployed, survivors):
+            assert list(after) == [g for g, w in before.items() if w.job_id != job_id]
+            assert all(after[gpu] is before[gpu] for gpu in after)
+        assert any(after for _, after in survivors)
+
     def test_deterministic_given_same_inputs(self, small_topology, tiny_trace):
         a = ClusterSimulator(small_topology, FIFOScheduler(), tiny_trace).run()
         b = ClusterSimulator(small_topology, FIFOScheduler(), tiny_trace).run()
