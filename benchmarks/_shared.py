@@ -3,6 +3,11 @@
 The main comparison (Fig. 15 / Table 4) and the scalability sweep
 (Fig. 17 / 18) are expensive; several benchmark files consume the same
 runs, so they are computed once per pytest session and cached here.
+Each is a ``{scheduler name: SimulationResult}`` dict (one per capacity
+for the sweep), read through :mod:`repro.analysis.metrics`.  They replay
+one shared trace through :func:`~repro.experiments.backends.simulate_trace`
+rather than an ``ExperimentSpec``: the DRL baseline carries a policy
+trained in this process, which no JSON spec can describe.
 
 Scale is controlled with the ``REPRO_BENCH_SCALE`` environment variable:
 
@@ -19,16 +24,17 @@ import os
 import platform
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List
 
 from repro.baselines.drl import DRLScheduler, PolicyNetwork, ReinforceTrainer
 from repro.baselines.optimus import OptimusScheduler
 from repro.baselines.tiresias import TiresiasScheduler
 from repro.core.evolution import EvolutionConfig
 from repro.core.ones_scheduler import ONESConfig, ONESScheduler
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import ComparisonResult, run_comparison, run_scalability_sweep
-from repro.workload.trace import TraceConfig
+from repro.experiments.backends import simulate_trace
+from repro.jobs.job import JobSpec
+from repro.sim.simulator import SimulationResult
+from repro.workload.trace import TraceConfig, TraceGenerator
 
 #: Where benchmark reports are written (in addition to being printed).
 OUTPUT_DIR = Path(__file__).resolve().parent / "results"
@@ -100,27 +106,28 @@ def scheduler_factories() -> Dict[str, object]:
     }
 
 
-def main_experiment_config(num_gpus: int | None = None) -> ExperimentConfig:
-    """The Fig. 15 experiment configuration at the selected benchmark scale."""
-    return ExperimentConfig(
-        num_gpus=int(num_gpus or PARAMS["num_gpus"]),
-        trace=TraceConfig(num_jobs=int(PARAMS["num_jobs"]), arrival_rate=1.0 / 30.0),
-        seed=SEED,
-        schedulers=scheduler_factories(),
-    )
+def main_trace() -> List[JobSpec]:
+    """The shared Table-2 trace at the selected benchmark scale."""
+    config = TraceConfig(num_jobs=int(PARAMS["num_jobs"]), arrival_rate=1.0 / 30.0)
+    return TraceGenerator(config, seed=SEED).generate()
+
+
+def run_schedulers(num_gpus: int) -> Dict[str, SimulationResult]:
+    """Replay the shared trace under each evaluated scheduler on ``num_gpus``."""
+    trace = main_trace()
+    return {
+        name: simulate_trace(factory(SEED), trace, int(num_gpus))
+        for name, factory in scheduler_factories().items()
+    }
 
 
 @lru_cache(maxsize=1)
-def main_comparison() -> ComparisonResult:
+def main_comparison() -> Dict[str, SimulationResult]:
     """The shared Fig. 15 / Table 4 run (cached per session)."""
-    return run_comparison(main_experiment_config())
+    return run_schedulers(PARAMS["num_gpus"])
 
 
 @lru_cache(maxsize=1)
-def scalability_sweep() -> Dict[int, ComparisonResult]:
-    """The shared Fig. 17 / 18 sweep (cached per session)."""
-    return run_scalability_sweep(
-        capacities=tuple(PARAMS["capacities"]),
-        base_config=main_experiment_config(),
-        schedulers=scheduler_factories(),
-    )
+def scalability_sweep() -> Dict[int, Dict[str, SimulationResult]]:
+    """The shared Fig. 17 / 18 sweep, keyed by capacity (cached per session)."""
+    return {int(capacity): run_schedulers(capacity) for capacity in PARAMS["capacities"]}

@@ -12,15 +12,16 @@ from repro.analysis.reporting import format_table
 from repro.baselines.tiresias import TiresiasScheduler
 from repro.core.evolution import EvolutionConfig
 from repro.core.ones_scheduler import ONESConfig, ONESScheduler
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import run_single
+from repro.experiments.backends import simulate_trace
 from repro.jobs.job import JobSpec
 from repro.workload.arrivals import BurstyArrivals, DiurnalArrivals, PoissonArrivals
 from repro.workload.trace import TraceConfig, TraceGenerator
 
 from benchmarks._shared import SEED, write_report
 
+NUM_GPUS = 16
 NUM_JOBS = 14
+TRACE_SEED = SEED + 5
 PROCESSES = {
     "poisson": PoissonArrivals(rate=1.0 / 20.0),
     "diurnal": DiurnalArrivals(base_rate=1.0 / 20.0, amplitude=0.8, period=1200.0),
@@ -55,22 +56,18 @@ def _retime(trace, times):
 
 
 def _run_all():
-    config = ExperimentConfig(
-        num_gpus=16,
-        trace=TraceConfig(num_jobs=NUM_JOBS, arrival_rate=1.0 / 20.0),
-        seed=SEED + 5,
-    )
-    base_trace = TraceGenerator(config.trace, seed=config.seed).generate()
+    trace_config = TraceConfig(num_jobs=NUM_JOBS, arrival_rate=1.0 / 20.0)
+    base_trace = TraceGenerator(trace_config, seed=TRACE_SEED).generate()
     outcomes = {}
     for label, process in PROCESSES.items():
-        times = process.generate(NUM_JOBS, rng=config.seed)
+        times = process.generate(NUM_JOBS, rng=TRACE_SEED)
         trace = _retime(base_trace, times)
-        ones = run_single(
+        ones = simulate_trace(
             ONESScheduler(ONESConfig(evolution=EvolutionConfig(population_size=12)), seed=SEED),
             trace,
-            config,
+            NUM_GPUS,
         )
-        tiresias = run_single(TiresiasScheduler(), trace, config)
+        tiresias = simulate_trace(TiresiasScheduler(), trace, NUM_GPUS)
         outcomes[label] = (ones, tiresias)
     return outcomes
 

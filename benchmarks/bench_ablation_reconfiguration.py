@@ -9,10 +9,9 @@ quantifying how much of the end-to-end win comes from the mechanism.
 from repro.analysis.reporting import format_table
 from repro.core.evolution import EvolutionConfig
 from repro.core.ones_scheduler import ONESConfig, ONESScheduler
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import generate_trace, run_single
+from repro.experiments.backends import simulate_trace
 from repro.scaling.overhead import ReconfigurationKind
-from repro.workload.trace import TraceConfig
+from repro.workload.trace import TraceConfig, TraceGenerator
 
 from benchmarks._shared import SEED, write_report
 
@@ -24,23 +23,18 @@ class CheckpointONESScheduler(ONESScheduler):
     reconfiguration_kind = ReconfigurationKind.CHECKPOINT
 
 
-def _config() -> ExperimentConfig:
-    return ExperimentConfig(
-        num_gpus=16,
-        trace=TraceConfig(num_jobs=14, arrival_rate=1.0 / 20.0),
-        seed=SEED + 3,
-    )
+NUM_GPUS = 16
+TRACE = TraceConfig(num_jobs=14, arrival_rate=1.0 / 20.0)
 
 
 def _run_all():
-    config = _config()
-    trace = generate_trace(config)
+    trace = TraceGenerator(TRACE, seed=SEED + 3).generate()
     evolution = EvolutionConfig(population_size=12)
-    elastic = run_single(
-        ONESScheduler(ONESConfig(evolution=evolution), seed=SEED), trace, config
+    elastic = simulate_trace(
+        ONESScheduler(ONESConfig(evolution=evolution), seed=SEED), trace, NUM_GPUS
     )
-    checkpoint = run_single(
-        CheckpointONESScheduler(ONESConfig(evolution=evolution), seed=SEED), trace, config
+    checkpoint = simulate_trace(
+        CheckpointONESScheduler(ONESConfig(evolution=evolution), seed=SEED), trace, NUM_GPUS
     )
     return {"elastic": elastic, "checkpoint": checkpoint}
 

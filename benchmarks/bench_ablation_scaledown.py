@@ -11,26 +11,18 @@ from repro.analysis.reporting import format_table
 from repro.core.batch_limit import BatchLimitConfig
 from repro.core.evolution import EvolutionConfig
 from repro.core.ones_scheduler import ONESConfig, ONESScheduler
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import generate_trace, run_single
-from repro.workload.trace import TraceConfig
+from repro.experiments.backends import simulate_trace
+from repro.workload.trace import TraceConfig, TraceGenerator
 
 from benchmarks._shared import SEED, write_report
 
 DAMPING_VALUES = (1.0, 10.0, 100.0)
-
-
-def _config() -> ExperimentConfig:
-    return ExperimentConfig(
-        num_gpus=16,
-        trace=TraceConfig(num_jobs=14, arrival_rate=1.0 / 15.0),
-        seed=SEED + 2,
-    )
+NUM_GPUS = 16
+TRACE = TraceConfig(num_jobs=14, arrival_rate=1.0 / 15.0)
 
 
 def _run_all():
-    config = _config()
-    trace = generate_trace(config)
+    trace = TraceGenerator(TRACE, seed=SEED + 2).generate()
     outcomes = {}
     for damping in DAMPING_VALUES:
         scheduler = ONESScheduler(
@@ -40,7 +32,7 @@ def _run_all():
             ),
             seed=SEED,
         )
-        result = run_single(scheduler, trace, config)
+        result = simulate_trace(scheduler, trace, NUM_GPUS)
         max_batches = [
             max((b for _, b in job.batch_history), default=0)
             for job in result.jobs.values()

@@ -1,8 +1,9 @@
 """Figure 17 — average JCT as the cluster grows (16 → 64 GPUs)."""
 
+from repro.analysis.metrics import mean_metric
 from repro.analysis.reporting import ascii_series
 
-from benchmarks._shared import PARAMS, scalability_sweep, write_report
+from benchmarks._shared import scalability_sweep, write_report
 
 
 def test_fig17_scalability(benchmark):
@@ -10,8 +11,8 @@ def test_fig17_scalability(benchmark):
     capacities = sorted(sweep)
     series = {}
     for capacity in capacities:
-        for name, value in sweep[capacity].averages("jct").items():
-            series.setdefault(name, []).append(round(value, 1))
+        for name, result in sweep[capacity].items():
+            series.setdefault(name, []).append(round(mean_metric(result, "jct"), 1))
     write_report(
         "fig17_scalability",
         "Figure 17: average JCT (s) vs cluster capacity\n"
@@ -22,5 +23,5 @@ def test_fig17_scalability(benchmark):
     for name, values in series.items():
         assert values[-1] < values[0], name
     for capacity in capacities:
-        averages = sweep[capacity].averages("jct")
+        averages = {name: mean_metric(r, "jct") for name, r in sweep[capacity].items()}
         assert averages["ONES"] == min(averages.values()), capacity

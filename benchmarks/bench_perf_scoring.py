@@ -2,8 +2,8 @@
 
 Full simulations that bound what the scheduler costs end to end:
 
-* the event loop at 16 and 64 GPUs under the paper-exact and the
-  incremental GPR refit policies,
+* the event loop at 16 and 64 GPUs, with the GPR refit share of each
+  run,
 * the fault subsystem's dormant overhead plus one chaotic MTBF run,
 * hierarchical ONES (``ONES-hier``) at 256 GPUs (and 1024 under
   ``REPRO_BENCH_FULL_SCALE=1``),
@@ -30,12 +30,10 @@ import numpy as np
 from benchmarks._shared import SEED, write_perf_record, write_report
 
 from repro.experiments.backends import simulate_trace
-from repro.experiments.config import ExperimentConfig
 from repro.experiments.registry import create_scheduler
-from repro.experiments.runner import generate_trace
 from repro.faults.config import FaultConfig
 from repro.sim.simulator import SimulationConfig
-from repro.workload.trace import TraceConfig
+from repro.workload.trace import TraceConfig, TraceGenerator
 
 
 #: Event-loop configurations: the 16-GPU smoke scale and the 64-GPU
@@ -43,57 +41,40 @@ from repro.workload.trace import TraceConfig
 EVENT_LOOP_CONFIGS = ((16, 10), (64, 40))
 
 
-def _bench_event_loop() -> Dict[str, Dict]:
-    """Kernel + GPR-policy wall-clock of full ONES simulations.
+def _trace(num_jobs: int, interval: float):
+    """The seeded Table-2 trace every section replays."""
+    config = TraceConfig(num_jobs=num_jobs, arrival_rate=1.0 / interval)
+    return TraceGenerator(config, seed=SEED).generate()
 
-    Times the simulation engine end to end under the two predictor
-    policies: ``default`` is the paper-faithful full-refit-per-completion
-    path (trajectory-pinned to the PR 3 baseline by the golden-trace and
-    differential parity suites — only faster), ``incremental_gpr`` is the
-    rank-1-update policy (``refit_policy="incremental"``), which trades
-    bounded predictor staleness for long-trace throughput.  Profiling is
-    on, so the GPR-refit share of every run is recorded.
+
+def _bench_event_loop() -> Dict[str, Dict]:
+    """Kernel + GPR wall-clock of full ONES simulations.
+
+    Times the simulation engine end to end under the paper's predictor,
+    which refits the GPR at every completion.  Profiling is on, so the
+    GPR-refit share of every run is recorded.
     """
     records: Dict[str, Dict] = {}
     for num_gpus, num_jobs in EVENT_LOOP_CONFIGS:
-        config = ExperimentConfig(
-            num_gpus=num_gpus,
-            trace=TraceConfig(num_jobs=num_jobs, arrival_rate=1.0 / 30.0),
-            seed=SEED,
+        trace = _trace(num_jobs, 30.0)
+        scheduler = create_scheduler("ONES", SEED)
+        start = perf_counter()
+        result = simulate_trace(
+            scheduler, trace, num_gpus, SimulationConfig(collect_profile=True)
         )
-        trace = generate_trace(config)
-        row: Dict[str, Dict] = {}
-        for label, options in (
-            ("default", {}),
-            ("incremental_gpr", {"refit_policy": "incremental"}),
-        ):
-            scheduler = create_scheduler("ONES", SEED, **options)
-            start = perf_counter()
-            result = simulate_trace(
-                scheduler, trace, num_gpus, SimulationConfig(collect_profile=True)
-            )
-            elapsed = perf_counter() - start
-            # Total GPR cost = full refits + rank-1 appends, so the share
-            # is honest for the incremental policy too.
-            refit = result.profile.get("gpr_refit_seconds", 0.0) + result.profile.get(
-                "gpr_partial_fit_seconds", 0.0
-            )
-            row[label] = {
-                "seconds": round(elapsed, 3),
-                "events": result.events_processed,
-                "events_per_sec": round(result.events_processed / elapsed, 1),
-                "gpr_refit_seconds": round(refit, 3),
-                "gpr_refit_share": round(refit / elapsed, 3),
-                "gpr_full_fits": scheduler.predictor.fit_count,
-                "gpr_partial_fits": scheduler.predictor.partial_fit_count,
-                "completed": len(result.completed),
-                "average_jct": round(result.average_jct, 1),
-            }
+        elapsed = perf_counter() - start
+        refit = result.profile.get("gpr_refit_seconds", 0.0)
         records[f"{num_gpus}x{num_jobs}"] = {
             "num_gpus": num_gpus,
             "num_jobs": num_jobs,
-            **row,
-            "speedup": round(row["default"]["seconds"] / row["incremental_gpr"]["seconds"], 2),
+            "seconds": round(elapsed, 3),
+            "events": result.events_processed,
+            "events_per_sec": round(result.events_processed / elapsed, 1),
+            "gpr_refit_seconds": round(refit, 3),
+            "gpr_refit_share": round(refit / elapsed, 3),
+            "gpr_fits": scheduler.predictor.fit_count,
+            "completed": len(result.completed),
+            "average_jct": round(result.average_jct, 1),
         }
     return records
 
@@ -112,12 +93,7 @@ def _bench_faults() -> Dict:
     alongside for the perf trajectory of recovery itself.
     """
     num_gpus, num_jobs = 16, 10
-    config = ExperimentConfig(
-        num_gpus=num_gpus,
-        trace=TraceConfig(num_jobs=num_jobs, arrival_rate=1.0 / 30.0),
-        seed=SEED,
-    )
-    trace = generate_trace(config)
+    trace = _trace(num_jobs, 30.0)
 
     def timed_run(faults):
         scheduler = create_scheduler("ONES", SEED)
@@ -192,12 +168,7 @@ def _bench_hierarchical_scale() -> Dict[str, Dict]:
     records: Dict[str, Dict] = {}
     for tier in tiers:
         num_gpus, num_jobs, partition_size, interval = SCALE_TIERS[tier]
-        config = ExperimentConfig(
-            num_gpus=num_gpus,
-            trace=TraceConfig(num_jobs=num_jobs, arrival_rate=1.0 / interval),
-            seed=SEED,
-        )
-        trace = generate_trace(config)
+        trace = _trace(num_jobs, interval)
         scheduler = create_scheduler("ONES-hier", SEED, partition_size=partition_size)
         start = perf_counter()
         result = simulate_trace(scheduler, trace, num_gpus, SimulationConfig())
@@ -244,12 +215,7 @@ def _bench_observability() -> Dict:
     from repro.obs.trace import TraceRecorder, install_tracer, uninstall_tracer
 
     num_gpus, num_jobs, partition_size, interval = SCALE_TIERS["quick"]
-    config = ExperimentConfig(
-        num_gpus=num_gpus,
-        trace=TraceConfig(num_jobs=num_jobs, arrival_rate=1.0 / interval),
-        seed=SEED,
-    )
-    trace = generate_trace(config)
+    trace = _trace(num_jobs, interval)
     sim_config = SimulationConfig(max_time=600.0)
 
     def timed_run():
@@ -313,18 +279,14 @@ def run() -> Dict:
     scale = _bench_hierarchical_scale()
     observability = _bench_observability()
 
-    lines = ["Event loop: default (paper-exact) vs incremental-GPR policy", ""]
+    lines = ["Event loop: flat ONES, GPR refit at every completion", ""]
     lines.append(
-        f"{'scale':<8} {'default ev/s':>13} {'incr ev/s':>10} "
-        f"{'refit share':>12} {'-> share':>9} {'speedup':>8}"
+        f"{'scale':<8} {'ev/s':>8} {'GPR fits':>9} {'refit share':>12} {'avg JCT':>9}"
     )
     for key, row in event_loop.items():
         lines.append(
-            f"{key:<8} {row['default']['events_per_sec']:>13,.0f} "
-            f"{row['incremental_gpr']['events_per_sec']:>10,.0f} "
-            f"{row['default']['gpr_refit_share']:>11.0%} "
-            f"{row['incremental_gpr']['gpr_refit_share']:>8.0%} "
-            f"{row['speedup']:>7.1f}x"
+            f"{key:<8} {row['events_per_sec']:>8,.0f} {row['gpr_fits']:>9} "
+            f"{row['gpr_refit_share']:>11.0%} {row['average_jct']:>9,.1f}"
         )
     lines += [
         "",
@@ -375,30 +337,6 @@ def run() -> Dict:
 
 
 class TestScoringPerf:
-    def test_event_loop_incremental_gpr_speedup(self):
-        row = run()["event_loop"]["64x40"]
-        # The GPR work the incremental policy saves at 64 GPUs / 40 jobs:
-        # its GPR seconds (full refits + rank-1 appends) stay under a
-        # quarter of the paper-exact policy's.  Seven fresh unpinned
-        # runs on a 2-vCPU x86_64 VM read 0.105-0.148.
-        assert (
-            row["incremental_gpr"]["gpr_refit_seconds"]
-            <= 0.25 * row["default"]["gpr_refit_seconds"]
-        )
-        # End to end the policy must still win.  The Cholesky-native
-        # evidence kernel made the paper-exact side ~3.5x faster, so
-        # this ratio shrank by design; the floor is 0.83x the median of
-        # those seven runs (1.58, range 1.42-1.87).
-        assert row["speedup"] >= 1.3
-        # The GPR-refit share must drop measurably.
-        assert (
-            row["incremental_gpr"]["gpr_refit_share"]
-            < 0.5 * row["default"]["gpr_refit_share"]
-        )
-        # Both runs finish the whole trace.
-        assert row["default"]["completed"] == row["num_jobs"]
-        assert row["incremental_gpr"]["completed"] == row["num_jobs"]
-
     def test_hierarchical_scale_budget(self):
         row = run()["scale"]["quick"]
         # The scale-smoke gate: a 256-GPU / 120-job partitioned trace

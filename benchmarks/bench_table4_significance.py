@@ -7,9 +7,9 @@ from benchmarks._shared import main_comparison, write_report
 
 
 def test_table4_wilcoxon(benchmark):
-    comparison = main_comparison()
-    ones = comparison.results["ONES"]
-    baselines = [r for name, r in comparison.results.items() if name != "ONES"]
+    results = main_comparison()
+    ones = results["ONES"]
+    baselines = [r for name, r in results.items() if name != "ONES"]
 
     table = benchmark(significance_table, ones, baselines)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro.analysis.metrics import completion_fraction_within
+from repro.analysis.metrics import completion_fraction_within, improvement_over, mean_metric
 from repro.analysis.reporting import ascii_bar_chart, format_table
 from repro.analysis.stats import significance_table
 from repro.experiments.orchestrator import Runner
@@ -60,7 +60,7 @@ def main() -> None:
     )
     sweep = runner.run(spec, resume=args.resume)
     print(f"[runner] {runner.stats.describe()} ({runner.backend.name} backend)")
-    comparison = sweep.to_comparisons()[num_gpus]
+    results = sweep.results_for(num_gpus)
 
     for metric, label in [
         ("jct", "Average JCT (s)"),
@@ -70,26 +70,25 @@ def main() -> None:
         print()
         print(label)
         print("-" * len(label))
-        print(ascii_bar_chart(comparison.averages(metric), unit="s"))
+        averages = {name: mean_metric(result, metric) for name, result in results.items()}
+        print(ascii_bar_chart(averages, unit="s"))
 
     print()
     print("Fraction of jobs completed within 200 s")
-    fractions = completion_fraction_within(list(comparison.results.values()), 200.0)
+    fractions = completion_fraction_within(list(results.values()), 200.0)
     print(ascii_bar_chart({k: 100 * v for k, v in fractions.items()}, unit="%"))
 
+    ones = results["ONES"]
+    baselines = {name: result for name, result in results.items() if name != "ONES"}
     print()
-    improvements = comparison.improvements("ONES", "jct")
     print("ONES average-JCT improvement over baselines:")
-    for name, value in improvements.items():
-        print(f"  vs {name:10s}: {100 * value:5.1f}%")
+    for name, baseline in baselines.items():
+        print(f"  vs {name:10s}: {100 * improvement_over(ones, baseline):5.1f}%")
 
-    ones = comparison.results["ONES"]
-    baselines = [r for n, r in comparison.results.items() if n != "ONES"]
-    table4 = significance_table(ones, baselines)
+    table4 = significance_table(ones, list(baselines.values()))
     print()
     print("Wilcoxon significance tests (Table 4)")
     print(format_table([report.as_row() for report in table4.values()]))
-
 
 if __name__ == "__main__":
     main()

@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Walk through the elastic batch-size scaling mechanism (Figs. 11, 12, 16).
+"""Walk through the cost of elastic batch-size scaling (Figs. 11, 12, 16).
 
 The demo:
 
-1. starts a 2-worker ResNet-50 job through its worker managers,
-2. plans and executes a checkpoint-free migration that adds two workers
-   and doubles the batch size, printing the timed protocol steps,
-3. compares the elastic re-configuration overhead against checkpoint-based
+1. breaks one elastic re-configuration — a ResNet-50 job growing from two
+   to four workers — into the four phases the simulator charges (step
+   drain, communicator re-init, buffer resize, parameter broadcast),
+2. compares the elastic re-configuration overhead against checkpoint-based
    migration for every model in the Fig. 16 study.
 
 Run with::
@@ -18,80 +18,28 @@ from __future__ import annotations
 
 from repro.analysis.reporting import format_table
 from repro.jobs.model_zoo import get_model
-from repro.scaling.agent import ScalingAgent
-from repro.scaling.coordinator import MigrationCoordinator
-from repro.scaling.messages import make_scale_command, make_start_command
 from repro.scaling.overhead import OverheadModel
-from repro.scaling.worker_manager import WorkerManagerPool
 
 
-def demo_worker_managers() -> None:
-    print("=== 1. Starting a 2-worker job through its worker managers ===")
-    pool = WorkerManagerPool(num_gpus=4)
-    for gpu in (0, 1):
-        pool[gpu].handle(
-            make_start_command("resnet50-job", gpu, local_batch=64, peer_gpus=[0, 1],
-                               learning_rate=0.1),
-            now=0.0,
-        )
-    print(f"Busy GPUs: {pool.busy_gpus()}   jobs: {pool.jobs_running()}")
-
-    print()
-    print("=== 2. Elastic re-configuration: double the local batch in place ===")
-    for gpu in (0, 1):
-        pool[gpu].handle(
-            make_scale_command("resnet50-job", gpu, new_local_batch=128,
-                               new_peer_gpus=[0, 1], new_learning_rate=0.2),
-            now=60.0,
-        )
-    for gpu in (0, 1):
-        agent = pool[gpu].agent
-        print(f"GPU {gpu}: local batch {agent.local_batch}, lr {agent.learning_rate}, "
-              f"stopped during scaling: {agent.training_was_stopped_during_scaling()}")
-
-
-def demo_migration_plan() -> None:
-    print()
-    print("=== 3. Checkpoint-free migration: add workers 2 and 3 (Fig. 12) ===")
-    coordinator = MigrationCoordinator()
+def demo_add_workers(overheads: OverheadModel) -> None:
+    print("=== 1. Elastic re-configuration: ResNet-50 grows to 4 workers ===")
     model = get_model("resnet50")
-    plan = coordinator.plan_add_workers(
-        "resnet50-job", model, previous_gpus=[0, 1], new_gpus=[2, 3], start_time=120.0
-    )
-    rows = [
-        {
-            "step": step.name,
-            "start (s)": round(step.start, 3),
-            "duration (s)": round(step.duration, 3),
-            "workers": str(list(step.workers)),
-            "overlapped": "yes" if step.overlapped else "no",
-        }
-        for step in plan.steps
-    ]
+    breakdown = overheads.elastic_breakdown(model, num_workers=4, workers_added=True)
+    phases = {
+        "step drain": breakdown.step_drain,
+        "communicator re-init": breakdown.communicator_reinit,
+        "buffer resize": breakdown.buffer_resize,
+        "parameter broadcast": breakdown.parameter_broadcast,
+    }
+    rows = [{"phase": name, "seconds": f"{value:.4f}"} for name, value in phases.items()]
     print(format_table(rows))
-    print(f"Training visibly paused for {plan.total_pause:.2f} s "
-          f"(total migration work: {plan.makespan:.2f} s)")
-
-    # Drive real scaling agents through the plan to prove the protocol holds.
-    agents = {g: ScalingAgent(g, "resnet50-job") for g in range(4)}
-    for gpu in (0, 1):
-        agents[gpu].load_job(0.0, 64, 0.1, [0, 1])
-        agents[gpu].start_training(0.0)
-    coordinator.execute_plan(
-        plan,
-        agents,
-        new_local_batches={g: 64 for g in range(4)},
-        new_learning_rate=0.2,
-        new_topology=[0, 1, 2, 3],
-    )
-    print(f"All four workers training: "
-          f"{all(agents[g].is_training for g in range(4))}")
+    print(f"Training paused for {breakdown.total:.2f} s "
+          f"(checkpoint-based migration: {overheads.checkpoint_overhead(model):.2f} s)")
 
 
-def demo_overheads() -> None:
+def demo_overheads(overheads: OverheadModel) -> None:
     print()
-    print("=== 4. Elastic vs checkpoint-based overhead per model (Fig. 16) ===")
-    overheads = OverheadModel()
+    print("=== 2. Elastic vs checkpoint-based overhead per model (Fig. 16) ===")
     names = ["alexnet", "resnet18", "resnet50", "vgg16", "googlenet", "inceptionv3", "lstm"]
     rows = []
     for name in names:
@@ -110,9 +58,9 @@ def demo_overheads() -> None:
 
 
 def main() -> None:
-    demo_worker_managers()
-    demo_migration_plan()
-    demo_overheads()
+    overheads = OverheadModel()
+    demo_add_workers(overheads)
+    demo_overheads(overheads)
 
 
 if __name__ == "__main__":

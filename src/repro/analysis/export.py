@@ -11,12 +11,13 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterable, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Union
 
+from repro.analysis.metrics import METRIC_KEYS, improvement_over, mean_metric, relative_jct
 from repro.sim.simulator import SimulationResult
 
 if TYPE_CHECKING:  # pragma: no cover - import only needed for type checkers
-    from repro.experiments.runner import ComparisonResult
+    from repro.experiments.artifacts import SweepArtifact
 
 PathLike = Union[str, Path]
 
@@ -50,9 +51,8 @@ def result_to_records(result: SimulationResult) -> list[dict]:
     return records
 
 
-def export_result_csv(result: SimulationResult, path: PathLike) -> Path:
-    """Write one run's per-job metrics to a CSV file; returns the path."""
-    records = result_to_records(result)
+def _write_records_csv(records: list[dict], path: PathLike) -> Path:
+    """Write metric records to a CSV file (one column per key); returns the path."""
     path = Path(path)
     if not records:
         path.write_text("")
@@ -64,6 +64,11 @@ def export_result_csv(result: SimulationResult, path: PathLike) -> Path:
         for record in records:
             writer.writerow(record)
     return path
+
+
+def export_result_csv(result: SimulationResult, path: PathLike) -> Path:
+    """Write one run's per-job metrics to a CSV file; returns the path."""
+    return _write_records_csv(result_to_records(result), path)
 
 
 def export_result_json(result: SimulationResult, path: PathLike) -> Path:
@@ -78,61 +83,61 @@ def export_result_json(result: SimulationResult, path: PathLike) -> Path:
     return path
 
 
-def comparison_to_records(comparison: "ComparisonResult") -> list[dict]:
-    """Flatten a multi-scheduler comparison into per-job records."""
-    records = []
-    for result in comparison.results.values():
-        records.extend(result_to_records(result))
-    return records
+def export_comparison_csv(sweep: "SweepArtifact", path: PathLike) -> Path:
+    """Write a comparison's per-job metrics (all schedulers) to a CSV file.
+
+    A comparison is a one-capacity sweep; like every comparison writer,
+    this reads the zero-fault slice of its first capacity, seed and trace.
+    """
+    records = [
+        record
+        for result in sweep.results_for().values()
+        for record in result_to_records(result)
+    ]
+    return _write_records_csv(records, path)
 
 
-def export_comparison_csv(comparison: "ComparisonResult", path: PathLike) -> Path:
-    """Write a comparison's per-job metrics (all schedulers) to a CSV file."""
-    records = comparison_to_records(comparison)
-    path = Path(path)
-    if not records:
-        path.write_text("")
-        return path
-    fieldnames = sorted({key for record in records for key in record})
-    with path.open("w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=fieldnames)
-        writer.writeheader()
-        for record in records:
-            writer.writerow(record)
-    return path
-
-
-def export_comparison_json(comparison: "ComparisonResult", path: PathLike) -> Path:
+def export_comparison_json(sweep: "SweepArtifact", path: PathLike) -> Path:
     """Write a comparison's summaries, averages and improvements as JSON."""
+    results = sweep.results_for()
     payload = {
-        "num_gpus": comparison.config.num_gpus,
-        "num_jobs": len(comparison.trace),
+        "num_gpus": sweep.spec.capacities[0],
+        "num_jobs": sweep.spec.traces[0].num_jobs,
         "averages": {
-            metric: comparison.averages(metric)
-            for metric in ("jct", "execution_time", "queuing_time")
+            metric: {name: mean_metric(result, metric) for name, result in results.items()}
+            for metric in METRIC_KEYS
         },
-        "summaries": {name: r.summary() for name, r in comparison.results.items()},
+        "summaries": {name: result.summary() for name, result in results.items()},
     }
-    if "ONES" in comparison.results:
-        payload["improvements_over_ONES_reference"] = comparison.improvements("ONES")
-        payload["relative_jct"] = comparison.relative_jct("ONES")
+    if "ONES" in results:
+        payload["improvements_over_ONES_reference"] = {
+            name: improvement_over(results["ONES"], result)
+            for name, result in results.items()
+            if name != "ONES"
+        }
+        payload["relative_jct"] = relative_jct(results, "ONES")
     path = Path(path)
     path.write_text(json.dumps(payload, indent=2))
     return path
 
 
-def export_sweep_json(
-    sweep: Mapping[int, "ComparisonResult"], path: PathLike
-) -> Path:
-    """Write a scalability sweep (Fig. 17/18 data) as JSON."""
+def export_sweep_json(sweep: "SweepArtifact", path: PathLike) -> Path:
+    """Write a scalability sweep (Fig. 17/18 data) as JSON.
+
+    One entry per capacity, from the zero-fault slice of the sweep's
+    first seed and trace.
+    """
     payload = {}
-    for capacity, comparison in sorted(sweep.items()):
+    for capacity in sorted(sweep.spec.capacities):
+        results = sweep.results_for(capacity)
         entry = {
-            "averages_jct": comparison.averages("jct"),
-            "averages_queuing": comparison.averages("queuing_time"),
+            "averages_jct": {name: mean_metric(r, "jct") for name, r in results.items()},
+            "averages_queuing": {
+                name: mean_metric(r, "queuing_time") for name, r in results.items()
+            },
         }
-        if "ONES" in comparison.results:
-            entry["relative_jct"] = comparison.relative_jct("ONES")
+        if "ONES" in results:
+            entry["relative_jct"] = relative_jct(results, "ONES")
         payload[str(int(capacity))] = entry
     path = Path(path)
     path.write_text(json.dumps(payload, indent=2))

@@ -7,7 +7,7 @@ objects so a single simulation run feeds every figure that uses it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -53,9 +53,10 @@ def metric_values(result: SimulationResult, metric: str) -> np.ndarray:
 def mean_metric(result: SimulationResult, metric: str = "jct") -> float:
     """Mean of ``metric`` over completed jobs (``nan`` when nothing completed).
 
-    The single metric-lookup used by ``ComparisonResult.averages`` /
-    ``.improvements`` and the sweep-artifact aggregations, so every
-    average printed anywhere in the repo comes from the same code path.
+    The single metric lookup behind :func:`improvement_over`, the
+    sweep-artifact aggregations, the CLI, the exporters and the reports,
+    so every average printed anywhere in the repo comes from the same
+    code path.
     """
     values = metric_values(result, metric)
     return float(values.mean()) if values.size else float("nan")
@@ -90,8 +91,8 @@ def improvement_over(
     This is how the paper states "ONES can reduce the average JCT by
     26.9%, 45.6% and 41.7% compared to DRL, Tiresias and Optimus".
     """
-    ours_avg = float(metric_values(ours, metric).mean())
-    base_avg = float(metric_values(baseline, metric).mean())
+    ours_avg = mean_metric(ours, metric)
+    base_avg = mean_metric(baseline, metric)
     if base_avg <= 0:
         raise ValueError("baseline average must be positive")
     return 1.0 - ours_avg / base_avg

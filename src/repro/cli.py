@@ -75,6 +75,7 @@ from repro.analysis.export import (
     export_result_json,
     export_sweep_json,
 )
+from repro.analysis.metrics import improvement_over, mean_metric
 from repro.analysis.reporting import ascii_bar_chart, ascii_series, format_table
 from repro.analysis.stats import significance_table
 from repro.experiments.orchestrator import Runner
@@ -774,34 +775,35 @@ def cmd_compare(args) -> int:
         if args.output_dir:
             _persist_sweep(sweep, args.output_dir)
         return _report_failed_cells(sweep)
-    comparison = sweep.to_comparisons()[args.gpus]
-    print("Average JCT (s)")
-    print(ascii_bar_chart(comparison.averages("jct"), unit="s"))
-    print()
-    print("Average execution time (s)")
-    print(ascii_bar_chart(comparison.averages("execution_time"), unit="s"))
-    print()
-    print("Average queuing time (s)")
-    print(ascii_bar_chart(comparison.averages("queuing_time"), unit="s"))
-    reference = "ONES" if "ONES" in comparison.results else None
-    if reference and len(comparison.results) > 1:
+    results = sweep.results_for()
+    charts = []
+    for metric, heading in (
+        ("jct", "Average JCT (s)"),
+        ("execution_time", "Average execution time (s)"),
+        ("queuing_time", "Average queuing time (s)"),
+    ):
+        averages = {name: mean_metric(result, metric) for name, result in results.items()}
+        charts.append(f"{heading}\n{ascii_bar_chart(averages, unit='s')}")
+    print("\n\n".join(charts))
+    if "ONES" in results and len(results) > 1:
+        ones = results["ONES"]
+        baselines = {name: r for name, r in results.items() if name != "ONES"}
         print()
-        print(f"{reference} improvement over baselines (average JCT):")
-        for name, value in comparison.improvements(reference).items():
-            print(f"  vs {name:10s}: {100 * value:5.1f}%")
-        ref_result = comparison.results[reference]
-        baselines = [r for n, r in comparison.results.items() if n != reference]
+        print("ONES improvement over baselines (average JCT):")
+        for name, baseline in baselines.items():
+            print(f"  vs {name:10s}: {100 * improvement_over(ones, baseline):5.1f}%")
         print()
         print("Wilcoxon tests (Table 4):")
-        print(format_table([r.as_row() for r in significance_table(ref_result, baselines).values()]))
+        table = significance_table(ones, list(baselines.values()))
+        print(format_table([r.as_row() for r in table.values()]))
     if args.csv:
-        print(f"per-job metrics written to {export_comparison_csv(comparison, args.csv)}")
+        print(f"per-job metrics written to {export_comparison_csv(sweep, args.csv)}")
     if args.json:
-        print(f"summary written to {export_comparison_json(comparison, args.json)}")
+        print(f"summary written to {export_comparison_json(sweep, args.json)}")
     if args.report:
         from repro.experiments.report import write_comparison_report
 
-        print(f"markdown report written to {write_comparison_report(comparison, args.report)}")
+        print(f"markdown report written to {write_comparison_report(sweep, args.report)}")
     _print_recovery_summary(sweep)
     if args.profile:
         _print_profile_summary(sweep)
@@ -856,7 +858,7 @@ def cmd_sweep(args) -> int:
     if args.json:
         if (len(spec.seeds) == 1 and len(spec.traces) == 1 and len(spec.faults) == 1
                 and len(spec.option_axis) == 1):
-            print(f"sweep written to {export_sweep_json(sweep.to_comparisons(), args.json)}")
+            print(f"sweep written to {export_sweep_json(sweep, args.json)}")
         else:
             args.json.write_text(sweep.to_json() + "\n")
             print(f"sweep artifact written to {args.json}")

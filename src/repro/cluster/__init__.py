@@ -12,6 +12,4 @@ nodes.  This subpackage provides the simulated equivalent:
 * :mod:`repro.cluster.placement` — locality/fragmentation measures and
   worker-packing helpers used by the reorder operator.
 * :mod:`repro.cluster.events` — the discrete-event queue.
-* :mod:`repro.cluster.interference` — a co-location interference model
-  motivating the one-job-per-GPU constraint (Eq. 4).
 """

@@ -25,7 +25,7 @@ job.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.baselines.base import CAPABILITIES, ClusterState, SchedulerBase
 from repro.cluster.allocation import Allocation
@@ -445,10 +445,7 @@ class ONESScheduler(SchedulerBase):
         ``--profile`` run shows exactly where a generation's wall-clock
         goes and how much of it the score-decomposition cache absorbed.
         """
-        phases = {
-            "gpr_refit": self.predictor.refit_seconds,
-            "gpr_partial_fit": self.predictor.partial_fit_seconds,
-        }
+        phases = {"gpr_refit": self.predictor.refit_seconds}
         phases.update(self.search.phase_seconds)
         return phases
 
@@ -466,7 +463,6 @@ class ONESScheduler(SchedulerBase):
             "population_size": self.search.population_size,
             "iterations_run": self.search.iterations_run,
             "predictor_fits": self.predictor.fit_count,
-            "predictor_partial_fits": self.predictor.partial_fit_count,
             "tracked_limits": len(self.limiter.limits()),
             "throughput_memo_entries": len(self._throughput_memo),
         }
@@ -487,12 +483,7 @@ class ONESScheduler(SchedulerBase):
     def describe_state(self) -> Dict[str, object]:
         """Debug summary used in logs and the quickstart example.
 
-        Numeric fields come from :meth:`metrics_registry` so the CLI,
-        the service ``/metrics`` op and this summary can never drift;
-        only the non-numeric predictor policy is added by hand.
+        Every field comes from :meth:`metrics_registry` so the CLI, the
+        service ``/metrics`` op and this summary can never drift.
         """
-        summary: Dict[str, object] = {
-            "refit_policy": self.config.predictor.refit_policy,
-        }
-        summary.update(self.metrics_registry().values())
-        return summary
+        return dict(self.metrics_registry().values())

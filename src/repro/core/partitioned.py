@@ -656,7 +656,7 @@ class HierarchicalONESScheduler(SchedulerBase):
         """Aggregated scheduler-side phases across every inner instance."""
         if self._flat is not None:
             return self._flat.profile_phases()
-        totals: Dict[str, float] = {"gpr_refit": 0.0, "gpr_partial_fit": 0.0}
+        totals: Dict[str, float] = {"gpr_refit": 0.0}
         for partition in self._partitions:
             for key, value in partition.inner.profile_phases().items():
                 totals[key] = totals.get(key, 0.0) + value

@@ -11,7 +11,10 @@ The public API for producing every table and figure of the paper:
   :class:`~repro.experiments.spec.RunSpec` cells.
 * :mod:`repro.experiments.backends` — pluggable execution backends:
   serial, a process pool producing bit-identical results in parallel,
-  or the durable lease-based work queue.
+  or the durable lease-based work queue.  Every cell runs through its
+  :func:`~repro.experiments.backends.simulate_trace`, which code that
+  needs one bare run (an explicit trace under a scheduler instance)
+  calls directly.
 * :mod:`repro.experiments.queue` / :mod:`repro.experiments.worker` —
   the crash-safe file-backed :class:`~repro.experiments.queue.WorkQueue`
   (append-only work log + atomic leases) and the worker loop that
@@ -23,8 +26,8 @@ The public API for producing every table and figure of the paper:
   :class:`~repro.experiments.artifacts.RunArtifact` /
   :class:`~repro.experiments.artifacts.SweepArtifact` results (JSON
   round-trip, per-job metrics, telemetry summaries).
-* :mod:`repro.experiments.runner` — the legacy ``run_single`` /
-  ``run_comparison`` / ``run_scalability_sweep`` shims.
+* :mod:`repro.experiments.report` — Markdown reports of a one-capacity
+  comparison or a whole sweep, read from a ``SweepArtifact``.
 * :mod:`repro.experiments.figures` — generators for the analytic
   figures that need no cluster simulation.
 """

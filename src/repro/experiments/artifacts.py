@@ -12,8 +12,9 @@ tests assert and what makes content-keyed caching sound.
 A :class:`SweepArtifact` is the result of an expanded
 :class:`~repro.experiments.spec.ExperimentSpec`: one artifact per cell,
 in grid order, plus aggregation helpers for the paper's figures (mean
-metric per capacity, relative JCT, ...) and a bridge back to the legacy
-``ComparisonResult`` shape for existing reports and exporters.
+metric per capacity, relative JCT, ...).  A one-capacity comparison is
+the slice :meth:`SweepArtifact.results_for` returns, read through
+:mod:`repro.analysis.metrics`.
 """
 
 from __future__ import annotations
@@ -21,15 +22,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Union
 
 from repro.analysis.metrics import mean_metric
 from repro.experiments.spec import SCHEMA_VERSION, ExperimentSpec, RunSpec
 from repro.sim.simulator import SimulationResult
 from repro.sim.telemetry import summarize_run
-
-if TYPE_CHECKING:  # pragma: no cover - import only needed for type checkers
-    from repro.experiments.runner import ComparisonResult
 
 PathLike = Union[str, Path]
 
@@ -236,14 +234,18 @@ class SweepArtifact:
 
     def results_for(
         self,
-        capacity: int,
+        capacity: Optional[int] = None,
         seed: Optional[int] = None,
         trace_index: int = 0,
         fault_index: int = 0,
     ) -> Dict[str, SimulationResult]:
-        """Per-scheduler results of one (capacity, seed, trace, fault) slice."""
+        """Per-scheduler results of one (capacity, seed, trace, fault) slice.
+
+        Defaults as in :meth:`get`, so ``results_for()`` on a
+        one-capacity comparison grid is its zero-fault comparison.
+        """
         index = self._index()
-        capacity = int(capacity)
+        capacity = int(capacity if capacity is not None else self.spec.capacities[0])
         seed = int(seed if seed is not None else self.spec.seeds[0])
         trace = self.spec.traces[trace_index]
         fault = self.spec.faults[fault_index]
@@ -381,48 +383,6 @@ class SweepArtifact:
                 }
             )
         return rows
-
-    # -- legacy bridge ------------------------------------------------------------------
-
-    def to_comparisons(self, fault_index: int = 0) -> Dict[int, "ComparisonResult"]:
-        """Per-capacity legacy ``ComparisonResult`` objects (report/export bridge).
-
-        Only defined for single-seed single-trace sweeps — the legacy shape
-        has no room for a seed axis.  The shared trace is regenerated from
-        its configuration (cheap: no simulation is run).
-        """
-        from repro.experiments.config import ExperimentConfig
-        from repro.experiments.runner import ComparisonResult, generate_trace
-
-        if len(self.spec.seeds) != 1 or len(self.spec.traces) != 1:
-            raise ValueError(
-                "to_comparisons() requires a single-seed, single-trace sweep; "
-                f"got {len(self.spec.seeds)} seeds and {len(self.spec.traces)} traces"
-            )
-        seed = self.spec.seeds[0]
-        trace_config = self.spec.traces[0]
-        # Robustness grids carry several fault-axis entries; the legacy
-        # shape has no fault dimension, so bridge one slice at a time.
-        fault = self.spec.faults[fault_index]
-        index = self._index()
-        comparisons: Dict[int, ComparisonResult] = {}
-        shared_trace = None  # same for every capacity: depends on trace+seed only
-        for capacity in self.spec.capacities:
-            config = ExperimentConfig(
-                num_gpus=capacity,
-                trace=trace_config,
-                simulation=self.spec._cell_simulation(fault),
-                seed=seed,
-            )
-            if shared_trace is None:
-                shared_trace = generate_trace(config)
-            comparison = ComparisonResult(config=config, trace=list(shared_trace))
-            for name in self.spec.schedulers:
-                artifact = index[(name, capacity, seed, trace_config, fault)]
-                comparison.results[name] = artifact.to_result()
-                comparison.artifacts[name] = artifact
-            comparisons[capacity] = comparison
-        return comparisons
 
     # -- serialization ------------------------------------------------------------------
 

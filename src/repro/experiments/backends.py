@@ -15,8 +15,9 @@ input order.  Two backends ship with the repo:
   unpicklable (scheduler instances, lambdas, RNG state) ever has to.
 
 The free functions are the single execution path everything funnels
-through: the legacy ``run_single``/``run_comparison`` shims call
-:func:`simulate_trace`, and both backends call :func:`execute_run`.
+through: every backend calls :func:`execute_run`, which ends in
+:func:`simulate_trace`, and code that replays one explicit trace under
+one scheduler instance calls :func:`simulate_trace` itself.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import uuid
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.baselines.base import SchedulerBase
 from repro.cluster.topology import make_longhorn_cluster
@@ -314,8 +315,7 @@ class SerialBackend(ExecutionBackend):
     """Execute cells one after another in the current process.
 
     Accepts an optional ``resolver`` so ad-hoc (unregistered, possibly
-    unpicklable) scheduler factories can be used — the escape hatch the
-    legacy ``run_comparison(schedulers={...})`` API is built on.
+    unpicklable) scheduler factories can be used.
     """
 
     name = "serial"

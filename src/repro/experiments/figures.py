@@ -1,4 +1,4 @@
-"""Generators for every figure and table of the paper's evaluation.
+"""Generators for the analytic figures and tables of the paper's evaluation.
 
 Each function returns plain data structures (dicts / numpy arrays) so
 they can be consumed both by the benchmark harness (which prints them)
@@ -6,7 +6,8 @@ and by tests (which assert their *shape* — who wins, which curve is
 monotone, where the crossover falls).
 
 These are the *analytic* figures (throughput scaling, convergence,
-overheads) that need no cluster simulation.  The simulation-driven
+overheads, and Fig. 6's predictor fitted on one small replay) that need
+no comparison between schedulers.  The simulation-driven
 figures (15, 17, 18 and Table 4) are produced by running an
 :class:`~repro.experiments.spec.ExperimentSpec` grid through the
 :class:`~repro.experiments.orchestrator.Runner` and aggregating the
@@ -15,24 +16,21 @@ resulting :class:`~repro.experiments.artifacts.SweepArtifact`.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.metrics import compare_results, completion_fraction_within
-from repro.analysis.stats import significance_table
 from repro.baselines.base import SchedulerBase
 from repro.cluster.topology import make_longhorn_cluster
 from repro.core.ones_scheduler import ONESScheduler
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import ComparisonResult, run_comparison, run_scalability_sweep
+from repro.experiments.backends import simulate_trace
 from repro.jobs.convergence import ConvergenceProfile, LossCurveSimulator
-from repro.jobs.model_zoo import MODEL_ZOO, get_model
+from repro.jobs.model_zoo import get_model
 from repro.jobs.throughput import ThroughputModel
 from repro.prediction.predictor import PredictorConfig, ProgressPredictor
 from repro.scaling.overhead import OverheadModel
-from repro.sim.simulator import ClusterSimulator, SimulationConfig
-from repro.workload.tasks import build_workload_catalog, catalog_summary, make_job_spec
+from repro.sim.simulator import SimulationConfig
+from repro.workload.tasks import build_workload_catalog, catalog_summary
 from repro.workload.trace import TraceConfig, TraceGenerator
 
 
@@ -102,11 +100,10 @@ def figure6_prediction_example(
     backend: str = "gpr",
 ) -> Dict[str, np.ndarray]:
     """Train the progress predictor on a few completed jobs and predict a new one."""
-    config = ExperimentConfig.small(num_gpus=16, num_jobs=num_training_jobs, seed=seed)
-    trace = TraceGenerator(config.trace, seed=seed).generate()
-    scheduler = ONESScheduler(seed=seed)
-    topology = make_longhorn_cluster(config.num_gpus)
-    result = ClusterSimulator(topology, scheduler, trace, config=config.simulation).run()
+    trace_config = TraceConfig(num_jobs=num_training_jobs, arrival_rate=1.0 / 15.0)
+    trace = TraceGenerator(trace_config, seed=seed).generate()
+    simulation = SimulationConfig(max_time=24 * 3600.0)
+    result = simulate_trace(ONESScheduler(seed=seed), trace, 16, simulation)
     predictor = ProgressPredictor(PredictorConfig(backend=backend), seed=seed)
     completed = [job for job in result.jobs.values() if job.is_completed]
     if len(completed) < 2:
@@ -201,39 +198,6 @@ def table3_capabilities() -> Sequence[Dict[str, str]]:
 
 
 # --------------------------------------------------------------------------------------------------
-# Fig. 15 / Table 4 — the main comparison
-# --------------------------------------------------------------------------------------------------
-
-
-def figure15_comparison(
-    config: Optional[ExperimentConfig] = None,
-) -> Dict[str, object]:
-    """Run the main JCT / execution-time / queuing-time comparison.
-
-    Returns the raw :class:`ComparisonResult` plus the per-metric
-    summaries and the Table-4 significance reports.
-    """
-    comparison = run_comparison(config)
-    results = list(comparison.results.values())
-    ones = comparison.results.get("ONES")
-    payload: Dict[str, object] = {
-        "comparison": comparison,
-        "averages_jct": comparison.averages("jct"),
-        "averages_execution": comparison.averages("execution_time"),
-        "averages_queuing": comparison.averages("queuing_time"),
-        "summaries_jct": compare_results(results, "jct"),
-        "summaries_execution": compare_results(results, "execution_time"),
-        "summaries_queuing": compare_results(results, "queuing_time"),
-        "fraction_within_200s": completion_fraction_within(results, 200.0),
-    }
-    if ones is not None:
-        payload["improvements"] = comparison.improvements("ONES", "jct")
-        baselines = [r for name, r in comparison.results.items() if name != "ONES"]
-        payload["table4"] = significance_table(ones, baselines)
-    return payload
-
-
-# --------------------------------------------------------------------------------------------------
 # Fig. 16 — scaling overhead
 # --------------------------------------------------------------------------------------------------
 
@@ -253,29 +217,3 @@ def figure16_overheads(
     overheads = OverheadModel()
     return overheads.comparison_table({name: get_model(name) for name in model_names})
 
-
-# --------------------------------------------------------------------------------------------------
-# Fig. 17 / Fig. 18 — scalability
-# --------------------------------------------------------------------------------------------------
-
-
-def figure17_18_scalability(
-    capacities: Sequence[int] = (16, 32, 48, 64),
-    base_config: Optional[ExperimentConfig] = None,
-) -> Dict[str, object]:
-    """Average JCT and relative JCT across cluster capacities."""
-    sweep = run_scalability_sweep(capacities, base_config)
-    average_jct: Dict[str, list] = {}
-    relative: Dict[str, list] = {}
-    for capacity in capacities:
-        comparison = sweep[int(capacity)]
-        for name, value in comparison.averages("jct").items():
-            average_jct.setdefault(name, []).append(value)
-        for name, value in comparison.relative_jct("ONES").items():
-            relative.setdefault(name, []).append(value)
-    return {
-        "capacities": list(int(c) for c in capacities),
-        "average_jct": average_jct,
-        "relative_jct": relative,
-        "sweep": sweep,
-    }

@@ -210,21 +210,15 @@ def _make_ones(
     mutation_rate: Optional[float] = None,
     crossover_pairs: Optional[int] = None,
     iterations_per_invocation: Optional[int] = None,
-    refit_policy: Optional[str] = None,
-    refit_interval: Optional[int] = None,
 ) -> ONESScheduler:
     """ONES factory.
 
     ``config``/``evolution`` take full configuration objects (programmatic
     use); the scalar options are JSON-friendly shortcuts for the common
-    evolution knobs so declarative specs can scale the search down, plus
-    the GPR ``refit_policy``/``refit_interval`` pair so sweeps can trade
-    predictor freshness for long-trace throughput (see
-    :class:`~repro.prediction.predictor.PredictorConfig`).
+    evolution knobs so declarative specs can scale the search down.
     """
     from repro.core.evolution import EvolutionConfig
     from repro.core.ones_scheduler import ONESConfig, ONESScheduler
-    from repro.prediction.predictor import PredictorConfig
 
     if config is None:
         if evolution is None:
@@ -238,15 +232,7 @@ def _make_ones(
             if iterations_per_invocation is not None:
                 overrides["iterations_per_invocation"] = int(iterations_per_invocation)
             evolution = EvolutionConfig(**overrides)
-        predictor_overrides: Dict[str, object] = {}
-        if refit_policy is not None:
-            predictor_overrides["refit_policy"] = str(refit_policy)
-        if refit_interval is not None:
-            predictor_overrides["refit_interval"] = int(refit_interval)
-        config = ONESConfig(
-            evolution=evolution,
-            predictor=PredictorConfig(**predictor_overrides),
-        )
+        config = ONESConfig(evolution=evolution)
     return ONESScheduler(config, seed=seed)
 
 
@@ -268,8 +254,6 @@ def _make_ones_hier(
     mutation_rate: Optional[float] = None,
     crossover_pairs: Optional[int] = None,
     iterations_per_invocation: Optional[int] = None,
-    refit_policy: Optional[str] = None,
-    refit_interval: Optional[int] = None,
 ) -> HierarchicalONESScheduler:
     """Hierarchical ONES factory.
 
@@ -289,8 +273,6 @@ def _make_ones_hier(
             mutation_rate=mutation_rate,
             crossover_pairs=crossover_pairs,
             iterations_per_invocation=iterations_per_invocation,
-            refit_policy=refit_policy,
-            refit_interval=refit_interval,
         ).config
         overrides: Dict[str, object] = {"ones": inner}
         if partition_size is not None:

@@ -1,27 +1,27 @@
 """Markdown report generation for comparison and sweep experiments.
 
-``build_comparison_report`` turns a :class:`ComparisonResult` into a
+``build_comparison_report`` turns a one-capacity
+:class:`~repro.experiments.artifacts.SweepArtifact` into a
 self-contained Markdown document (headline averages, distributions,
 improvements, Wilcoxon tests, per-scheduler telemetry), which the CLI can
-write next to the exported CSV/JSON artefacts.  When the comparison came
-out of the declarative Runner, the pre-computed per-run telemetry stored
-in its :class:`~repro.experiments.artifacts.RunArtifact`\\ s is used —
-job-less results reconstructed from artifacts carry no ``Job`` objects
-to summarize from.  ``build_sweep_report`` renders a whole
-:class:`~repro.experiments.artifacts.SweepArtifact` grid (the Fig. 17/18
-tables) the same way.
+write next to the exported CSV/JSON artefacts.  The telemetry rows are
+the summaries each :class:`~repro.experiments.artifacts.RunArtifact`
+captured while its run's ``Job`` objects were still alive, so a report
+built from an artifact reloaded from JSON reads the same as one built
+from the run that wrote it.
+``build_sweep_report`` renders a whole grid (the Fig. 17/18 tables) the
+same way.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
-from repro.analysis.metrics import compare_results, completion_fraction_within
+from repro.analysis.metrics import compare_results, improvement_over
 from repro.analysis.stats import significance_table
 from repro.experiments.artifacts import SweepArtifact
-from repro.experiments.runner import ComparisonResult
-from repro.sim.telemetry import summarize_run
+from repro.sim.telemetry import TELEMETRY_COLUMNS
 
 PathLike = Union[str, Path]
 
@@ -46,26 +46,30 @@ def _markdown_table(rows: Sequence[Dict[str, object]]) -> str:
 
 
 def build_comparison_report(
-    comparison: ComparisonResult,
+    sweep: SweepArtifact,
     reference: str = "ONES",
     title: str = "Scheduler comparison report",
 ) -> str:
-    """Build the full Markdown report for a comparison run."""
-    results = list(comparison.results.values())
+    """Build the full Markdown report for a comparison run.
+
+    A comparison is a one-capacity sweep; the report reads the
+    zero-fault slice of its first capacity, seed and trace.
+    """
+    results = sweep.results_for()
+    num_gpus = sweep.spec.capacities[0]
     lines: List[str] = [f"# {title}", ""]
+    lines.append(f"- Cluster: **{num_gpus} GPUs** ({num_gpus // 4} Longhorn-style nodes)")
     lines.append(
-        f"- Cluster: **{comparison.config.num_gpus} GPUs** "
-        f"({comparison.config.num_gpus // 4} Longhorn-style nodes)"
+        f"- Trace: **{sweep.spec.traces[0].num_jobs} jobs**, seed {sweep.spec.seeds[0]}"
     )
-    lines.append(f"- Trace: **{len(comparison.trace)} jobs**, seed {comparison.config.seed}")
-    lines.append(f"- Schedulers: {', '.join(comparison.results)}")
+    lines.append(f"- Schedulers: {', '.join(results)}")
     lines.append("")
 
     # Headline averages.
     lines.append("## Average metrics")
     lines.append("")
     rows = []
-    for name, result in comparison.results.items():
+    for name, result in results.items():
         rows.append(
             {
                 "scheduler": name,
@@ -82,7 +86,7 @@ def build_comparison_report(
     # Distributions.
     lines.append("## JCT distribution")
     lines.append("")
-    summaries = compare_results(results, "jct")
+    summaries = compare_results(list(results.values()), "jct")
     lines.append(
         _markdown_table(
             [
@@ -101,15 +105,15 @@ def build_comparison_report(
     lines.append("")
 
     # Improvements + significance relative to the reference scheduler.
-    if reference in comparison.results:
+    if reference in results:
         lines.append(f"## {reference} vs the baselines")
         lines.append("")
-        improvements = comparison.improvements(reference)
-        ref_result = comparison.results[reference]
-        baselines = [r for n, r in comparison.results.items() if n != reference]
-        tests = significance_table(ref_result, baselines)
+        ref_result = results[reference]
+        baselines = {n: r for n, r in results.items() if n != reference}
+        tests = significance_table(ref_result, list(baselines.values()))
         rows = []
-        for name, value in improvements.items():
+        for name, baseline in baselines.items():
+            value = improvement_over(ref_result, baseline)
             report = tests.get(name)
             rows.append(
                 {
@@ -123,17 +127,12 @@ def build_comparison_report(
         lines.append(_markdown_table(rows))
         lines.append("")
 
-    # Telemetry: prefer the summaries captured at simulation time
-    # (artifact-backed comparisons have no live Job objects left).
     lines.append("## Cluster telemetry")
     lines.append("")
-    telemetry_rows = []
-    for name, result in comparison.results.items():
-        artifact = comparison.artifacts.get(name)
-        if artifact is not None and artifact.telemetry:
-            telemetry_rows.append(dict(artifact.telemetry))
-        else:
-            telemetry_rows.append(summarize_run(result).as_dict())
+    telemetry_rows = [
+        {key: sweep.get(name).telemetry[key] for key in TELEMETRY_COLUMNS}
+        for name in sweep.spec.schedulers
+    ]
     lines.append(_markdown_table(telemetry_rows))
     lines.append("")
     lines.append(
@@ -144,19 +143,19 @@ def build_comparison_report(
 
 
 def write_comparison_report(
-    comparison: ComparisonResult,
+    sweep: SweepArtifact,
     path: PathLike,
     reference: str = "ONES",
     title: str = "Scheduler comparison report",
 ) -> Path:
     """Build the report and write it to ``path``; returns the path."""
     path = Path(path)
-    path.write_text(build_comparison_report(comparison, reference=reference, title=title) + "\n")
+    path.write_text(build_comparison_report(sweep, reference=reference, title=title) + "\n")
     return path
 
 
 def build_sweep_report(
-    sweep: "SweepArtifact",
+    sweep: SweepArtifact,
     reference: str = "ONES",
     title: str = "Scalability sweep report",
 ) -> str:
@@ -276,7 +275,7 @@ def build_sweep_report(
 
 
 def write_sweep_report(
-    sweep: "SweepArtifact",
+    sweep: SweepArtifact,
     path: PathLike,
     reference: str = "ONES",
     title: str = "Scalability sweep report",

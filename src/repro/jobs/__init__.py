@@ -15,7 +15,6 @@ reports in Figs. 2, 3, 13 and 14:
 * :mod:`repro.jobs.convergence` — epochs-to-target-accuracy as a function
   of the (possibly changing) global batch size, the linear LR-scaling
   rule, and the loss spike caused by abrupt batch-size jumps.
-* :mod:`repro.jobs.lr_scaling` — the linear learning-rate scaling rule.
 * :mod:`repro.jobs.job` — :class:`JobSpec` (static description) and
   :class:`Job` (runtime state tracked by the simulator).
 """

@@ -4,9 +4,9 @@ The paper chooses Beta distributions because progress lives in (0, 1),
 the shape is flexible, and ``Be(α, β)`` is unimodal when ``α, β > 1``
 (which the threshold functions in Eq. 6 guarantee).
 
-``scipy.stats`` is imported inside the three methods that need it
-(quantiles and densities): it takes about a second to import, and no
-simulation calls them.
+Quantiles invert the regularized incomplete beta function with
+``scipy.special.betaincinv``, imported where it is called: the
+simulation never needs it, and ``import repro.cli`` loads no scipy.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ class BetaDistribution:
     """A Beta distribution with shape parameters clamped to ``>= 1``.
 
     Eq. 6 applies a threshold so that ``α, β >= 1``; we enforce the same
-    guard at construction.  All the usual queries (mean, variance,
-    quantiles, sampling, log-pdf) are provided.
+    guard at construction.  It answers the queries the predictor and
+    Fig. 6 make: moments, quantiles and sampling.
     """
 
     alpha: float
@@ -79,9 +79,9 @@ class BetaDistribution:
 
     def quantile(self, q: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
         """Inverse CDF at probability ``q``."""
-        from scipy import stats
+        from scipy.special import betaincinv
 
-        result = stats.beta.ppf(q, self.alpha, self.beta)
+        result = betaincinv(self.alpha, self.beta, q)
         if np.isscalar(q):
             return float(result)
         return np.asarray(result)
@@ -93,7 +93,7 @@ class BetaDistribution:
         tail = (1.0 - level) / 2.0
         return (float(self.quantile(tail)), float(self.quantile(1.0 - tail)))
 
-    # -- sampling / densities -----------------------------------------------------------
+    # -- sampling -----------------------------------------------------------------
 
     def sample(self, rng: SeedLike = None, size: Optional[int] = None):
         """Draw one sample (or ``size`` samples) of the progress ρ.
@@ -107,24 +107,6 @@ class BetaDistribution:
         if size is None:
             return float(draw)
         return draw
-
-    def logpdf(self, x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
-        """Log density at ``x``."""
-        from scipy import stats
-
-        result = stats.beta.logpdf(x, self.alpha, self.beta)
-        if np.isscalar(x):
-            return float(result)
-        return np.asarray(result)
-
-    def pdf(self, x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
-        """Density at ``x``."""
-        from scipy import stats
-
-        result = stats.beta.pdf(x, self.alpha, self.beta)
-        if np.isscalar(x):
-            return float(result)
-        return np.asarray(result)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BetaDistribution(alpha={self.alpha:.3f}, beta={self.beta:.3f})"

@@ -10,11 +10,7 @@ regressor from scratch with
 * a Gaussian noise term,
 * hyper-parameter fitting by L-BFGS-B on the negative log marginal
   likelihood (with analytic gradients),
-* predictive mean and variance via the Cholesky factorisation,
-* an incremental :meth:`~GaussianProcessRegression.partial_fit` that
-  appends training points by a rank-1 (block) Cholesky row update in
-  O(n²·m) instead of re-factorising in O(n³) — the fast path behind the
-  predictor's ``refit_policy="incremental"``.
+* predictive mean and variance via the Cholesky factorisation.
 
 The evidence loop works from the Cholesky factor alone (Rasmussen &
 Williams, *Gaussian Processes for Machine Learning*, Alg. 2.1 and
@@ -321,71 +317,12 @@ class GaussianProcessRegression:
         self.log_marginal_likelihood_ = -nll
         return self
 
-    def partial_fit(self, X: np.ndarray, y: np.ndarray) -> bool:
-        """Append training points via a rank-1 (block) Cholesky row update.
-
-        With ``L`` the Cholesky factor of the current ``n×n`` kernel, the
-        factor of the kernel extended by ``m`` new points is::
-
-            [[L,    0  ],
-             [W.T,  L_s]]   with  W = L⁻¹ K(X_old, X_new)
-                            and   L_s = chol(K(X_new, X_new) + σ²I - W.T W)
-
-        so appending costs O(n²·m) (two triangular solves dominate)
-        instead of the O(n³) full re-factorisation, and the posterior
-        ``alpha`` is refreshed by two O(n²) triangular solves.  The
-        hyper-parameters (and the target normalisation) are *not*
-        re-optimised — that is the caller's job on its full-refit cadence
-        (see ``PredictorConfig.refit_policy``).
-
-        Returns ``False`` — leaving the model untouched — when the update
-        cannot be applied: the model is unfitted, the extended set would
-        exceed ``max_training_points``, or the Schur complement is not
-        positive definite (numerically degenerate batch).  Callers fall
-        back to a full :meth:`fit`.
-        """
-        if self._alpha is None or self.X_train_ is None or self._chol is None:
-            return False
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        y = np.asarray(y, dtype=float).ravel()
-        if X.shape[0] != y.shape[0]:
-            raise ValueError(f"X has {X.shape[0]} rows but y has {y.shape[0]} targets")
-        m = X.shape[0]
-        if m == 0:
-            return True
-        n = self.X_train_.shape[0]
-        if n + m > self.max_training_points:
-            return False
-        y_std_new = (y - self._y_mean) / self._y_scale
-        K_cross = rbf_kernel(self.X_train_, X, self.signal_variance, self.length_scale)
-        W = solve_triangular(self._chol, K_cross, lower=True)
-        K_new = rbf_kernel(X, X, self.signal_variance, self.length_scale)
-        K_new += (self.noise_variance + self.jitter) * np.eye(m)
-        L_s = _cholesky(K_new - W.T @ W)
-        if L_s is None:
-            return False
-        chol = np.zeros((n + m, n + m))
-        chol[:n, :n] = self._chol
-        chol[n:, :n] = W.T
-        chol[n:, n:] = L_s
-        self._chol = chol
-        self.X_train_ = np.vstack([self.X_train_, X])
-        self.y_train_ = np.concatenate([self.y_train_, y_std_new])
-        self._alpha, nll = _posterior(self._chol, self.y_train_)
-        self.log_marginal_likelihood_ = -nll
-        return True
-
     # -- prediction ------------------------------------------------------------------------
 
     @property
     def is_fitted(self) -> bool:
         """Whether the model has been fitted."""
         return self._alpha is not None
-
-    @property
-    def num_training_points(self) -> int:
-        """Size of the (possibly incrementally grown) training set."""
-        return 0 if self.X_train_ is None else int(self.X_train_.shape[0])
 
     def predict(
         self, X: np.ndarray, return_std: bool = False

@@ -13,7 +13,7 @@ still needed after that point (the quantity ``β`` approximates).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -103,15 +103,7 @@ class HistoryStore:
 
     def add_completed_job(self, job: Job) -> int:
         """Harvest a completed job's log; returns the number of examples added."""
-        return self.add_completed_examples(examples_from_job(job))
-
-    def add_completed_examples(self, examples: Sequence[TrainingExample]) -> int:
-        """Fold one completed job's pre-harvested examples into the pool.
-
-        Split out from :meth:`add_completed_job` so callers that also
-        need the raw examples (the predictor's incremental GPR update)
-        harvest the job log exactly once.
-        """
+        examples = examples_from_job(job)
         self._completed_jobs += 1
         self.add_examples(examples)
         return len(examples)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, List, Literal, Optional, Tuple
+from typing import Dict, Literal, Optional, Tuple
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from repro.prediction.beta import BetaDistribution
 from repro.prediction.blr import BayesianLinearRegression
 from repro.prediction.features import FeatureScaler, job_features
 from repro.prediction.gpr import FitHealth, GaussianProcessRegression
-from repro.prediction.history import HistoryStore, TrainingExample, examples_from_job
+from repro.prediction.history import HistoryStore
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_positive, check_positive_int
 
@@ -41,54 +41,26 @@ class PredictorConfig:
         literal linear model of Eq. 6); the ablation bench compares them.
     history_size:
         Bound on the training-log pool (§3.2.1 keeps it "limited").
-    refit_every:
-        Re-fit the regression after this many completed jobs (1 = the
-        paper's "each time when a job is completed").
     prior_epochs_remaining:
         Epochs-to-process assumed before any job has completed (cold
         start) or for a job with no measurable progress yet.
     min_completed_jobs_to_fit:
-        Do not fit a regression until this many jobs have completed.
-    refit_policy:
-        ``"always"`` (the paper-faithful default) rebuilds the regression
-        from scratch — subsample, L-BFGS-B hyper-parameter search, O(n³)
-        factorisation — at every due completion.  ``"incremental"``
-        folds new completions into a fitted GPR by a rank-1 Cholesky row
-        append (O(n²), no hyper-parameter search) and only runs the full
-        refit every ``refit_interval``-th update, when the per-point log
-        marginal likelihood degrades by more than ``refit_lml_drop``
-        nats since the last full fit, or when the rank-1 update is not
-        applicable (unfitted model, BLR backend, training-set cap hit).
-    refit_interval:
-        Full-refit cadence (in model updates) under the incremental
-        policy.
-    refit_lml_drop:
-        Per-point log-marginal-likelihood degradation (nats) that
-        triggers an early full refit under the incremental policy.
+        Do not fit a regression until this many jobs have completed;
+        from then on every completion refits it from scratch (§3.2.1:
+        "each time when a job is completed").
     """
 
     backend: Literal["gpr", "blr"] = "gpr"
     history_size: int = 256
-    refit_every: int = 1
     prior_epochs_remaining: float = 15.0
     min_completed_jobs_to_fit: int = 2
-    refit_policy: Literal["always", "incremental"] = "always"
-    refit_interval: int = 8
-    refit_lml_drop: float = 1.0
 
     def __post_init__(self) -> None:
         if self.backend not in ("gpr", "blr"):
             raise ValueError(f"backend must be 'gpr' or 'blr', got {self.backend!r}")
         check_positive_int(self.history_size, "history_size")
-        check_positive_int(self.refit_every, "refit_every")
         check_positive(self.prior_epochs_remaining, "prior_epochs_remaining")
         check_positive_int(self.min_completed_jobs_to_fit, "min_completed_jobs_to_fit")
-        if self.refit_policy not in ("always", "incremental"):
-            raise ValueError(
-                f"refit_policy must be 'always' or 'incremental', got {self.refit_policy!r}"
-            )
-        check_positive_int(self.refit_interval, "refit_interval")
-        check_positive(self.refit_lml_drop, "refit_lml_drop")
 
 
 class ProgressPredictor:
@@ -101,18 +73,10 @@ class ProgressPredictor:
         self._scaler = FeatureScaler()
         self._model = self._make_model()
         self._fitted = False
-        self._completions_since_fit = 0
         self.fit_count = 0
-        self.partial_fit_count = 0
-        self._updates_since_full_fit = 0
-        #: Examples observed since the model last changed (fed to the
-        #: next rank-1 append so non-due completions are not dropped).
-        self._pending_examples: List[TrainingExample] = []
-        self._lml_per_point_at_fit: Optional[float] = None
-        #: Cumulative wall-clock spent in full refits / rank-1 updates
-        #: (read by profiling: ``ONESScheduler.profile_phases``).
+        #: Cumulative wall-clock spent in refits (read by profiling:
+        #: ``ONESScheduler.profile_phases``).
         self.refit_seconds = 0.0
-        self.partial_fit_seconds = 0.0
         #: Numerical health of every GPR evidence optimisation so far
         #: (exported by ``ONESScheduler.metrics_registry``).
         self.gpr_health = FitHealth()
@@ -125,31 +89,13 @@ class ProgressPredictor:
     # -- online updates -----------------------------------------------------------------
 
     def observe_completion(self, job: Job) -> None:
-        """Fold a completed job's training log into the history and maybe re-fit.
+        """Fold a completed job's training log into the history and re-fit.
 
-        Under ``refit_policy="always"`` every due completion triggers a
-        full :meth:`refit`.  Under ``"incremental"`` due completions are
-        folded into the fitted GPR by :meth:`~repro.prediction.gpr.
-        GaussianProcessRegression.partial_fit`; the full refit runs on
-        the ``refit_interval`` cadence, when the per-point log marginal
-        likelihood degraded past ``refit_lml_drop``, or whenever the
-        rank-1 update is not applicable.
+        Every completion refits the regression once
+        ``min_completed_jobs_to_fit`` jobs have completed.
         """
-        examples = examples_from_job(job)
-        self.history.add_completed_examples(examples)
-        self._pending_examples.extend(examples)
-        self._completions_since_fit += 1
-        enough_jobs = self.history.completed_jobs >= self.config.min_completed_jobs_to_fit
-        due = self._completions_since_fit >= self.config.refit_every
-        if not (enough_jobs and due):
-            return
-        if self.config.refit_policy == "always" or not self._fitted:
-            self.refit()
-            return
-        if self._updates_since_full_fit + 1 >= self.config.refit_interval:
-            self.refit()
-            return
-        if not self._partial_update(self._pending_examples) or self._lml_degraded():
+        self.history.add_completed_job(job)
+        if self.history.completed_jobs >= self.config.min_completed_jobs_to_fit:
             self.refit()
 
     def refit(self) -> bool:
@@ -166,70 +112,8 @@ class ProgressPredictor:
         if health is not None:
             self.gpr_health.add(health)
         self._fitted = True
-        self._completions_since_fit = 0
-        self._updates_since_full_fit = 0
-        self._pending_examples.clear()
         self.fit_count += 1
-        lml = getattr(self._model, "log_marginal_likelihood_", None)
-        points = getattr(self._model, "num_training_points", 0)
-        self._lml_per_point_at_fit = (
-            float(lml) / points if lml is not None and points else None
-        )
         return True
-
-    def _partial_update(self, examples: List[TrainingExample]) -> bool:
-        """Rank-1-append the pending examples; returns success.
-
-        ``examples`` is everything observed since the model last changed
-        (with ``refit_every > 1`` that spans several completions), so the
-        appended stream tracks the observed stream.  When the model's
-        training set is at (or near) its ``max_training_points`` cap,
-        only the examples that still fit are appended — a saturated model
-        simply coasts until the next scheduled full refit re-subsamples
-        the whole history pool (which still holds everything, appended or
-        not).  Returns ``False`` (caller runs a full refit) only when the
-        backend has no rank-1 update at all or the append is numerically
-        degenerate.
-        """
-        partial_fit = getattr(self._model, "partial_fit", None)
-        if partial_fit is None or not examples:
-            return False
-        capacity = int(
-            getattr(self._model, "max_training_points", 0)
-            - getattr(self._model, "num_training_points", 0)
-        )
-        if capacity <= 0:
-            # Saturated: count the update and coast until the next full
-            # refit folds the (still history-pooled) new data back in.
-            self._completions_since_fit = 0
-            self._updates_since_full_fit += 1
-            self._pending_examples.clear()
-            return True
-        examples = examples[:capacity]
-        X = np.asarray([e.features for e in examples], dtype=float)
-        y = np.asarray([e.epochs_remaining for e in examples], dtype=float)
-        start = perf_counter()
-        ok = bool(partial_fit(self._scaler.transform(X), y))
-        self.partial_fit_seconds += perf_counter() - start
-        if ok:
-            self._completions_since_fit = 0
-            self._updates_since_full_fit += 1
-            self.partial_fit_count += 1
-            self._pending_examples.clear()
-        return ok
-
-    def _lml_degraded(self) -> bool:
-        """Whether the incremental posterior's evidence fell too far."""
-        if self._lml_per_point_at_fit is None:
-            return False
-        lml = getattr(self._model, "log_marginal_likelihood_", None)
-        points = getattr(self._model, "num_training_points", 0)
-        if lml is None or not points:
-            return False
-        return (
-            float(lml) / points
-            < self._lml_per_point_at_fit - self.config.refit_lml_drop
-        )
 
     @property
     def is_fitted(self) -> bool:

@@ -14,7 +14,7 @@ telemetry costs nothing during the simulation itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
@@ -114,6 +114,21 @@ def gpu_count_timeline(job: Job) -> Tuple[np.ndarray, np.ndarray]:
     return np.asarray(times), np.asarray(counts)
 
 
+#: The keys of :meth:`RunTelemetry.as_dict`, in report-column order.
+#: Serialized artifacts store them sorted, so reports read them in
+#: this order instead of the dict's.
+TELEMETRY_COLUMNS = (
+    "scheduler",
+    "num_gpus",
+    "makespan",
+    "mean_utilization",
+    "peak_utilization",
+    "reconfigurations",
+    "mean_gpus_per_job",
+    "mean_peak_batch_ratio",
+)
+
+
 @dataclass(frozen=True)
 class RunTelemetry:
     """Aggregated per-run telemetry used by reports and examples."""
@@ -128,17 +143,18 @@ class RunTelemetry:
     mean_peak_batch_ratio: float
 
     def as_dict(self) -> Dict[str, float]:
-        """Plain-dict view for tabular reports."""
-        return {
-            "scheduler": self.scheduler,
-            "num_gpus": self.num_gpus,
-            "makespan": self.makespan,
-            "mean_utilization": self.mean_utilization,
-            "peak_utilization": self.peak_utilization,
-            "reconfigurations": self.total_reconfigurations,
-            "mean_gpus_per_job": self.mean_gpus_per_job,
-            "mean_peak_batch_ratio": self.mean_peak_batch_ratio,
-        }
+        """Plain-dict view for tabular reports, keyed by :data:`TELEMETRY_COLUMNS`."""
+        values = (
+            self.scheduler,
+            self.num_gpus,
+            self.makespan,
+            self.mean_utilization,
+            self.peak_utilization,
+            self.total_reconfigurations,
+            self.mean_gpus_per_job,
+            self.mean_peak_batch_ratio,
+        )
+        return dict(zip(TELEMETRY_COLUMNS, values))
 
 
 def summarize_run(result: SimulationResult, num_points: int = 400) -> RunTelemetry:

@@ -14,29 +14,30 @@ from repro.analysis.export import (
     result_to_records,
 )
 from repro.baselines.fifo import FIFOScheduler
-from repro.baselines.tiresias import TiresiasScheduler
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import run_comparison, run_scalability_sweep
-from repro.workload.trace import TraceConfig
+from repro.experiments.backends import simulate_trace
+from repro.experiments.orchestrator import run_experiment
+from repro.experiments.spec import ExperimentSpec
+from repro.workload.trace import TraceConfig, TraceGenerator
+
+TRACE = TraceConfig(num_jobs=4, arrival_rate=1.0 / 10.0, convergence_patience=3)
+
+
+@pytest.fixture(scope="module")
+def result():
+    """One in-process run, which still carries its live ``Job`` objects."""
+    return simulate_trace(FIFOScheduler(), TraceGenerator(TRACE, seed=5).generate(), 8)
 
 
 @pytest.fixture(scope="module")
 def comparison():
-    config = ExperimentConfig(
-        num_gpus=8,
-        trace=TraceConfig(num_jobs=4, arrival_rate=1.0 / 10.0, convergence_patience=3),
-        seed=5,
-        schedulers={
-            "FIFO": lambda seed: FIFOScheduler(),
-            "Tiresias": lambda seed: TiresiasScheduler(),
-        },
+    spec = ExperimentSpec.comparison(
+        schedulers=("FIFO", "Tiresias"), num_gpus=8, seed=5, trace=TRACE
     )
-    return run_comparison(config)
+    return run_experiment(spec)
 
 
 class TestResultExport:
-    def test_records_have_job_metadata(self, comparison):
-        result = comparison.results["FIFO"]
+    def test_records_have_job_metadata(self, result):
         records = result_to_records(result)
         assert len(records) == len(result.completed)
         for record in records:
@@ -44,16 +45,14 @@ class TestResultExport:
             assert record["jct"] > 0
             assert "model" in record and "task" in record
 
-    def test_csv_round_trip(self, comparison, tmp_path):
-        result = comparison.results["FIFO"]
+    def test_csv_round_trip(self, result, tmp_path):
         path = export_result_csv(result, tmp_path / "fifo.csv")
         with path.open() as handle:
             rows = list(csv.DictReader(handle))
         assert len(rows) == len(result.completed)
         assert float(rows[0]["jct"]) > 0
 
-    def test_json_round_trip(self, comparison, tmp_path):
-        result = comparison.results["FIFO"]
+    def test_json_round_trip(self, result, tmp_path):
         path = export_result_json(result, tmp_path / "fifo.json")
         payload = json.loads(path.read_text())
         assert payload["summary"]["scheduler"] == "FIFO"
@@ -76,14 +75,13 @@ class TestComparisonExport:
         assert set(payload["summaries"]) == {"FIFO", "Tiresias"}
 
     def test_sweep_json(self, tmp_path):
-        config = ExperimentConfig(
-            num_gpus=8,
+        spec = ExperimentSpec.scalability(
+            schedulers=("FIFO",),
+            capacities=(8,),
+            seeds=(6,),
             trace=TraceConfig(num_jobs=3, arrival_rate=1.0 / 10.0, convergence_patience=3),
-            seed=6,
-            schedulers={"FIFO": lambda seed: FIFOScheduler()},
         )
-        sweep = run_scalability_sweep(capacities=(8,), base_config=config)
-        path = export_sweep_json(sweep, tmp_path / "sweep.json")
+        path = export_sweep_json(run_experiment(spec), tmp_path / "sweep.json")
         payload = json.loads(path.read_text())
         assert "8" in payload
         assert "averages_jct" in payload["8"]

@@ -30,10 +30,10 @@ from repro.core.ones_scheduler import ONESConfig, ONESScheduler
 from repro.core.schedule import IDLE, Schedule
 from repro.core.scoring import population_gpu_counts
 from repro.core.scoring_incremental import IncrementalScoringEngine
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import generate_trace, run_single
+from repro.experiments.backends import simulate_trace
 from repro.jobs.throughput import ThroughputTable
-from repro.workload.trace import TraceConfig
+from repro.sim.simulator import SimulationConfig
+from repro.workload.trace import TraceConfig, TraceGenerator
 from tests._core_helpers import (
     kernel_fill,
     kernel_refresh,
@@ -301,17 +301,14 @@ def test_first_seen_rows_matches_unique_axis0(rows, width, num_jobs, seed):
 
 
 def _simulate(num_gpus, num_jobs, use_oracle, max_time=None):
-    config = ExperimentConfig(
-        num_gpus=num_gpus,
-        trace=TraceConfig(num_jobs=num_jobs, arrival_rate=1.0 / 30.0),
-        seed=2021,
-    )
-    if max_time is not None:
-        config = replace(config, simulation=replace(config.simulation, max_time=max_time))
-    scheduler = ONESScheduler(ONESConfig(), seed=config.seed)
+    trace = TraceGenerator(
+        TraceConfig(num_jobs=num_jobs, arrival_rate=1.0 / 30.0), seed=2021
+    ).generate()
+    simulation = SimulationConfig() if max_time is None else SimulationConfig(max_time=max_time)
+    scheduler = ONESScheduler(ONESConfig(), seed=2021)
     if use_oracle:
         oracle.use_oracle_search(scheduler)
-    return run_single(scheduler, generate_trace(config), config)
+    return simulate_trace(scheduler, trace, num_gpus, simulation)
 
 
 def _assert_same_trajectory(scalar_result, kernel_result):

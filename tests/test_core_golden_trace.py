@@ -24,9 +24,8 @@ from pathlib import Path
 import pytest
 
 from repro.core.ones_scheduler import ONESConfig, ONESScheduler
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import generate_trace, run_single
-from repro.workload.trace import TraceConfig
+from repro.experiments.backends import simulate_trace
+from repro.workload.trace import TraceConfig, TraceGenerator
 
 FIXTURE = Path(__file__).resolve().parent / "fixtures" / "golden_ones_trace.json"
 
@@ -38,13 +37,10 @@ GOLDEN_SEED = 2021
 
 
 def _simulate():
-    config = ExperimentConfig(
-        num_gpus=GOLDEN_NUM_GPUS,
-        trace=TraceConfig(num_jobs=GOLDEN_NUM_JOBS, arrival_rate=1.0 / 30.0),
-        seed=GOLDEN_SEED,
-    )
-    trace = generate_trace(config)
-    return run_single(ONESScheduler(ONESConfig(), seed=GOLDEN_SEED), trace, config)
+    trace = TraceGenerator(
+        TraceConfig(num_jobs=GOLDEN_NUM_JOBS, arrival_rate=1.0 / 30.0), seed=GOLDEN_SEED
+    ).generate()
+    return simulate_trace(ONESScheduler(ONESConfig(), seed=GOLDEN_SEED), trace, GOLDEN_NUM_GPUS)
 
 
 def _snapshot(result) -> dict:

@@ -35,14 +35,13 @@ from repro.core.scoring_incremental import (
     ScoreDecomposition,
     build_decomposition,
 )
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.backends import simulate_trace
 from repro.experiments.registry import create_scheduler
-from repro.experiments.runner import generate_trace, run_single
 from repro.faults.config import FaultConfig
 from repro.faults.plan import FaultInjection, FaultKind
 from repro.jobs.throughput import ThroughputModel, ThroughputTable
 from repro.sim.simulator import SimulationConfig
-from repro.workload.trace import TraceConfig
+from repro.workload.trace import TraceConfig, TraceGenerator
 from tests._core_helpers import (
     kernel_fill,
     kernel_reorder,
@@ -52,6 +51,11 @@ from tests._core_helpers import (
 )
 
 CASES = [(8, 3, 0), (8, 5, 1), (16, 7, 2), (16, 12, 3), (32, 20, 4)]
+
+
+def _trace(num_jobs, interval, seed):
+    config = TraceConfig(num_jobs=num_jobs, arrival_rate=1.0 / interval)
+    return TraceGenerator(config, seed=seed).generate()
 
 
 def _assert_decomp_fresh(decomp, genomes, node_of):
@@ -236,35 +240,26 @@ class TestTableVersioning:
         assert a.version != b.version
 
     def test_scheduler_reuses_table_between_limit_changes(self):
-        config = ExperimentConfig(
-            num_gpus=16, trace=TraceConfig(num_jobs=8, arrival_rate=1.0 / 20.0), seed=11
-        )
-        trace = generate_trace(config)
         sched = ONESScheduler(ONESConfig(), seed=11)
-        run_single(sched, trace, config)
+        simulate_trace(sched, _trace(8, 20.0, 11), 16)
         assert sched.num_table_reuses > 0
 
 
 # --- trajectory parity ---------------------------------------------------------------------------
 
 
-def _trajectory(scheduler, trace, config):
-    result = run_single(scheduler, trace, config)
+def _trajectory(scheduler, trace, num_gpus, simulation=None):
+    result = simulate_trace(scheduler, trace, num_gpus, simulation)
     return dict(result.completed), result.incomplete, result.makespan, result.events_processed
 
 
 class TestTrajectoryParity:
     @pytest.mark.parametrize("seed", [7, 19, 42])
     def test_unfaulted_incremental_off_scalar(self, seed):
-        config = ExperimentConfig(
-            num_gpus=16,
-            trace=TraceConfig(num_jobs=10, arrival_rate=1.0 / 20.0),
-            seed=seed,
-        )
-        trace = generate_trace(config)
+        trace = _trace(10, 20.0, seed)
         kernel = ONESScheduler(ONESConfig(), seed=seed)
         scalar = oracle.use_oracle_search(ONESScheduler(ONESConfig(), seed=seed))
-        assert _trajectory(kernel, trace, config) == _trajectory(scalar, trace, config)
+        assert _trajectory(kernel, trace, 16) == _trajectory(scalar, trace, 16)
 
     @pytest.mark.parametrize("seed", [5, 23])
     def test_faulted_node_compaction_parity(self, seed):
@@ -276,33 +271,25 @@ class TestTrajectoryParity:
                 FaultInjection(500.0, FaultKind.NODE_UP, 1),
             )
         )
-        config = ExperimentConfig(
-            num_gpus=16,
-            trace=TraceConfig(num_jobs=8, arrival_rate=1.0 / 15.0),
-            simulation=SimulationConfig(faults=faults),
-            seed=seed,
-        )
-        trace = generate_trace(config)
+        simulation = SimulationConfig(faults=faults)
+        trace = _trace(8, 15.0, seed)
         kernel = ONESScheduler(ONESConfig(), seed=seed)
         scalar = oracle.use_oracle_search(ONESScheduler(ONESConfig(), seed=seed))
-        assert _trajectory(kernel, trace, config) == _trajectory(scalar, trace, config)
+        assert _trajectory(kernel, trace, 16, simulation) == _trajectory(
+            scalar, trace, 16, simulation
+        )
         assert kernel.search.scoring_engine.stats()["full_rebuilds"] > 1
 
     @pytest.mark.parametrize("seed", [9, 31])
     def test_hierarchical_partition_view_parity(self, seed):
         """ones-hier swaps per-partition views every event — each shard's
         engine must invalidate/rebuild correctly and match the oracle."""
-        config = ExperimentConfig(
-            num_gpus=32,
-            trace=TraceConfig(num_jobs=12, arrival_rate=1.0 / 15.0),
-            seed=seed,
-        )
-        trace = generate_trace(config)
+        trace = _trace(12, 15.0, seed)
         kernel = create_scheduler("ONES-hier", seed, partition_size=16)
         scalar = oracle.use_oracle_search(
             create_scheduler("ONES-hier", seed, partition_size=16)
         )
-        assert _trajectory(kernel, trace, config) == _trajectory(scalar, trace, config)
+        assert _trajectory(kernel, trace, 32) == _trajectory(scalar, trace, 32)
         assert all(
             isinstance(p.inner.search, oracle.OracleSearch) for p in scalar._partitions
         )

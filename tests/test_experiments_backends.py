@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro.analysis.metrics import improvement_over, mean_metric
 from repro.baselines.fifo import FIFOScheduler
 from repro.experiments.artifacts import RunArtifact, SweepArtifact
 from repro.experiments.backends import (
@@ -143,22 +144,24 @@ class TestSweepArtifact:
         assert restored.spec == sweep.spec
         assert restored.runs == sweep.runs
 
-    def test_to_comparisons_requires_single_seed(self, sweep):
-        with pytest.raises(ValueError, match="single-seed"):
-            sweep.to_comparisons()
+    def test_results_for_selects_each_seed(self, sweep):
+        for seed in (7, 9):
+            results = sweep.results_for(8, seed=seed)
+            assert set(results) == {"ONES", "FIFO"}
+            assert results["FIFO"] == sweep.get("FIFO", seed=seed).result
+        assert sweep.results_for() == sweep.results_for(8, seed=7)
 
-    def test_to_comparisons_bridges_to_legacy_shape(self):
+    def test_results_for_is_the_comparison_slice(self):
         sweep = run_experiment(tiny_grid(seeds=(7,)))
-        comparisons = sweep.to_comparisons()
-        assert set(comparisons) == {8}
-        comparison = comparisons[8]
-        assert set(comparison.results) == {"ONES", "FIFO"}
-        assert comparison.config.num_gpus == 8
-        assert len(comparison.trace) == 3
-        averages = comparison.averages("jct")
-        assert averages["ONES"] == pytest.approx(sweep.get("ONES", seed=7).mean("jct"))
-        assert set(comparison.improvements("ONES")) == {"FIFO"}
-        assert comparison.artifacts["FIFO"] is sweep.get("FIFO", seed=7)
+        results = sweep.results_for(8)
+        assert set(results) == {"ONES", "FIFO"}
+        assert all(result.num_gpus == 8 for result in results.values())
+        assert all(len(result.completed) == 3 for result in results.values())
+        ones = sweep.get("ONES", seed=7)
+        assert mean_metric(results["ONES"], "jct") == pytest.approx(ones.mean("jct"))
+        assert improvement_over(results["ONES"], results["FIFO"]) == pytest.approx(
+            1.0 - ones.mean("jct") / sweep.get("FIFO", seed=7).mean("jct")
+        )
 
 
 class TestRunnerCaching:

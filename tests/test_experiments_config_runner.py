@@ -1,131 +1,76 @@
-"""Tests for repro.experiments.config and repro.experiments.runner."""
+"""Tests for the one experiment API: ``simulate_trace`` and spec -> Runner -> metrics.
+
+A single bare run is :func:`repro.experiments.backends.simulate_trace`; a
+comparison or sweep is an :class:`~repro.experiments.spec.ExperimentSpec`
+run by the :class:`~repro.experiments.orchestrator.Runner`, whose
+:class:`~repro.experiments.artifacts.SweepArtifact` slices are read
+through :mod:`repro.analysis.metrics`.
+"""
 
 import pytest
 
+from repro.analysis.metrics import improvement_over, mean_metric, relative_jct
 from repro.baselines.fifo import FIFOScheduler
-from repro.baselines.tiresias import TiresiasScheduler
-from repro.core.evolution import EvolutionConfig
-from repro.core.ones_scheduler import ONESConfig, ONESScheduler
-from repro.experiments.config import ExperimentConfig, default_schedulers
-from repro.experiments.runner import (
-    generate_trace,
-    run_comparison,
-    run_scalability_sweep,
-    run_single,
+from repro.experiments.backends import simulate_trace
+from repro.experiments.orchestrator import run_experiment
+from repro.experiments.spec import ExperimentSpec
+from repro.sim.simulator import SimulationConfig
+from repro.workload.trace import TraceConfig, TraceGenerator
+
+TRACE = TraceConfig(num_jobs=4, arrival_rate=1.0 / 10.0, convergence_patience=3)
+SIMULATION = SimulationConfig(max_time=24 * 3600.0)
+#: Cheap scheduler pair used to keep these tests quick.
+FAST = dict(
+    schedulers=("ONES", "Tiresias"),
+    trace=TRACE,
+    simulation=SIMULATION,
+    scheduler_options={"ONES": {"population_size": 4}},
 )
-from repro.workload.trace import TraceConfig
 
 
-def _fast_schedulers():
-    """Cheap scheduler pair used to keep runner tests quick."""
-    return {
-        "ONES": lambda seed: ONESScheduler(
-            ONESConfig(evolution=EvolutionConfig(population_size=4)), seed=seed
-        ),
-        "Tiresias": lambda seed: TiresiasScheduler(),
-    }
-
-
-@pytest.fixture
-def small_config():
-    config = ExperimentConfig.small(num_gpus=8, num_jobs=4, seed=9)
-    config.trace = TraceConfig(num_jobs=4, arrival_rate=1.0 / 10.0, convergence_patience=3)
-    return config
-
-
-class TestExperimentConfig:
-    def test_defaults_match_paper_setup(self):
-        config = ExperimentConfig()
-        assert config.num_gpus == 64
-        assert config.trace.num_jobs == 50
-        assert set(config.scheduler_factories()) == {"ONES", "DRL", "Tiresias", "Optimus"}
-
-    def test_default_schedulers_are_fresh_instances(self):
-        factories = default_schedulers()
-        a = factories["ONES"](1)
-        b = factories["ONES"](1)
-        assert a is not b
-
-    def test_small_preset(self):
-        config = ExperimentConfig.small(num_gpus=16, num_jobs=10)
-        assert config.num_gpus == 16
-        assert config.trace.num_jobs == 10
-
-    def test_invalid_rejected(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(num_gpus=0)
+@pytest.fixture(scope="module")
+def comparison():
+    return run_experiment(ExperimentSpec.comparison(num_gpus=8, seed=9, **FAST))
 
 
 class TestRunner:
-    def test_generate_trace_is_deterministic(self, small_config):
-        a = generate_trace(small_config)
-        b = generate_trace(small_config)
+    def test_trace_is_deterministic(self):
+        a = TraceGenerator(TRACE, seed=9).generate()
+        b = TraceGenerator(TRACE, seed=9).generate()
         assert [j.job_id for j in a] == [j.job_id for j in b]
         assert [j.task for j in a] == [j.task for j in b]
 
-    def test_run_single(self, small_config):
-        trace = generate_trace(small_config)
-        result = run_single(FIFOScheduler(), trace, small_config)
+    def test_simulate_trace(self):
+        trace = TraceGenerator(TRACE, seed=9).generate()
+        result = simulate_trace(FIFOScheduler(), trace, 8, SIMULATION)
         assert result.scheduler_name == "FIFO"
         assert result.num_gpus == 8
         assert len(result.completed) == len(trace)
 
-    def test_run_comparison_shares_trace(self, small_config):
-        comparison = run_comparison(small_config, schedulers=_fast_schedulers())
-        assert set(comparison.results) == {"ONES", "Tiresias"}
-        for result in comparison.results.values():
-            assert set(result.completed) == {j.job_id for j in comparison.trace}
+    def test_comparison_shares_trace(self, comparison):
+        results = comparison.results_for(8)
+        assert set(results) == {"ONES", "Tiresias"}
+        trace = TraceGenerator(TRACE, seed=9).generate()
+        for result in results.values():
+            assert set(result.completed) == {j.job_id for j in trace}
 
-    def test_comparison_averages_and_improvements(self, small_config):
-        comparison = run_comparison(small_config, schedulers=_fast_schedulers())
-        averages = comparison.averages("jct")
+    def test_comparison_averages_and_improvements(self, comparison):
+        results = comparison.results_for(8)
+        averages = {name: mean_metric(result, "jct") for name, result in results.items()}
         assert set(averages) == {"ONES", "Tiresias"}
-        improvements = comparison.improvements("ONES")
-        assert set(improvements) == {"Tiresias"}
-        relative = comparison.relative_jct("ONES")
+        improvement = improvement_over(results["ONES"], results["Tiresias"])
+        assert improvement == pytest.approx(1.0 - averages["ONES"] / averages["Tiresias"])
+        relative = relative_jct(results, "ONES")
         assert relative["ONES"] == pytest.approx(1.0)
 
-    def test_improvements_unknown_reference(self, small_config):
-        comparison = run_comparison(small_config, schedulers=_fast_schedulers())
+    def test_improvements_unknown_reference(self, comparison):
         with pytest.raises(KeyError):
-            comparison.improvements("SLAQ")
+            relative_jct(comparison.results_for(8), "SLAQ")
 
-    def test_scalability_sweep(self, small_config):
-        sweep = run_scalability_sweep(
-            capacities=(8, 16), base_config=small_config, schedulers=_fast_schedulers()
-        )
-        assert set(sweep) == {8, 16}
-        for capacity, comparison in sweep.items():
-            assert comparison.config.num_gpus == capacity
-
-    def test_scalability_sweep_preserves_every_config_field(self, small_config):
-        """Sweeping capacity must carry ALL other config fields along.
-
-        The sweep derives per-capacity configs with ``dataclasses.replace``
-        so fields added to ExperimentConfig later are never silently
-        dropped (the old code copied five fields by hand).
-        """
-        small_config.schedulers = _fast_schedulers()
-        sweep = run_scalability_sweep(capacities=(8,), base_config=small_config)
-        config = sweep[8].config
-        assert config.trace == small_config.trace
-        assert config.simulation is small_config.simulation
-        assert config.seed == small_config.seed
-        assert config.schedulers is small_config.schedulers
-        assert set(sweep[8].results) == {"ONES", "Tiresias"}
-
-
-class TestConfigSpecBridge:
-    def test_to_spec_defaults_to_paper_schedulers(self, small_config):
-        spec = small_config.to_spec()
-        assert spec.schedulers == ("ONES", "DRL", "Tiresias", "Optimus")
-        assert spec.capacities == (small_config.num_gpus,)
-        assert spec.seeds == (small_config.seed,)
-        assert spec.traces == (small_config.trace,)
-
-    def test_to_spec_rejects_adhoc_factories(self, small_config):
-        small_config.schedulers = _fast_schedulers()
-        with pytest.raises(ValueError, match="ad-hoc"):
-            small_config.to_spec()
-        spec = small_config.to_spec(schedulers=("ONES", "Tiresias"))
-        assert spec.schedulers == ("ONES", "Tiresias")
+    def test_scalability_sweep(self):
+        sweep = run_experiment(ExperimentSpec.scalability(capacities=(8, 16), seeds=(9,), **FAST))
+        for capacity in (8, 16):
+            results = sweep.results_for(capacity)
+            assert set(results) == {"ONES", "Tiresias"}
+            for result in results.values():
+                assert result.num_gpus == capacity

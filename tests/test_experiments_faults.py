@@ -211,11 +211,12 @@ class TestRecoveryAggregation:
         assert resumed.stats.executed_cells == 0
         assert resweep.to_json() == sweep.to_json()
 
-    def test_to_comparisons_slices_by_fault(self, sweep):
-        clean = sweep.to_comparisons(fault_index=0)[8]
-        faulted = sweep.to_comparisons(fault_index=1)[8]
-        assert set(clean.results) == {"FIFO", "SRTF"}
-        assert faulted.results["FIFO"].faults["node_down_events"] == 1.0
+    def test_results_for_slices_by_fault(self, sweep):
+        clean = sweep.results_for(8, fault_index=0)
+        faulted = sweep.results_for(8, fault_index=1)
+        assert set(clean) == {"FIFO", "SRTF"}
+        assert clean["FIFO"].faults == {}
+        assert faulted["FIFO"].faults["node_down_events"] == 1.0
 
 
 class TestProcessPoolParityUnderFaults:

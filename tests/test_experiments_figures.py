@@ -1,27 +1,17 @@
-"""Tests for repro.experiments.figures — shape checks for every figure/table."""
+"""Shape checks for every figure/table.
+
+The analytic figures come from :mod:`repro.experiments.figures`; the
+Fig. 15 comparison is a small grid run by the Runner.
+"""
 
 import numpy as np
-import pytest
 
-from repro.core.evolution import EvolutionConfig
-from repro.core.ones_scheduler import ONESConfig, ONESScheduler
-from repro.baselines.tiresias import TiresiasScheduler
+from repro.analysis.metrics import mean_metric
 from repro.experiments import figures
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.orchestrator import run_experiment
+from repro.experiments.spec import ExperimentSpec
+from repro.sim.simulator import SimulationConfig
 from repro.workload.trace import TraceConfig
-
-
-@pytest.fixture
-def small_config():
-    config = ExperimentConfig.small(num_gpus=8, num_jobs=5, seed=21)
-    config.trace = TraceConfig(num_jobs=5, arrival_rate=1.0 / 10.0, convergence_patience=3)
-    config.schedulers = {
-        "ONES": lambda seed: ONESScheduler(
-            ONESConfig(evolution=EvolutionConfig(population_size=4)), seed=seed
-        ),
-        "Tiresias": lambda seed: TiresiasScheduler(),
-    }
-    return config
 
 
 class TestFigure2:
@@ -76,14 +66,15 @@ class TestFigure16:
 
 
 class TestFigure15SmallScale:
-    def test_comparison_payload_structure(self, small_config):
-        payload = figures.figure15_comparison(small_config)
-        assert set(payload["averages_jct"]) == {"ONES", "Tiresias"}
-        assert "table4" in payload
-        assert "Tiresias" in payload["table4"]
-        assert 0.0 <= payload["fraction_within_200s"]["ONES"] <= 1.0
-
-    def test_ones_wins_on_average_jct(self, small_config):
-        payload = figures.figure15_comparison(small_config)
-        averages = payload["averages_jct"]
+    def test_ones_wins_on_average_jct(self):
+        spec = ExperimentSpec.comparison(
+            schedulers=("ONES", "Tiresias"),
+            num_gpus=8,
+            seed=21,
+            trace=TraceConfig(num_jobs=5, arrival_rate=1.0 / 10.0, convergence_patience=3),
+            simulation=SimulationConfig(max_time=24 * 3600.0),
+            scheduler_options={"ONES": {"population_size": 4}},
+        )
+        results = run_experiment(spec).results_for()
+        averages = {name: mean_metric(result, "jct") for name, result in results.items()}
         assert averages["ONES"] <= averages["Tiresias"]

@@ -2,18 +2,14 @@
 
 import pytest
 
-from repro.baselines.fifo import FIFOScheduler
-from repro.baselines.tiresias import TiresiasScheduler
 from repro.experiments.artifacts import SweepArtifact, dead_cell_artifact
 from repro.experiments.backends import execute_run
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.orchestrator import Runner
+from repro.experiments.orchestrator import Runner, run_experiment
 from repro.experiments.report import (
     build_comparison_report,
     build_sweep_report,
     write_comparison_report,
 )
-from repro.experiments.runner import run_comparison
 from repro.experiments.spec import ExperimentSpec
 from repro.faults.config import FaultConfig
 from repro.workload.trace import TraceConfig
@@ -21,16 +17,13 @@ from repro.workload.trace import TraceConfig
 
 @pytest.fixture(scope="module")
 def comparison():
-    config = ExperimentConfig(
+    spec = ExperimentSpec.comparison(
+        schedulers=("FIFO", "Tiresias"),
         num_gpus=8,
-        trace=TraceConfig(num_jobs=4, arrival_rate=1.0 / 10.0, convergence_patience=3),
         seed=11,
-        schedulers={
-            "FIFO": lambda seed: FIFOScheduler(),
-            "Tiresias": lambda seed: TiresiasScheduler(),
-        },
+        trace=TraceConfig(num_jobs=4, arrival_rate=1.0 / 10.0, convergence_patience=3),
     )
-    return run_comparison(config)
+    return run_experiment(spec)
 
 
 class TestBuildReport:
@@ -50,6 +43,10 @@ class TestBuildReport:
         report = build_comparison_report(comparison, reference="ONES")
         assert "## ONES vs the baselines" not in report
         assert "## Average metrics" in report
+
+    def test_same_text_after_json_round_trip(self, comparison):
+        restored = SweepArtifact.from_json(comparison.to_json())
+        assert build_comparison_report(restored) == build_comparison_report(comparison)
 
     def test_markdown_tables_are_well_formed(self, comparison):
         report = build_comparison_report(comparison, reference="FIFO")

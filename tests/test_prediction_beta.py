@@ -74,8 +74,3 @@ class TestSampling:
     def test_scalar_sample(self, rng):
         value = BetaDistribution(2, 2).sample(rng)
         assert isinstance(value, float)
-
-    def test_pdf_and_logpdf_consistent(self):
-        dist = BetaDistribution(3, 4)
-        x = 0.3
-        assert np.log(dist.pdf(x)) == pytest.approx(dist.logpdf(x))

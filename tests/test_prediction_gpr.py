@@ -173,65 +173,6 @@ class TestSubsampleSeeding:
         assert np.array_equal(a.X_train_, b.X_train_)
 
 
-class TestPartialFit:
-    def _data(self, rng, n):
-        X = np.sort(rng.uniform(-3, 3, size=(n, 1)), axis=0)
-        y = np.sin(X[:, 0]) * 3.0 + rng.normal(scale=0.05, size=n)
-        return X, y
-
-    def test_rank_one_append_matches_full_refit(self, rng):
-        X, y = self._data(rng, 40)
-        incremental = GaussianProcessRegression(
-            optimize_hyperparameters=False, normalize_y=False, random_state=0
-        ).fit(X[:30], y[:30])
-        assert incremental.partial_fit(X[30:], y[30:])
-        full = GaussianProcessRegression(
-            optimize_hyperparameters=False, normalize_y=False, random_state=0
-        ).fit(X, y)
-        assert np.allclose(incremental._chol, full._chol, atol=1e-8)
-        assert np.allclose(incremental._alpha, full._alpha, atol=1e-8)
-        assert incremental.log_marginal_likelihood_ == pytest.approx(
-            full.log_marginal_likelihood_, rel=1e-9
-        )
-        probe = np.linspace(-3, 3, 17)[:, None]
-        a_mean, a_std = incremental.predict(probe, return_std=True)
-        b_mean, b_std = full.predict(probe, return_std=True)
-        assert np.allclose(a_mean, b_mean, atol=1e-8)
-        assert np.allclose(a_std, b_std, atol=1e-8)
-
-    def test_unfitted_model_refuses(self, rng):
-        X, y = self._data(rng, 5)
-        assert not GaussianProcessRegression().partial_fit(X, y)
-
-    def test_cap_refuses(self, rng):
-        X, y = self._data(rng, 20)
-        model = GaussianProcessRegression(
-            max_training_points=22, optimize_hyperparameters=False
-        ).fit(X, y)
-        assert not model.partial_fit(X[:5], y[:5])  # 20 + 5 > 22
-        assert model.num_training_points == 20  # untouched
-        assert model.partial_fit(X[:2], y[:2])
-        assert model.num_training_points == 22
-
-    def test_empty_append_is_a_noop(self, rng):
-        X, y = self._data(rng, 10)
-        model = GaussianProcessRegression(optimize_hyperparameters=False).fit(X, y)
-        assert model.partial_fit(np.empty((0, 1)), np.empty(0))
-        assert model.num_training_points == 10
-
-    def test_normalized_targets_round_trip(self, rng):
-        # normalize_y freezes (mean, scale) at the last full fit; appended
-        # targets reuse them, and predictions stay in the original units.
-        X, y = self._data(rng, 40)
-        y = y + 100.0
-        model = GaussianProcessRegression(
-            optimize_hyperparameters=False, random_state=0
-        ).fit(X[:30], y[:30])
-        assert model.partial_fit(X[30:], y[30:])
-        pred = model.predict(X)
-        assert np.mean(np.abs(pred - y)) < 1.0
-
-
 #: Agreement required of the Cholesky-native evidence kernel with the LU
 #: oracle, fixed before measuring: the NLL to rtol 1e-9, and every
 #: gradient component to 1e-9 relative to itself or, for components near
@@ -278,9 +219,8 @@ class TestEvidenceKernelOracle:
         monkeypatch.setattr(np.linalg, "cholesky", forbidden)
         monkeypatch.setattr(np.linalg, "solve", forbidden)
         X, y = _standardized_data(40, seed=0)
-        model = GaussianProcessRegression(random_state=0).fit(X[:30], y[:30])
+        model = GaussianProcessRegression(random_state=0).fit(X, y)
         assert model.health.nll_evaluations > 0
-        assert model.partial_fit(X[30:], y[30:])
         mean, std = model.predict(X, return_std=True)
         assert np.all(np.isfinite(mean)) and np.all(std > 0)
 

@@ -77,6 +77,30 @@ class TestOnlineFitting:
         assert predictor.gpr_health.optimizer_iterations > 0
         assert predictor.gpr_health.non_pd_evaluations == 0
 
+    def test_refits_at_every_completion_once_enough_jobs(self):
+        predictor = ProgressPredictor(PredictorConfig(min_completed_jobs_to_fit=3), seed=0)
+        fits = []
+        for i in range(5):
+            predictor.observe_completion(_completed_job(job_id=f"j{i}", epochs=5 + i))
+            fits.append(predictor.fit_count)
+        assert fits == [0, 0, 1, 2, 3]
+
+    def test_refit_timer_accumulates(self):
+        predictor = ProgressPredictor(seed=0)
+        for i in range(4):
+            predictor.observe_completion(_completed_job(job_id=f"j{i}", epochs=6 + i % 3))
+        assert predictor.fit_count == 3
+        assert predictor.refit_seconds > 0.0
+
+    def test_mean_epochs_remaining_matches_predict_mean(self):
+        predictor = ProgressPredictor(seed=0)
+        for i in range(4):
+            predictor.observe_completion(_completed_job(job_id=f"j{i}", epochs=6 + i % 3))
+        job = make_running_job(job_id="live", dataset_size=1000)
+        job.advance(1500, 3.0)
+        mean, _ = predictor.predict_epochs_remaining(job)
+        assert predictor.mean_epochs_remaining(job) == mean
+
     def test_prediction_decreases_with_progress(self):
         predictor = ProgressPredictor(PredictorConfig(backend="blr"), seed=0)
         for i in range(4):
@@ -119,136 +143,6 @@ class TestOnlineFitting:
         job.advance(500, 1.0)
         for _ in range(20):
             assert 0.0 < predictor.sample_progress(job) < 1.0
-
-
-class TestIncrementalRefitPolicy:
-    def _job_stream(self, count, epochs=6):
-        return [
-            _completed_job(job_id=f"j{i}", epochs=epochs + (i % 3)) for i in range(count)
-        ]
-
-    def test_invalid_policy_rejected(self):
-        with pytest.raises(ValueError):
-            PredictorConfig(refit_policy="sometimes")
-        with pytest.raises(ValueError):
-            PredictorConfig(refit_interval=0)
-        with pytest.raises(ValueError):
-            PredictorConfig(refit_lml_drop=0.0)
-
-    def test_partial_updates_replace_most_full_refits(self):
-        config = PredictorConfig(refit_policy="incremental", refit_interval=4)
-        predictor = ProgressPredictor(config, seed=0)
-        for job in self._job_stream(9):
-            predictor.observe_completion(job)
-        # Full refits only at the cadence (first fit + every 4th update);
-        # the rest are rank-1 appends.
-        always = ProgressPredictor(PredictorConfig(), seed=0)
-        for job in self._job_stream(9):
-            always.observe_completion(job)
-        assert predictor.fit_count < always.fit_count
-        assert predictor.partial_fit_count > 0
-        assert predictor.is_fitted
-
-    def test_matches_full_refit_at_refit_points(self):
-        """At its full-refit points the incremental policy is exactly
-        the refit-every-time predictor (same history => same model)."""
-        interval = 3
-        incremental = ProgressPredictor(
-            PredictorConfig(refit_policy="incremental", refit_interval=interval),
-            seed=0,
-        )
-        always = ProgressPredictor(PredictorConfig(), seed=0)
-        probe = make_running_job(job_id="probe", dataset_size=1000)
-        probe.advance(2000, 4.0)
-        probe.complete_epoch(4.0)
-        checked = 0
-        for i, (job_a, job_b) in enumerate(
-            zip(self._job_stream(10), self._job_stream(10))
-        ):
-            fits_before = incremental.fit_count
-            incremental.observe_completion(job_a)
-            always.observe_completion(job_b)
-            if incremental.fit_count > fits_before and always.is_fitted:
-                # this completion triggered a *full* refit on the same
-                # history the always-policy predictor just refitted on
-                assert incremental.mean_epochs_remaining(probe) == pytest.approx(
-                    always.mean_epochs_remaining(probe), rel=1e-12
-                )
-                checked += 1
-        assert checked >= 2
-
-    def test_non_due_completions_are_not_dropped(self):
-        """With refit_every > 1, examples from non-due completions must
-        still reach the live model at the next rank-1 append."""
-        config = PredictorConfig(
-            refit_policy="incremental", refit_every=2, refit_interval=10
-        )
-        predictor = ProgressPredictor(config, seed=0)
-        jobs = self._job_stream(4)
-        expected = sum(len(job.epoch_records) for job in jobs)
-        for job in jobs:
-            predictor.observe_completion(job)
-        # completion 2 full-fitted jobs 1-2; completion 4's partial
-        # append must carry BOTH job 3 (non-due) and job 4.
-        assert predictor.partial_fit_count == 1
-        assert predictor._model.num_training_points == expected
-
-    def test_predictions_stay_sane_between_refits(self):
-        predictor = ProgressPredictor(
-            PredictorConfig(refit_policy="incremental", refit_interval=8), seed=0
-        )
-        for job in self._job_stream(6):
-            predictor.observe_completion(job)
-        job = make_running_job(job_id="live", dataset_size=1000)
-        job.advance(3000, 6.0)
-        mean = predictor.mean_epochs_remaining(job)
-        assert np.isfinite(mean) and mean >= 0.0
-
-    def test_blr_backend_falls_back_to_full_refits(self):
-        config = PredictorConfig(
-            backend="blr", refit_policy="incremental", refit_interval=4
-        )
-        predictor = ProgressPredictor(config, seed=0)
-        for job in self._job_stream(6):
-            predictor.observe_completion(job)
-        assert predictor.partial_fit_count == 0  # BLR has no rank-1 path
-        assert predictor.is_fitted
-
-    def test_saturated_model_coasts_until_cadence(self):
-        config = PredictorConfig(refit_policy="incremental", refit_interval=5)
-        predictor = ProgressPredictor(config, seed=0)
-        for job in self._job_stream(3):
-            predictor.observe_completion(job)
-        assert predictor.is_fitted
-        # Saturate the model: no room to append => completions coast.
-        predictor._model.max_training_points = predictor._model.num_training_points
-        fits_before = predictor.fit_count
-        partial_before = predictor.partial_fit_count
-        predictor.observe_completion(_completed_job(job_id="sat-0"))
-        assert predictor.fit_count == fits_before
-        assert predictor.partial_fit_count == partial_before
-        # ... but the cadence still forces a full refit eventually.
-        for i in range(1, 6):
-            predictor.observe_completion(_completed_job(job_id=f"sat-{i}"))
-        assert predictor.fit_count > fits_before
-
-    def test_mean_epochs_remaining_matches_predict_mean(self):
-        predictor = ProgressPredictor(seed=0)
-        for job in self._job_stream(4):
-            predictor.observe_completion(job)
-        job = make_running_job(job_id="live", dataset_size=1000)
-        job.advance(1500, 3.0)
-        mean, _ = predictor.predict_epochs_remaining(job)
-        assert predictor.mean_epochs_remaining(job) == mean
-
-    def test_refit_timers_accumulate(self):
-        predictor = ProgressPredictor(
-            PredictorConfig(refit_policy="incremental", refit_interval=4), seed=0
-        )
-        for job in self._job_stream(6):
-            predictor.observe_completion(job)
-        assert predictor.refit_seconds > 0.0
-        assert predictor.partial_fit_seconds > 0.0
 
 
 class TestPredictionCurve:

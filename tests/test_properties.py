@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster.allocation import Allocation, WorkerAssignment
 from repro.core.schedule import IDLE, Schedule
 from repro.jobs.convergence import ConvergenceProfile
-from repro.jobs.lr_scaling import linear_scaled_lr
 from repro.jobs.throughput import split_batch
 from repro.prediction.beta import BetaDistribution
 from repro.utils.stats import cumulative_frequency, summarize
@@ -194,11 +193,6 @@ class TestConvergenceProperties:
 
 
 class TestMiscProperties:
-    @given(st.floats(min_value=1e-4, max_value=10), st.integers(1, 4096), st.integers(1, 4096))
-    def test_linear_lr_scaling_is_proportional(self, lr, base, new):
-        scaled = linear_scaled_lr(lr, base, new)
-        assert scaled == pytest.approx(lr * new / base)
-
     @given(st.floats(min_value=1, max_value=50), st.floats(min_value=1, max_value=50))
     def test_beta_mean_between_zero_and_one(self, alpha, beta):
         dist = BetaDistribution(alpha, beta)
