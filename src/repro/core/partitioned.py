@@ -706,6 +706,10 @@ class HierarchicalONESScheduler(SchedulerBase):
         }
         for name, value in counters.items():
             registry.counter(name, help="rollup across partitions").inc(value)
+        # A gauge, as in the flat scheduler's registry.
+        registry.gauge("predictor_fits", help="rollup across partitions").set(
+            sum(p.inner.predictor.fit_count for p in self._partitions)
+        )
         return registry
 
     def describe_state(self) -> Dict[str, object]:

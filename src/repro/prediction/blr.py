@@ -146,6 +146,6 @@ class BayesianLinearRegression:
         """Predictive mean only for a single feature vector.
 
         Skips the posterior-covariance contraction the variance needs —
-        hot-path callers that never read the uncertainty use this.
+        callers that never read the uncertainty use this.
         """
         return float(self.predict(np.atleast_2d(x))[0])

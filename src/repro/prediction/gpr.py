@@ -17,25 +17,35 @@ Williams, *Gaussian Processes for Machine Learning*, Alg. 2.1 and
 Eq. 5.9).  The pairwise squared distances are computed once per
 :meth:`~GaussianProcessRegression.fit` and handed to every L-BFGS-B
 evaluation; an evaluation factorises ``K = L Lᵀ`` (LAPACK ``potrf``),
-gets ``α = K⁻¹y`` from two triangular solves on ``L`` (``cho_solve``)
-and, for the gradient, ``K⁻¹`` from ``L`` by ``potri``.  The fitted
-model keeps the factor and ``α`` of the final hyper-parameters, and its
+gets ``α = K⁻¹y`` from two triangular solves on ``L`` (``potrs``) and,
+for the gradient, the lower triangle of ``K⁻¹`` from ``L`` by ``potri``.
+The gradient needs ``K⁻¹`` only inside three traces, so it is read from
+that triangle and ``α`` directly (see
+:meth:`~GaussianProcessRegression._nll_and_grad`); neither the mirrored
+``K⁻¹`` nor ``ααᵀ`` is ever built.  The fitted model keeps the factor
+and ``α`` of the final hyper-parameters, and its
 ``log_marginal_likelihood_`` comes from them without a second
 factorisation.  :class:`FitHealth` counts what the optimiser would
 otherwise hide: evaluations, non-positive-definite kernels (scored as
 NLL ``1e25``), iterations, and fits that stopped without converging.
 
 One-OpenBLAS rule: every factorisation and solve here goes through
-``scipy.linalg`` and none through ``numpy.linalg``.  numpy and scipy
-wheels bundle separate OpenBLAS builds (``libscipy_openblas64_`` and
-``libscipy_openblas``), each with its own thread pool.  On a 2-vCPU
+``scipy.linalg`` and none through ``numpy.linalg``, and so do the
+evidence loop's O(n²) BLAS products (``scipy.linalg.blas``).  numpy and
+scipy wheels bundle separate OpenBLAS builds (``libscipy_openblas64_``
+and ``libscipy_openblas``), each with its own thread pool.  On a 2-vCPU
 x86_64 VM (numpy 2.4.6, scipy 1.17.1, OpenBLAS 0.3.31) with the BLAS
 threads left at their default, the 99 refits of a 64-GPU × 100-job
 flat-ONES replay took 17–19 s with the LU-based loop this one replaced,
-2.1–2.2 s with this loop, and 27–30 s with this loop but
-``numpy.linalg.cholesky`` in place of LAPACK ``potrf``.  Pinned to one
-thread the three took 5.1–5.7 s, 1.7–2.3 s and 1.8–2.1 s, so mixing the
-two libraries costs time only when their thread pools are live.
+2.1–2.2 s with this loop (while its gradient still built the full
+``K⁻¹``), and 27–30 s with that loop but ``numpy.linalg.cholesky`` in
+place of LAPACK ``potrf``.  Pinned to one thread the three took
+5.1–5.7 s, 1.7–2.3 s and 1.8–2.1 s, so mixing the two libraries costs
+time only when their thread pools are live.  The same holds for
+products: one evaluation at n = 128, ``potrf`` and ``potri`` included,
+took ≈9.7 ms unpinned with numpy's ``vdot`` and ``@`` for the
+gradient's two O(n²) products and ≈0.48 ms with scipy's ``ddot`` and
+``dgemv`` (≈0.32 and 0.30 ms pinned); the results are bit-identical.
 
 Only numpy/scipy are used; no external ML framework is required.
 """
@@ -47,8 +57,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 from scipy import optimize
-from scipy.linalg import LinAlgError, cho_solve, solve_triangular
-from scipy.linalg.lapack import dpotrf, dpotri
+from scipy.linalg import LinAlgError, solve_triangular
+from scipy.linalg.blas import ddot, dgemv
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 from repro.utils.validation import check_positive, check_positive_int
 
@@ -80,14 +91,20 @@ def rbf_kernel(
 
 
 def _cholesky(K: np.ndarray) -> Optional[np.ndarray]:
-    """Lower Cholesky factor of ``K``, or ``None`` if ``K`` is not positive definite."""
+    """Lower Cholesky factor of ``K``, or ``None`` if ``K`` is not positive definite.
+
+    The factor's strict upper triangle is exactly zero (``clean=1``);
+    ``potri`` leaves it so, which the evidence gradient's traces rely on.
+    """
     L, info = dpotrf(K, lower=1, clean=1)
     return L if info == 0 else None
 
 
 def _posterior(L: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, float]:
     """``(α, nll)`` of targets ``y`` under the kernel factor ``L`` (Alg. 2.1)."""
-    alpha = cho_solve((L, True), y, check_finite=False)
+    alpha, info = dpotrs(L, y, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
     nll = (
         0.5 * float(y @ alpha)
         + float(np.sum(np.log(np.diag(L))))
@@ -193,8 +210,8 @@ class GaussianProcessRegression:
     ) -> Optional[Tuple[float, np.ndarray, np.ndarray, np.ndarray]]:
         """One counted objective evaluation: :meth:`_evidence` in log-space.
 
-        Shared by :meth:`_nll_value` and :meth:`_nll_and_grad`, so the
-        value one returns is *structurally* the value the other does.
+        :meth:`_nll_and_grad` builds on it; the counters in
+        :attr:`health` are bumped here, once per evaluation.
         """
         self.health.nll_evaluations += 1
         terms = self._evidence(np.exp(log_params), sq_dists, y)
@@ -207,45 +224,55 @@ class GaussianProcessRegression:
     ) -> Tuple[float, np.ndarray]:
         """Negative log marginal likelihood and its gradient in log-space.
 
-        ``sq_dists`` are the training points' pairwise squared distances,
-        used for both the kernel and the length-scale gradient (recovering
-        them from the kernel would lose every pair whose kernel value
-        underflowed).  ``K⁻¹`` for the gradient comes from the factor by
-        LAPACK ``potri``, which fills only the lower triangle.
+        ``sq_dists`` (``D``) are the training points' pairwise squared
+        distances, used for both the kernel and the length-scale gradient
+        (recovering them from the kernel would lose every pair whose
+        kernel value underflowed).
+
+        Eq. 5.9 gives ``∂NLL/∂θ = −½ tr((ααᵀ − K⁻¹) ∂K/∂θ)``.  With
+        ``s = noise + jitter``, ``K = K_rbf + s·I``, ``a = αᵀα``,
+        ``E = K_rbf ∘ D`` and ``P`` the lower triangle of ``K⁻¹`` that
+        ``potri`` writes over the (cleaned) factor, so ``t = tr P``:
+
+        * signal: ``∂K = K_rbf``; since ``Kα = y``,
+          ``αᵀK_rbfα = αᵀy − s·a`` and ``tr(K⁻¹K_rbf) = n − s·t``;
+        * length: ``∂K = E / ℓ²``; ``Σ K⁻¹∘E = 2·Σ P∘E − diag P · diag E``
+          because both matrices are symmetric;
+        * noise: ``∂K = noise·I``, so the trace is ``noise·(a − t)``.
+
+        No ``n × n`` matrix beyond ``E`` is formed.  A kernel that is not
+        positive definite scores ``(1e25, 0)``.
         """
         terms = self._nll_terms(log_params, sq_dists, y)
         if terms is None:
             return 1e25, np.zeros(3)
         nll, L, alpha, K_rbf = terms
-        K_inv, info = dpotri(L, lower=1)
+        # L is this evaluation's own factor: potri may overwrite it.
+        P, info = dpotri(L, lower=1, overwrite_c=1)
         if info != 0:  # a zero pivot: K is singular after all
             self.health.non_pd_evaluations += 1
             return 1e25, np.zeros(3)
-        K_inv += np.tril(K_inv, -1).T
         _, length, noise = np.exp(log_params)
-        # Gradients: dNLL/dθ = -0.5 tr((αα^T - K^{-1}) dK/dθ)
-        outer = np.outer(alpha, alpha) - K_inv
-        dK_dsignal = K_rbf  # d/d log(signal) since K ∝ signal
-        dK_dlength = K_rbf * sq_dists / (length**2)  # d/d log(length)
+        s = noise + self.jitter
+        a = float(alpha @ alpha)
+        t = float(np.trace(P))
+        E = K_rbf * sq_dists
+        # P is Fortran-ordered, so P.T flattens without a copy; E is
+        # symmetric, so Σ Pᵀ∘E = Σ P∘E.  The two O(n²) products go
+        # through scipy's BLAS (the one-OpenBLAS rule): numpy's ``@`` and
+        # ``vdot`` on n = 128 wake numpy's own thread pool.
+        inv_dot_E = 2.0 * float(ddot(P.T.ravel(), E.ravel())) - float(
+            np.diagonal(P) @ np.diagonal(E)
+        )
+        E_alpha = dgemv(1.0, E.T, alpha, trans=1)  # E @ alpha
         grad = -0.5 * np.array(
             [
-                float(np.sum(outer * dK_dsignal)),
-                float(np.sum(outer * dK_dlength)),
-                noise * float(np.trace(outer)),  # dK/d log(noise) = noise·I
+                (float(y @ alpha) - s * a) - (y.shape[0] - s * t),
+                (float(alpha @ E_alpha) - inv_dot_E) / length**2,
+                noise * (a - t),
             ]
         )
         return nll, grad
-
-    def _nll_value(
-        self, log_params: np.ndarray, sq_dists: np.ndarray, y: np.ndarray
-    ) -> float:
-        """Negative log marginal likelihood only (no O(n³) gradient terms).
-
-        Exactly the value :meth:`_nll_and_grad` returns (same code path)
-        minus the ``K⁻¹`` computation the gradient needs.
-        """
-        terms = self._nll_terms(log_params, sq_dists, y)
-        return 1e25 if terms is None else terms[0]
 
     # -- fitting --------------------------------------------------------------------------
 
@@ -350,8 +377,8 @@ class GaussianProcessRegression:
         """Predictive mean only for a single feature vector.
 
         Skips the triangular solve the predictive variance needs — the
-        mean is one kernel row times the cached ``alpha`` — so hot-path
-        callers that never look at the uncertainty (the per-event Beta
-        progress distributions) do O(n·d) work instead of O(n²).
+        mean is one kernel row times the cached ``alpha`` — so callers
+        that never look at the uncertainty (the Fig. 6 prediction curve)
+        do O(n·d) work instead of O(n²).
         """
         return float(self.predict(np.atleast_2d(x))[0])

@@ -10,13 +10,21 @@ where ``f`` is a regression model (Gaussian-process or Bayesian linear)
 over the observable features of footnote 1, re-fitted every time a job
 completes.  From a progress value ρ the remaining workload follows
 Eq. 7: ``Y = Y_processed (1/ρ − 1)``.
+
+A scheduling decision needs ``β_j`` for every active job at once, so
+:meth:`ProgressPredictor.progress_distributions` stacks their feature
+rows, standardises them in one :meth:`FeatureScaler.transform` and asks
+the model for all predictive means in one ``predict`` call.  The
+one-job queries (:meth:`~ProgressPredictor.progress_distribution`,
+:meth:`~ProgressPredictor.mean_epochs_remaining`) are one-row batches
+of the same path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, Literal, Optional, Tuple
+from typing import Dict, List, Literal, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -132,28 +140,47 @@ class ProgressPredictor:
         mean, std = self._model.predict_one(x)
         return float(max(mean, 0.0)), float(max(std, 0.0))
 
+    def _means_remaining(self, jobs: Sequence[Job]) -> List[float]:
+        """Predictive means of the epochs each job still needs, in one batch.
+
+        One ``transform`` and one mean-only ``predict`` for the stacked
+        feature rows; a one-job batch is exactly the arithmetic of a
+        single-row ``predict``.  Before any fit every job gets the prior.
+        """
+        if not self._fitted:
+            return [float(self.config.prior_epochs_remaining)] * len(jobs)
+        X = self._scaler.transform(np.array([job_features(job) for job in jobs]))
+        return [max(float(mean), 0.0) for mean in self._model.predict(X)]
+
     def mean_epochs_remaining(self, job: Job) -> float:
         """Predictive mean of the epochs the job still needs.
 
         The uncertainty-free sibling of :meth:`predict_epochs_remaining`:
         identical mean (same kernel row, same ``alpha``), but skips the
-        O(n²) variance solve — this is what the per-event Beta progress
-        distributions call.
+        O(n²) variance solve.  It is a one-job batch of the path
+        :meth:`progress_distributions` takes for a whole decision.
         """
-        if not self._fitted:
-            return float(self.config.prior_epochs_remaining)
-        x = self._scaler.transform(job_features(job))
-        return float(max(self._model.predict_mean_one(x), 0.0))
+        return self._means_remaining([job])[0]
 
     def progress_distribution(self, job: Job) -> BetaDistribution:
         """The Beta distribution of the job's training progress (Eq. 6)."""
-        alpha = max(1.0, job.processed_epochs())
-        beta = max(1.0, self.mean_epochs_remaining(job))
-        return BetaDistribution(alpha=alpha, beta=beta)
+        return self.progress_distributions({job.job_id: job})[job.job_id]
 
     def progress_distributions(self, jobs: Dict[str, Job]) -> Dict[str, BetaDistribution]:
-        """Progress distributions for a collection of jobs keyed by job id."""
-        return {job_id: self.progress_distribution(job) for job_id, job in jobs.items()}
+        """Progress distributions (Eq. 6) for jobs keyed by job id.
+
+        ``α_j`` comes from each job's processed epochs and ``β_j`` from
+        one batched prediction over all of them (:meth:`_means_remaining`).
+        """
+        if not jobs:
+            return {}
+        means = self._means_remaining(list(jobs.values()))
+        return {
+            job_id: BetaDistribution(
+                alpha=max(1.0, job.processed_epochs()), beta=max(1.0, mean)
+            )
+            for (job_id, job), mean in zip(jobs.items(), means)
+        }
 
     # -- remaining workload / time (Eq. 5 and 7) ----------------------------------------------
 

@@ -58,15 +58,17 @@ class TestContext:
         }
         jobs["job-1"].start_running(0.0, gpu_ids=[0], local_batches=[64])
         jobs["job-1"].advance(2000, 10.0)
-        predicted = []
-        original = scheduler.predictor.progress_distribution
+        batches = []
+        original = scheduler.predictor.progress_distributions
         monkeypatch.setattr(
             scheduler.predictor,
-            "progress_distribution",
-            lambda job: predicted.append(job.job_id) or original(job),
+            "progress_distributions",
+            lambda batch: batches.append(list(batch)) or original(batch),
         )
         ctx = scheduler._build_context(_state(jobs, topology, now=10.0))
-        assert sorted(predicted) == sorted(jobs)
+        # One batched prediction per decision, covering every active job.
+        assert len(batches) == 1
+        assert sorted(batches[0]) == sorted(jobs)
         for job_id, job in jobs.items():
             assert ctx.remaining_workload[job_id] == scheduler.predictor.remaining_workload(job)
 

@@ -216,6 +216,8 @@ class TestReconcilerProperties:
         ]
         assert summary["predictor_nll_evaluations"] == sum(evaluations) > 0
         assert summary["predictor_non_pd_evaluations"] == 0
+        fits = [p.inner.predictor.fit_count for p in scheduler._partitions]
+        assert summary["predictor_fits"] == sum(fits) > 0
 
     def test_parallel_workers_bit_identical_to_sequential(self):
         sequential, _, seq_result = self._run_recorded(_trace(num_jobs=6))

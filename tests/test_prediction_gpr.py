@@ -7,9 +7,12 @@ import pytest
 
 from repro.experiments.backends import simulate_trace
 from repro.experiments.registry import create_scheduler
+from repro.prediction import gpr
+from repro.prediction.features import FeatureScaler
 from repro.prediction.gpr import (
     FitHealth,
     GaussianProcessRegression,
+    _cholesky,
     rbf_kernel,
     squared_distances,
 )
@@ -120,19 +123,10 @@ class TestNLLGradient:
         for i in range(3):
             bump = np.zeros(3)
             bump[i] = eps
-            hi = model._nll_value(log_params + bump, sq_dists, y)
-            lo = model._nll_value(log_params - bump, sq_dists, y)
+            hi = model._nll_and_grad(log_params + bump, sq_dists, y)[0]
+            lo = model._nll_and_grad(log_params - bump, sq_dists, y)[0]
             numeric = (hi - lo) / (2 * eps)
             assert grad[i] == pytest.approx(numeric, rel=1e-4, abs=1e-6)
-
-    def test_nll_value_matches_nll_and_grad_value(self, smooth_data):
-        X, y = smooth_data
-        model = GaussianProcessRegression()
-        log_params = np.log([1.0, 1.0, 0.1])
-        sq_dists = squared_distances(X, X)
-        assert model._nll_value(log_params, sq_dists, y) == model._nll_and_grad(
-            log_params, sq_dists, y
-        )[0]
 
     def test_squared_distances_are_exact(self):
         a = np.array([[0.0, 0.0], [3.0, 4.0]])
@@ -210,6 +204,16 @@ class TestEvidenceKernelOracle:
                 err_msg=str(log_params),
             )
 
+    def test_cholesky_factor_has_an_exactly_zero_upper_triangle(self):
+        # The gradient reads Σ K⁻¹∘E from potri's output over the factor,
+        # which holds K⁻¹ only in its lower triangle: the strict upper
+        # triangle must be the factor's own exact zeros.
+        X, _ = _standardized_data(17, seed=0)
+        K = rbf_kernel(X, X, 1.0, 1.0) + 0.1 * np.eye(17)
+        L = _cholesky(K)
+        assert np.count_nonzero(np.triu(L, 1)) == 0
+        np.testing.assert_allclose(L @ L.T, K, rtol=1e-12, atol=1e-12)
+
     def test_no_numpy_linalg_on_any_path(self, monkeypatch):
         # numpy and scipy bundle separate OpenBLAS builds; mixing them in
         # one loop made unpinned refits slower than the LU kernel.
@@ -223,6 +227,26 @@ class TestEvidenceKernelOracle:
         assert model.health.nll_evaluations > 0
         mean, std = model.predict(X, return_std=True)
         assert np.all(np.isfinite(mean)) and np.all(std > 0)
+
+    def test_gradient_products_go_through_scipy_blas(self, monkeypatch):
+        # numpy's vdot and @ on the n × n gradient terms wake numpy's own
+        # OpenBLAS pool between scipy's potrf and potri calls; with the
+        # threads unpinned that made evaluations ≈20× slower.
+        calls = []
+
+        def recorded(name, original):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            return call
+
+        for name in ("ddot", "dgemv"):
+            monkeypatch.setattr(gpr, name, recorded(name, getattr(gpr, name)))
+        X, y = _standardized_data(64, seed=0)
+        model = GaussianProcessRegression()
+        model._nll_and_grad(np.log([1.0, 1.0, 0.1]), squared_distances(X, X), y)
+        assert sorted(calls) == ["ddot", "dgemv"]
 
     def test_non_pd_kernel_scores_1e25_and_is_counted(self):
         # Four identical points with an enormous signal variance: the
@@ -255,8 +279,42 @@ class TestEvidenceKernelOracle:
             [model.signal_variance, model.length_scale, model.noise_variance]
         )
         sq_dists = squared_distances(model.X_train_, model.X_train_)
-        nll = model._nll_value(log_params, sq_dists, model.y_train_)
+        nll, _ = model._nll_and_grad(log_params, sq_dists, model.y_train_)
         assert model.log_marginal_likelihood_ == pytest.approx(-nll, rel=1e-12)
+
+
+#: Agreement required of whole fits, production against the LU oracle,
+#: on the training history of a simulated ONES run; fixed before
+#: measuring.  The two optimisers follow the same path up to rounding,
+#: so hyper-parameters may differ slightly: the log marginal likelihood
+#: (stationary at the optimum) to rtol 1e-8, and predictions to 1e-5 of
+#: the largest prediction.
+HISTORY_LML_RTOL = 1e-8
+HISTORY_PREDICT_RTOL = 1e-5
+
+
+def test_fits_on_a_simulated_history_match_lu_oracle():
+    trace = TraceGenerator(TraceConfig(num_jobs=16), seed=1).generate()
+    scheduler = create_scheduler("ONES", 1)
+    simulate_trace(scheduler, trace, num_gpus=16)
+    X, y = scheduler.predictor.history.as_arrays()
+    # More rows than a fit keeps, as in the replays: both subsample alike.
+    assert X.shape[0] > GaussianProcessRegression().max_training_points
+    X_std = FeatureScaler().fit_transform(X)
+    for random_state in range(4):
+        model = GaussianProcessRegression(random_state=random_state).fit(X_std, y)
+        oracle = LUReferenceGPR(random_state=random_state).fit(X_std, y)
+        assert np.array_equal(model.X_train_, oracle.X_train_)
+        assert model.log_marginal_likelihood_ == pytest.approx(
+            oracle.log_marginal_likelihood_, rel=HISTORY_LML_RTOL
+        )
+        reference = oracle.predict(X_std)
+        np.testing.assert_allclose(
+            model.predict(X_std),
+            reference,
+            rtol=0,
+            atol=HISTORY_PREDICT_RTOL * np.abs(reference).max(),
+        )
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])

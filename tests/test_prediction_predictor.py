@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.prediction.beta import BetaDistribution
+from repro.prediction.features import job_features
+from repro.prediction.gpr import GaussianProcessRegression, rbf_kernel
 from repro.prediction.predictor import PredictorConfig, ProgressPredictor
 from tests.conftest import make_running_job
 
@@ -143,6 +145,97 @@ class TestOnlineFitting:
         job.advance(500, 1.0)
         for _ in range(20):
             assert 0.0 < predictor.sample_progress(job) < 1.0
+
+
+def _live_jobs(count=12):
+    """Running jobs at varied dataset sizes and progress, keyed by id."""
+    jobs = {}
+    for i in range(count):
+        job = make_running_job(job_id=f"live-{i}", dataset_size=500 + 250 * i)
+        for e in range(i % 4):
+            job.advance(job.dataset_size, 2.0)
+            job.complete_epoch(2.0 * (e + 1))
+        job.advance(37 * (i + 1), 1.0)
+        jobs[job.job_id] = job
+    return jobs
+
+
+def _fitted(backend):
+    predictor = ProgressPredictor(PredictorConfig(backend=backend), seed=0)
+    for i in range(5):
+        predictor.observe_completion(
+            _completed_job(job_id=f"j{i}", epochs=6 + 2 * i, dataset_size=600 + 200 * i)
+        )
+    assert predictor.is_fitted
+    return predictor
+
+
+#: A batched mean sums its terms in another order than a one-row call
+#: (BLAS picks other kernels for other shapes), so the two may differ by
+#: rounding relative to the terms, not to their sum: GPR fits at the
+#: noise bound make the sum up to ~10⁷ times smaller than its terms.
+#: The reordering bound at n = 128 training points is n·ε ≈ 2.8e-14.
+BATCH_TERM_RTOL = 1e-12
+
+
+def _term_scale(model, X):
+    """Per row, the absolute sum of the terms of the predictive mean."""
+    if isinstance(model, GaussianProcessRegression):
+        K = rbf_kernel(X, model.X_train_, model.signal_variance, model.length_scale)
+        return np.abs(K) @ np.abs(model._alpha) * model._y_scale + abs(model._y_mean)
+    return np.abs(model._design(X)) @ np.abs(model.mean_)
+
+
+class TestBatchedPredictions:
+    @pytest.mark.parametrize("backend", ["gpr", "blr", None])
+    def test_batch_matches_per_job_distributions(self, backend):
+        predictor = ProgressPredictor(seed=0) if backend is None else _fitted(backend)
+        jobs = _live_jobs()
+        batch = predictor.progress_distributions(jobs)
+        assert list(batch) == list(jobs)
+        if backend is None:
+            tolerance = np.zeros(len(jobs))
+        else:
+            X = np.array([job_features(job) for job in jobs.values()])
+            tolerance = BATCH_TERM_RTOL * _term_scale(
+                predictor._model, predictor._scaler.transform(X)
+            )
+        for (job_id, job), atol in zip(jobs.items(), tolerance):
+            single = predictor.progress_distribution(job)
+            assert batch[job_id].alpha == single.alpha
+            assert abs(batch[job_id].beta - single.beta) <= atol
+        if backend is None:
+            prior = predictor.config.prior_epochs_remaining
+            assert {dist.beta for dist in batch.values()} == {prior}
+        else:
+            # The comparison is not vacuous: β is not the clamp everywhere.
+            assert sum(dist.beta > 1.0 for dist in batch.values()) >= len(jobs) // 2
+
+    @pytest.mark.parametrize("backend", ["gpr", "blr"])
+    def test_one_job_batch_is_the_single_row_mean(self, backend):
+        predictor = _fitted(backend)
+        for job in _live_jobs().values():
+            x = predictor._scaler.transform(job_features(job))
+            mean = max(predictor._model.predict_mean_one(x), 0.0)
+            assert predictor.mean_epochs_remaining(job) == mean
+            assert predictor.progress_distribution(job).beta == max(1.0, mean)
+
+    @pytest.mark.parametrize("backend", ["gpr", "blr", None])
+    def test_empty_batch(self, backend):
+        predictor = ProgressPredictor(seed=0) if backend is None else _fitted(backend)
+        assert predictor.progress_distributions({}) == {}
+
+    def test_one_model_predict_per_batch(self, monkeypatch):
+        predictor = _fitted("gpr")
+        calls = []
+        original = predictor._model.predict
+        monkeypatch.setattr(
+            predictor._model,
+            "predict",
+            lambda X, **kw: calls.append(np.shape(X)) or original(X, **kw),
+        )
+        predictor.progress_distributions(_live_jobs())
+        assert calls == [(12, 5)]
 
 
 class TestPredictionCurve:
