@@ -81,7 +81,8 @@ def run_traced_simulation() -> TraceRecorder:
     ).run()
     uninstall_tracer()
     print(f"simulated {len(result.completed)} jobs, makespan "
-          f"{result.makespan:.0f}s, {len(tracer)} trace records\n")
+          f"{result.makespan:.0f}s, {len(tracer)} trace records")
+    print(f"scheduler rollups: {scheduler.describe_state()}\n")
     return tracer
 
 

@@ -27,6 +27,8 @@ The package layers, bottom-up:
 
 Each subpackage's ``__init__`` only documents it: import names from the
 module that defines them, so a process loads only the layers it uses.
+This package's ``__init__`` also pins the BLAS and OpenMP thread pools
+to one thread (below), because every entry point imports it first.
 
 Quickstart
 ----------
@@ -41,5 +43,24 @@ Quickstart
 >>> {name: mean_metric(result, "jct")                # doctest: +SKIP
 ...  for name, result in sweep.results_for(16).items()}
 """
+
+import os
+
+# BLAS and OpenMP pools are sized when the library loads, and importing
+# this package is the first thing the CLI, ``python -m
+# repro.experiments.worker`` and every cell subprocess do, so the pin
+# lands before numpy or scipy load; forked pools inherit the pinned
+# parent.  A value set in the environment still wins.  Live pools
+# oversubscribe two CPUs when numpy's and scipy's OpenBLAS builds meet
+# in one GPR refit (``prediction/gpr.py``).
+for _var in (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+):
+    os.environ.setdefault(_var, "1")
 
 __version__ = "1.0.0"

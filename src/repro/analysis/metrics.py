@@ -27,11 +27,6 @@ class MetricSummary:
     stats: SummaryStats
     values: Tuple[float, ...]
 
-    @property
-    def average(self) -> float:
-        """Mean of the metric (the bar charts of Fig. 15 a/b/c)."""
-        return self.stats.mean
-
     def cdf(self, num_points: int = 200, log_space: bool = True):
         """Cumulative-frequency curve (Fig. 15 g/h/i)."""
         return cumulative_frequency(self.values, num_points=num_points, log_space=log_space)

@@ -34,11 +34,6 @@ class WilcoxonReport:
     median_difference: float
 
     @property
-    def significantly_different(self) -> bool:
-        """Two-sided test rejects equivalence at the 5% level."""
-        return self.p_two_sided < 0.05
-
-    @property
     def ours_is_smaller(self) -> bool:
         """One-sided test supports "ours < baseline" at the 5% level."""
         return self.p_one_sided_less < 0.05

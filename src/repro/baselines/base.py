@@ -23,7 +23,7 @@ import numpy as np
 from repro.cluster.allocation import Allocation
 from repro.cluster.topology import ClusterTopology
 from repro.jobs.job import EpochRecord, Job, JobStatus
-from repro.jobs.throughput import ThroughputModel, split_batch
+from repro.jobs.throughput import ThroughputModel
 from repro.scaling.overhead import ReconfigurationKind
 
 
@@ -180,16 +180,6 @@ class ClusterState:
 
     # -- throughput helpers -----------------------------------------------------------
 
-    def estimate_throughput(
-        self, job: Job, gpu_ids: Sequence[int], global_batch: int
-    ) -> float:
-        """Model-predicted throughput of ``job`` for a hypothetical config."""
-        gpu_ids = list(gpu_ids)
-        if not gpu_ids or global_batch <= 0:
-            return 0.0
-        local = split_batch(global_batch, len(gpu_ids))
-        return self.throughput_model.throughput(job.spec.model, local, gpu_ids)
-
     def observed_or_estimated_throughput(self, job: Job) -> float:
         """Measured throughput when available, model estimate otherwise."""
         if job.throughput_profile.count > 0 and job.measured_throughput > 0:
@@ -328,13 +318,6 @@ def allocation_with_job(
                 f"GPU {gpu} is already occupied by job {mapping[gpu][0]!r}"
             )
         mapping[gpu] = (job.job_id, int(batch))
-    return Allocation.from_job_map(_group_by_job(mapping))
-
-
-def allocation_without_jobs(base: Allocation, job_ids: Sequence[str]) -> Allocation:
-    """Return a copy of ``base`` with all workers of ``job_ids`` removed."""
-    drop = set(job_ids)
-    mapping = {g: w for g, w in base.as_dict().items() if w[0] not in drop}
     return Allocation.from_job_map(_group_by_job(mapping))
 
 

@@ -191,12 +191,6 @@ class DRLScheduler(SchedulerBase):
         local = user_local_batch(job)
         return allocation_with_job(state.allocation, job, gpus, [local] * size)
 
-    # -- training ------------------------------------------------------------------------------------
-
-    def reset_trajectory(self) -> None:
-        """Clear the recorded (features, action) pairs of the last episode."""
-        self.trajectory = []
-
 
 @dataclass
 class ReinforceTrainer:

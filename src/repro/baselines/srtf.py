@@ -12,14 +12,13 @@ short-job-first behaviour; it is not one of the paper's baselines.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro.baselines.base import (
     CAPABILITIES,
     ClusterState,
     SchedulerBase,
     allocation_with_job,
-    allocation_without_jobs,
     pick_gpus_packed,
     user_local_batch,
 )

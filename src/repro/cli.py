@@ -94,41 +94,11 @@ from repro.sim.simulator import SimulationConfig
 from repro.workload.replay import load_trace, save_trace, trace_statistics
 from repro.workload.trace import TraceConfig, TraceGenerator
 
-class _RegistryView:
-    """Live lowercase-name view of the scheduler registry.
-
-    Kept under the historical ``SCHEDULERS`` name for backwards
-    compatibility; reading it always reflects the *current* registry, so
-    schedulers registered after this module was imported are reachable
-    from the CLI too.
-    """
-
-    def _names(self) -> List[str]:
-        return [name.lower() for name in available_schedulers()]
-
-    def __iter__(self):
-        return iter(self._names())
-
-    def __len__(self) -> int:
-        return len(self._names())
-
-    def __contains__(self, name: object) -> bool:
-        return str(name).lower() in self._names()
-
-    def __getitem__(self, name: str):
-        canonical = resolve(name).name
-        return lambda seed: create_scheduler(canonical, seed)
-
-    def keys(self):
-        return self._names()
-
-
-#: CLI name -> seed-only scheduler factory (a live registry view).
-SCHEDULERS = _RegistryView()
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Build the top-level argument parser."""
+    # Read when the parser is built, so schedulers registered after this
+    # module was imported are reachable too.
+    schedulers = sorted(name.lower() for name in available_schedulers())
     parser = argparse.ArgumentParser(
         prog="repro-ones",
         description="Reproduction of ONES (SC'21): online evolutionary batch size orchestration.",
@@ -165,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(open in Perfetto / chrome://tracing)")
 
     run = sub.add_parser("run", help="run one scheduler over a trace")
-    run.add_argument("--scheduler", choices=sorted(SCHEDULERS), default="ones")
+    run.add_argument("--scheduler", choices=schedulers, default="ones")
     run.add_argument("--gpus", type=int, default=64, help="cluster size (multiple of 4)")
     run.add_argument("--jobs", type=int, default=50, help="trace size when generating")
     run.add_argument("--arrival-interval", type=float, default=30.0)
@@ -185,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare = sub.add_parser("compare", help="compare ONES against the paper baselines")
     compare.add_argument("--schedulers", "--scheduler", nargs="+",
-                         choices=sorted(SCHEDULERS),
+                         choices=schedulers,
                          default=None, metavar="NAME",
                          help="registry names to compare (default: the paper's four)")
     compare.add_argument("--gpus", type=int, default=64)
@@ -208,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="scalability sweep over cluster capacities")
     sweep.add_argument("--capacities", type=int, nargs="+", default=[16, 32, 48, 64])
-    sweep.add_argument("--schedulers", nargs="+", choices=sorted(SCHEDULERS),
+    sweep.add_argument("--schedulers", nargs="+", choices=schedulers,
                        default=None, metavar="NAME",
                        help="registry names to compare (default: the paper's four)")
     sweep.add_argument("--jobs", type=int, default=50)
@@ -283,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "second. Stop with SIGTERM/SIGINT (clean exit) or the "
                     "client's shutdown op.",
     )
-    serve.add_argument("--scheduler", choices=sorted(SCHEDULERS), default="ones")
+    serve.add_argument("--scheduler", choices=schedulers, default="ones")
     serve.add_argument("--gpus", type=int, default=64, help="cluster size (multiple of 4)")
     serve.add_argument("--seed", type=int, default=2021)
     serve.add_argument("--host", default="127.0.0.1")
@@ -593,15 +563,22 @@ def _make_runner(args) -> Runner:
                   lease_ttl=args.lease_ttl)
 
 
-def _report_failed_cells(sweep) -> int:
-    """Failure gate of ``compare``/``sweep``: dead cells => table + exit 1.
+def _finish_grid(args, sweep) -> int:
+    """The shared end of ``compare`` and ``sweep``; returns the exit code.
 
-    A queue sweep never raises on a poisoned cell — it finishes the grid
-    and hands back placeholders — so partial success must be loud here
-    instead: print one row per dead cell and make the process exit
-    non-zero.
+    A complete grid prints its recovery tables (faulted grids) and
+    ``--profile`` tables.  ``--output-dir`` then gets the sweep artifact
+    and report.  A grid with dead cells (a queue sweep never raises on a
+    poisoned cell; it finishes with placeholders) prints one row per dead
+    cell and exits 1, so partial success is never silent.
     """
     dead = sweep.dead_runs()
+    if not dead:
+        _print_recovery_summary(sweep)
+        if args.profile:
+            _print_profile_summary(sweep)
+    if args.output_dir:
+        _persist_sweep(sweep, args.output_dir)
     if not dead:
         return 0
     print()
@@ -747,7 +724,7 @@ def _run_grid(runner: Runner, spec: ExperimentSpec, resume: bool):
     The serial/process backends raise on a cell that exhausts its retry
     budget; rather than a traceback, print what failed and exit non-zero
     (the queue backend instead finishes the grid with dead placeholders,
-    reported by :func:`_report_failed_cells`).
+    reported by :func:`_finish_grid`).
     """
     try:
         return runner.run(spec, resume=resume)
@@ -772,9 +749,7 @@ def cmd_compare(args) -> int:
         _export_cli_trace(args.trace_out)
     print(f"[runner] {runner.stats.describe()} ({runner.backend.name} backend)")
     if sweep.dead_runs():
-        if args.output_dir:
-            _persist_sweep(sweep, args.output_dir)
-        return _report_failed_cells(sweep)
+        return _finish_grid(args, sweep)
     results = sweep.results_for()
     charts = []
     for metric, heading in (
@@ -804,12 +779,7 @@ def cmd_compare(args) -> int:
         from repro.experiments.report import write_comparison_report
 
         print(f"markdown report written to {write_comparison_report(sweep, args.report)}")
-    _print_recovery_summary(sweep)
-    if args.profile:
-        _print_profile_summary(sweep)
-    if args.output_dir:
-        _persist_sweep(sweep, args.output_dir)
-    return 0
+    return _finish_grid(args, sweep)
 
 
 def cmd_sweep(args) -> int:
@@ -818,9 +788,7 @@ def cmd_sweep(args) -> int:
     sweep = _run_grid(runner, spec, args.resume)
     print(f"[runner] {runner.stats.describe()} ({runner.backend.name} backend)")
     if sweep.dead_runs():
-        if args.output_dir:
-            _persist_sweep(sweep, args.output_dir)
-        return _report_failed_cells(sweep)
+        return _finish_grid(args, sweep)
     capacities = sorted(spec.capacities)
     averages = sweep.mean_metric_table("jct")
     series: Dict[str, List[float]] = {
@@ -828,24 +796,6 @@ def cmd_sweep(args) -> int:
     }
     print("Average JCT (s) vs cluster capacity (Fig. 17)")
     print(ascii_series(capacities, series, x_label="# GPUs"))
-    if len(spec.option_axis) > 1:
-        # A --partition-sizes grid: break the hierarchical scheduler's
-        # numbers out per shard size (the table above averages over them).
-        rows = []
-        for run in sweep.runs:
-            size = run.spec.scheduler_options.get("partition_size")
-            if run.spec.scheduler != "ONES-hier" or size is None:
-                continue
-            rows.append({
-                "partition_size": int(size),
-                "gpus": run.spec.num_gpus,
-                "seed": run.spec.seed,
-                "avg_jct": round(run.average_jct, 1),
-            })
-        if rows:
-            print()
-            print("ONES-hier average JCT per partition size")
-            print(format_table(sorted(rows, key=lambda r: (r["partition_size"], r["gpus"], r["seed"]))))
     if "ONES" in spec.schedulers:
         relative = sweep.relative_to("ONES", "jct")
         rel_series = {
@@ -862,12 +812,7 @@ def cmd_sweep(args) -> int:
         else:
             args.json.write_text(sweep.to_json() + "\n")
             print(f"sweep artifact written to {args.json}")
-    _print_recovery_summary(sweep)
-    if args.profile:
-        _print_profile_summary(sweep)
-    if args.output_dir:
-        _persist_sweep(sweep, args.output_dir)
-    return 0
+    return _finish_grid(args, sweep)
 
 
 def _persist_sweep(sweep, output_dir: Path) -> None:
@@ -942,25 +887,30 @@ def _parse_tenant_flag(raw: str):
     return TenantQuota(**kwargs)
 
 
+def _port(args) -> int:
+    """``--port``, or the service's default port when it is not given."""
+    from repro.service.http import DEFAULT_PORT
+
+    return args.port if args.port is not None else DEFAULT_PORT
+
+
 def cmd_serve(args) -> int:
-    from repro.experiments.registry import resolve as _resolve
-    from repro.service.http import DEFAULT_PORT, run_server
+    from repro.service.http import run_server
     from repro.service.schemas import ServiceConfig
 
     config = ServiceConfig(
         num_gpus=args.gpus,
-        scheduler=_resolve(args.scheduler).name,
+        scheduler=resolve(args.scheduler).name,
         seed=args.seed,
         mode=args.mode,
         time_scale=args.time_scale,
         max_time=args.max_time,
         tenants=tuple(_parse_tenant_flag(raw) for raw in (args.tenant or [])),
     )
-    port = args.port if args.port is not None else DEFAULT_PORT
     if args.trace_out:
         _install_cli_tracer()
     try:
-        return run_server(config, host=args.host, port=port)
+        return run_server(config, host=args.host, port=_port(args))
     finally:
         if args.trace_out:
             _export_cli_trace(args.trace_out)
@@ -969,11 +919,10 @@ def cmd_serve(args) -> int:
 def cmd_submit(args) -> int:
     import json as _json
 
-    from repro.service.http import DEFAULT_PORT, ServiceClient
+    from repro.service.http import ServiceClient
     from repro.service.schemas import JobSubmission
     from repro.workload.arrivals import ArrivalConfig
 
-    port = args.port if args.port is not None else DEFAULT_PORT
     base = dict(
         tenant=args.tenant,
         job_type=args.job_type,
@@ -984,7 +933,7 @@ def cmd_submit(args) -> int:
     )
     if args.count < 1:
         raise SystemExit("--count must be >= 1")
-    with ServiceClient(args.host, port) as client:
+    with ServiceClient(args.host, _port(args)) as client:
         if args.count == 1:
             submissions = [JobSubmission(arrival_time=args.at, **base)]
         else:
@@ -1028,10 +977,9 @@ def cmd_submit(args) -> int:
 def cmd_service_status(args) -> int:
     import json as _json
 
-    from repro.service.http import DEFAULT_PORT, ServiceClient
+    from repro.service.http import ServiceClient
 
-    port = args.port if args.port is not None else DEFAULT_PORT
-    with ServiceClient(args.host, port) as client:
+    with ServiceClient(args.host, _port(args)) as client:
         status = client.status()
         metrics = client.metrics() if args.metrics else None
         summary = client.drain() if args.drain else None

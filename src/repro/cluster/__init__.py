@@ -9,7 +9,7 @@ nodes.  This subpackage provides the simulated equivalent:
   and GPUs with intra-/inter-node bandwidths (a star around one switch).
 * :mod:`repro.cluster.allocation` — a concrete assignment of GPU workers
   (with local batch sizes) to jobs.
-* :mod:`repro.cluster.placement` — locality/fragmentation measures and
-  worker-packing helpers used by the reorder operator.
+* :mod:`repro.cluster.placement` — the placement-locality score
+  Gandiva's migration rule reads.
 * :mod:`repro.cluster.events` — the discrete-event queue.
 """

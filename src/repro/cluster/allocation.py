@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -45,12 +44,6 @@ class JobConfig:
     def num_gpus(self) -> int:
         """Number of GPUs allocated to the job (``c_j`` in the paper)."""
         return len(self.gpu_ids)
-
-    @property
-    def global_batch(self) -> int:
-        """Global batch size (``B_j = Σ_i b_j^i``, Eq. 2)."""
-        return int(sum(self.local_batches))
-
 
 class Allocation:
     """An immutable assignment of jobs (with local batch sizes) to GPUs.
@@ -117,10 +110,6 @@ class Allocation:
             self._by_job = index
         return index
 
-    def worker_on(self, gpu_id: int) -> Optional[WorkerAssignment]:
-        """The worker on ``gpu_id`` or ``None`` if the GPU is idle."""
-        return self._assignments.get(int(gpu_id))
-
     def gpus_of(self, job_id: str) -> List[int]:
         """GPU ids allocated to ``job_id`` (sorted)."""
         return list(self._job_index().get(job_id, ()))
@@ -135,17 +124,6 @@ class Allocation:
             gpu_ids=tuple(gpus),
             local_batches=tuple(self._assignments[g].local_batch for g in gpus),
         )
-
-    def global_batch(self, job_id: str) -> int:
-        """Global batch size of ``job_id`` (0 if not placed)."""
-        return sum(
-            self._assignments[g].local_batch
-            for g in self._job_index().get(job_id, ())
-        )
-
-    def num_gpus(self, job_id: str) -> int:
-        """Number of GPUs allocated to ``job_id`` (0 if not placed)."""
-        return len(self._job_index().get(job_id, ()))
 
     def jobs(self) -> Set[str]:
         """Ids of all jobs with at least one worker."""
@@ -177,10 +155,6 @@ class Allocation:
         """
         return dict(self._assignments)
 
-    def job_configs(self) -> Dict[str, JobConfig]:
-        """All per-job configurations keyed by job id."""
-        return {job_id: self.config_of(job_id) for job_id in self.jobs()}
-
     # -- comparisons --------------------------------------------------------------
 
     def changed_jobs(self, other: "Allocation") -> Set[str]:
@@ -202,16 +176,6 @@ class Allocation:
             return NotImplemented
         return self._assignments == other._assignments
 
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self.as_dict().items())))
-
-    def __len__(self) -> int:
-        return len(self._assignments)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        jobs = {j: (self.num_gpus(j), self.global_batch(j)) for j in sorted(self.jobs())}
-        return f"Allocation(used_gpus={len(self)}, jobs={jobs})"
-
     # -- validation ---------------------------------------------------------------
 
     def validate(self, num_gpus: int, max_local_batch: Mapping[str, int] | None = None) -> None:
@@ -232,9 +196,3 @@ class Allocation:
                         f"job {worker.job_id!r} local batch {worker.local_batch} "
                         f"exceeds its device limit {limit}"
                     )
-
-    def utilization(self, num_gpus: int) -> float:
-        """Fraction of the cluster's GPUs that are busy."""
-        if num_gpus <= 0:
-            raise ValueError("num_gpus must be positive")
-        return len(self._assignments) / float(num_gpus)

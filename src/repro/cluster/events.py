@@ -17,7 +17,7 @@ import enum
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 
 class EventKind(enum.IntEnum):
@@ -102,12 +102,3 @@ class EventQueue:
 
     def __bool__(self) -> bool:
         return self._size > 0
-
-    def __iter__(self) -> Iterator[Event]:
-        """Iterate over pending events in time order (non-destructive)."""
-        return (item[3] for item in sorted(self._heap))
-
-    def clear(self) -> None:
-        """Drop all pending events."""
-        self._heap.clear()
-        self._size = 0

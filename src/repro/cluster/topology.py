@@ -109,16 +109,6 @@ class ClusterTopology:
 
     # -- bandwidth queries ------------------------------------------------------
 
-    def link_bandwidth(self, node_a: int, node_b: int) -> float:
-        """Bottleneck bandwidth of the path between two servers (bytes/s).
-
-        Within the same server this is the NVLink bandwidth; across servers
-        it is the slower of the two uplinks on the switch path.
-        """
-        if node_a == node_b:
-            return self._node_spec.intra_node_bandwidth
-        return min(self._uplink[node_a], self._uplink[node_b])
-
     def ring_bandwidth(self, gpu_ids: Sequence[int]) -> float:
         """Bottleneck bandwidth of an all-reduce ring over ``gpu_ids``.
 
@@ -167,13 +157,6 @@ class ClusterTopology:
             "intra_node_bandwidth": self._node_spec.intra_node_bandwidth,
             "inter_node_bandwidth": self._node_spec.inter_node_bandwidth,
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ClusterTopology(nodes={self._num_nodes}, "
-            f"gpus={self.num_gpus}, gpu={self.gpu_spec.name})"
-        )
-
 
 def make_longhorn_cluster(num_gpus: int = 64) -> ClusterTopology:
     """Build a Longhorn-like cluster with ``num_gpus`` V100 GPUs.

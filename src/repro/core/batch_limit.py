@@ -102,12 +102,6 @@ class BatchSizeLimiter:
 
     # -- limits -----------------------------------------------------------------------------------
 
-    def limit(self, job_id: str) -> int:
-        """Current limit ``R_j`` (raises if the job was never registered)."""
-        if job_id not in self._limits:
-            raise KeyError(f"job {job_id!r} has no registered batch-size limit")
-        return self._limits[job_id]
-
     def limits(self) -> Dict[str, int]:
         """Snapshot of all tracked limits."""
         return dict(self._limits)

@@ -124,15 +124,6 @@ class EvolutionarySearch:
     # -- population views -----------------------------------------------------------------------
 
     @property
-    def genomes(self) -> Optional[np.ndarray]:
-        """The current population's genome matrix (``None`` before the first step).
-
-        Rows index the roster of the last :meth:`step`; the matrix is the
-        search's own, so treat it as read-only.
-        """
-        return self._genomes
-
-    @property
     def population_size(self) -> int:
         """Current population size (rows of the genome matrix)."""
         if self._genomes is None:

@@ -29,7 +29,7 @@ from repro.jobs.throughput import derive_global_batch, split_batch
 IDLE = -1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Schedule:
     """An immutable candidate schedule over a fixed job roster.
 
@@ -87,25 +87,6 @@ class Schedule:
         return schedule
 
     @classmethod
-    def empty(cls, roster: Sequence[str], num_gpus: int) -> "Schedule":
-        """A schedule with every GPU idle."""
-        return cls(roster=tuple(roster), genome=np.full(num_gpus, IDLE, dtype=np.int64))
-
-    @classmethod
-    def from_assignment(
-        cls, roster: Sequence[str], num_gpus: int, assignment: Mapping[int, str]
-    ) -> "Schedule":
-        """Build from ``{gpu_id: job_id}``."""
-        roster = tuple(roster)
-        index = {job_id: i for i, job_id in enumerate(roster)}
-        genome = np.full(num_gpus, IDLE, dtype=np.int64)
-        for gpu, job_id in assignment.items():
-            if job_id not in index:
-                raise KeyError(f"job {job_id!r} is not in the roster")
-            genome[int(gpu)] = index[job_id]
-        return cls(roster=roster, genome=genome)
-
-    @classmethod
     def from_allocation(
         cls, roster: Sequence[str], num_gpus: int, allocation: Allocation
     ) -> "Schedule":
@@ -142,15 +123,6 @@ class Schedule:
             return 0
         return int(np.count_nonzero(self.genome == idx))
 
-    def gpu_counts(self) -> Dict[str, int]:
-        """GPU counts of every placed job."""
-        counts = np.bincount(
-            self.genome[self.genome != IDLE], minlength=len(self.roster)
-        )
-        return {
-            self.roster[i]: int(counts[i]) for i in range(len(self.roster)) if counts[i]
-        }
-
     def gpus_of(self, job_id: str) -> List[int]:
         """GPU ids assigned to ``job_id`` (ascending)."""
         try:
@@ -163,15 +135,6 @@ class Schedule:
         """Ids of jobs holding at least one GPU, in roster order."""
         present = np.unique(self.genome[self.genome != IDLE])
         return [self.roster[int(i)] for i in present]
-
-    def idle_gpus(self) -> List[int]:
-        """Ids of idle GPUs."""
-        return [int(g) for g in np.nonzero(self.genome == IDLE)[0]]
-
-    def waiting_jobs(self) -> List[str]:
-        """Roster jobs with no GPU in this candidate."""
-        placed = set(self.placed_jobs())
-        return [job_id for job_id in self.roster if job_id not in placed]
 
     # -- batch-size derivation ------------------------------------------------------------------
 
@@ -205,10 +168,6 @@ class Schedule:
 
     # -- genome manipulation helpers ----------------------------------------------------------------
 
-    def with_genome(self, genome: np.ndarray) -> "Schedule":
-        """A copy of this schedule with a different genome (same roster)."""
-        return Schedule(roster=self.roster, genome=np.array(genome, dtype=np.int64))
-
     def reindexed(self, new_roster: Sequence[str]) -> "Schedule":
         """Re-express the genome over ``new_roster``; missing jobs become idle."""
         new_roster = tuple(new_roster)
@@ -219,18 +178,3 @@ class Schedule:
             if job_id is not None and job_id in mapping:
                 genome[gpu] = mapping[job_id]
         return Schedule(roster=new_roster, genome=genome)
-
-    def key(self) -> Tuple[int, ...]:
-        """Hashable genome key used for de-duplication inside a population."""
-        return tuple(int(v) for v in self.genome)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Schedule):
-            return NotImplemented
-        return self.roster == other.roster and np.array_equal(self.genome, other.genome)
-
-    def __hash__(self) -> int:
-        return hash((self.roster, self.key()))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Schedule(jobs={self.gpu_counts()}, idle={len(self.idle_gpus())})"

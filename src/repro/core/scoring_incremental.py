@@ -115,10 +115,6 @@ class ScoreDecomposition:
     node_of: np.ndarray
 
     @property
-    def num_candidates(self) -> int:
-        return int(self.counts.shape[0])
-
-    @property
     def num_jobs(self) -> int:
         return int(self.counts.shape[1])
 
@@ -161,17 +157,6 @@ class ScoreDecomposition:
         self.counts[rows] = sub.counts
         self.crosses[rows] = sub.crosses
         self.sole_node[rows] = sub.sole_node
-
-    # -- verification ---------------------------------------------------------------------------
-
-    def matches(self, genomes: np.ndarray) -> bool:
-        """True when the cache equals a from-scratch rebuild (test hook)."""
-        fresh = build_decomposition(np.asarray(genomes), self.num_jobs, self.node_of)
-        return (
-            np.array_equal(self.counts, fresh.counts)
-            and np.array_equal(self.crosses, fresh.crosses)
-            and np.array_equal(self.sole_node, fresh.sole_node)
-        )
 
 
 def build_decomposition(

@@ -22,12 +22,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.analysis.metrics import mean_metric
 from repro.experiments.spec import SCHEMA_VERSION, ExperimentSpec, RunSpec
+from repro.faults.config import FaultConfig
 from repro.sim.simulator import SimulationResult
 from repro.sim.telemetry import summarize_run
+from repro.workload.trace import TraceConfig
 
 PathLike = Union[str, Path]
 
@@ -76,16 +78,6 @@ class RunArtifact:
     def is_dead(self) -> bool:
         """Whether this is a dead-cell placeholder (no simulation ran)."""
         return self.error is not None
-
-    @property
-    def scheduler_name(self) -> str:
-        """The scheduler's human-readable name (``SchedulerBase.name``)."""
-        return self.result.scheduler_name
-
-    @property
-    def average_jct(self) -> float:
-        """Mean job completion time over completed jobs."""
-        return self.result.average_jct
 
     def mean(self, metric: str = "jct") -> float:
         """Mean of one per-job metric (``jct`` / ``execution_time`` / ``queuing_time``)."""
@@ -178,38 +170,56 @@ class SweepArtifact:
     spec: ExperimentSpec
     runs: List[RunArtifact] = field(default_factory=list)
 
-    def __len__(self) -> int:
-        return len(self.runs)
-
-    def __iter__(self) -> Iterator[RunArtifact]:
-        return iter(self.runs)
-
     def dead_runs(self) -> List[RunArtifact]:
         """The dead-cell placeholders of this sweep (empty when all ran)."""
         return [run for run in self.runs if run is not None and run.is_dead]
 
     # -- cell lookup --------------------------------------------------------------------
 
-    def _index(self) -> Dict[tuple, RunArtifact]:
-        """One O(runs) pass building ``(scheduler, capacity, seed, trace, faults) -> artifact``.
+    def _index(self) -> Dict[str, RunArtifact]:
+        """``cell key -> artifact``; cells are identified by :meth:`RunSpec.cell_key`.
 
         Built per call (the ``runs`` list is mutable) so aggregations over
-        large grids stay linear instead of scanning once per cell.  The
-        final key component is the cell's
-        :class:`~repro.faults.config.FaultConfig` (``None`` for the
-        zero-fault grid), so faulted cells and their clean twins never
-        collide.
+        large grids stay linear instead of scanning once per cell.
         """
-        return {
-            (
-                run.spec.scheduler,
-                run.spec.num_gpus,
-                run.spec.seed,
-                run.spec.trace,
-                run.spec.faults,
-            ): run
-            for run in self.runs
-        }
+        return {run.spec.cell_key(): run for run in self.runs}
+
+    def series(self) -> List[Tuple[str, str, int]]:
+        """``(label, scheduler, option index)`` of every row a table shows.
+
+        A scheduler gets one row per distinct set of options the
+        option axis gives it, labelled ``name[option=value,...]`` by its
+        overlay; a scheduler the axis leaves alone gets one row, labelled
+        by its name.  Every table iterates these rows, so none averages
+        over an axis value that another table breaks out.
+        """
+        rows: List[Tuple[str, str, int]] = []
+        for name in self.spec.schedulers:
+            seen: List[Dict[str, object]] = []
+            for index, overlay in enumerate(self.spec.option_axis):
+                options = self.spec.options_for(name, overlay)
+                if options not in seen:
+                    seen.append(options)
+                    rows.append((_series_label(name, overlay.get(name)), name, index))
+        return rows
+
+    def _cell_run(
+        self,
+        index: Dict[str, RunArtifact],
+        scheduler: str,
+        capacity: int,
+        seed: int,
+        trace: TraceConfig,
+        fault: Optional[FaultConfig],
+        option_index: int,
+    ) -> RunArtifact:
+        cell = self.spec.cell(
+            scheduler, capacity, seed, trace, fault, self.spec.option_axis[option_index]
+        )
+        run = index.get(cell.cell_key())
+        if run is None:
+            raise KeyError(f"no cell {cell.label()} with options {cell.scheduler_options}")
+        return run
 
     def get(
         self,
@@ -218,19 +228,20 @@ class SweepArtifact:
         seed: Optional[int] = None,
         trace_index: int = 0,
         fault_index: int = 0,
+        option_index: int = 0,
     ) -> RunArtifact:
-        """The artifact of one cell (defaults: first capacity / seed / fault)."""
+        """The artifact of one cell (defaults: the first value of every axis)."""
         capacity = int(capacity if capacity is not None else self.spec.capacities[0])
         seed = int(seed if seed is not None else self.spec.seeds[0])
-        trace = self.spec.traces[trace_index]
-        fault = self.spec.faults[fault_index]
-        run = self._index().get((scheduler, capacity, seed, trace, fault))
-        if run is None:
-            raise KeyError(
-                f"no cell for scheduler={scheduler!r} capacity={capacity} "
-                f"seed={seed} trace_index={trace_index} fault_index={fault_index}"
-            )
-        return run
+        return self._cell_run(
+            self._index(),
+            scheduler,
+            capacity,
+            seed,
+            self.spec.traces[trace_index],
+            self.spec.faults[fault_index],
+            option_index,
+        )
 
     def results_for(
         self,
@@ -239,7 +250,7 @@ class SweepArtifact:
         trace_index: int = 0,
         fault_index: int = 0,
     ) -> Dict[str, SimulationResult]:
-        """Per-scheduler results of one (capacity, seed, trace, fault) slice.
+        """Per-row results (see :meth:`series`) of one (capacity, seed, trace, fault) slice.
 
         Defaults as in :meth:`get`, so ``results_for()`` on a
         one-capacity comparison grid is its zero-fault comparison.
@@ -250,8 +261,8 @@ class SweepArtifact:
         trace = self.spec.traces[trace_index]
         fault = self.spec.faults[fault_index]
         return {
-            name: index[(name, capacity, seed, trace, fault)].to_result()
-            for name in self.spec.schedulers
+            label: self._cell_run(index, name, capacity, seed, trace, fault, k).to_result()
+            for label, name, k in self.series()
         }
 
     # -- aggregation (Fig. 17/18 views) -------------------------------------------------
@@ -259,68 +270,71 @@ class SweepArtifact:
     def mean_metric_table(
         self, metric: str = "jct", fault_index: int = 0
     ) -> Dict[str, Dict[int, float]]:
-        """``scheduler -> capacity -> mean(metric)`` averaged over seeds and traces.
+        """``row -> capacity -> mean(metric)`` averaged over seeds and traces.
 
-        One fault-axis slice at a time (default: the first entry, which
-        is the zero-fault grid in every built-in construction) so a
-        robustness sweep never silently mixes clean and faulted runs
-        into one Fig. 17 table.
+        One row per :meth:`series` entry and one fault-axis slice at a
+        time (default: the first entry, which is the zero-fault grid in
+        every built-in construction) so a robustness sweep never silently
+        mixes clean and faulted runs into one Fig. 17 table.
         """
+        index = self._index()
         fault = self.spec.faults[fault_index]
-        table: Dict[str, Dict[int, List[float]]] = {
-            name: {capacity: [] for capacity in self.spec.capacities}
-            for name in self.spec.schedulers
-        }
-        for run in self.runs:
-            if run.spec.faults != fault or run.is_dead:
-                continue
-            table[run.spec.scheduler][run.spec.num_gpus].append(run.mean(metric))
-        return {
-            name: {
-                capacity: float(sum(values) / len(values))
-                for capacity, values in by_capacity.items()
-                if values
-            }
-            for name, by_capacity in table.items()
-        }
+        table: Dict[str, Dict[int, float]] = {}
+        for label, name, k in self.series():
+            table[label] = {}
+            for capacity in self.spec.capacities:
+                values = []
+                for trace in self.spec.traces:
+                    for seed in self.spec.seeds:
+                        run = self._cell_run(index, name, capacity, seed, trace, fault, k)
+                        if not run.is_dead:
+                            values.append(run.mean(metric))
+                if values:
+                    table[label][capacity] = float(sum(values) / len(values))
+        return table
 
     def relative_to(
         self, reference: str = "ONES", metric: str = "jct", fault_index: int = 0
     ) -> Dict[str, Dict[int, float]]:
-        """``scheduler -> capacity -> metric / reference-metric`` (Fig. 18 shape).
+        """``row -> capacity -> metric / reference-metric`` (Fig. 18 shape).
 
-        The ratio is taken per (trace, seed, capacity) slice — i.e. against
-        the reference run that saw exactly the same workload (and the
-        same fault weather, selected by ``fault_index``) — and then
-        averaged over seeds and traces.
+        ``reference`` names a :meth:`series` row.  The ratio is taken per
+        (trace, seed, capacity) slice — i.e. against the reference run that
+        saw exactly the same workload (and the same fault weather, selected
+        by ``fault_index``) — and then averaged over seeds and traces.
         """
-        if reference not in self.spec.schedulers:
+        rows = self.series()
+        by_label = {label: (name, k) for label, name, k in rows}
+        if reference not in by_label:
             raise KeyError(f"{reference!r} is not part of this sweep")
+        ref_name, ref_k = by_label[reference]
         index = self._index()
         fault = self.spec.faults[fault_index]
         ratios: Dict[str, Dict[int, List[float]]] = {
-            name: {capacity: [] for capacity in self.spec.capacities}
-            for name in self.spec.schedulers
+            label: {capacity: [] for capacity in self.spec.capacities}
+            for label, _, _ in rows
         }
         for trace in self.spec.traces:
             for capacity in self.spec.capacities:
                 for seed in self.spec.seeds:
-                    ref = index[(reference, capacity, seed, trace, fault)].mean(metric)
+                    ref = self._cell_run(
+                        index, ref_name, capacity, seed, trace, fault, ref_k
+                    ).mean(metric)
                     if not ref > 0:
                         raise ValueError(
                             f"reference mean {metric} must be positive "
                             f"(capacity={capacity}, seed={seed})"
                         )
-                    for name in self.spec.schedulers:
-                        value = index[(name, capacity, seed, trace, fault)].mean(metric)
-                        ratios[name][capacity].append(value / ref)
+                    for label, name, k in rows:
+                        run = self._cell_run(index, name, capacity, seed, trace, fault, k)
+                        ratios[label][capacity].append(run.mean(metric) / ref)
         return {
-            name: {
+            label: {
                 capacity: float(sum(values) / len(values))
                 for capacity, values in by_capacity.items()
                 if values
             }
-            for name, by_capacity in ratios.items()
+            for label, by_capacity in ratios.items()
         }
 
     # -- recovery aggregation (robustness-benchmark views) ------------------------------
@@ -328,16 +342,16 @@ class SweepArtifact:
     def fault_degradation(
         self, metric: str = "jct", fault_index: int = 1
     ) -> Dict[str, float]:
-        """``scheduler -> mean(metric under faults / metric of zero-fault twin)``.
+        """``row -> mean(metric under faults / metric of zero-fault twin)``.
 
         The JCT-degradation headline of a robustness benchmark: 1.0 means
         the scheduler fully absorbed the fault plan, 1.5 means average
         JCT grew 50% under it.  Each faulted cell is compared against the
         cell that differs *only* in its fault config (same scheduler,
-        capacity, seed and trace), then ratios are averaged.  Requires a
-        sweep whose fault axis contains both the zero-fault entry and the
-        selected faulted entry (the built-in constructors' ``faults=``
-        argument produces exactly that).
+        options, capacity, seed and trace), then ratios are averaged per
+        :meth:`series` row.  Requires a sweep whose fault axis contains
+        both the zero-fault entry and the selected faulted entry (the
+        built-in constructors' ``faults=`` argument produces exactly that).
         """
         fault = self.spec.faults[fault_index]
         if fault is None:
@@ -345,18 +359,20 @@ class SweepArtifact:
         if None not in self.spec.faults:
             raise ValueError("sweep has no zero-fault twin cells to compare against")
         index = self._index()
-        ratios: Dict[str, List[float]] = {name: [] for name in self.spec.schedulers}
-        for trace in self.spec.traces:
-            for capacity in self.spec.capacities:
-                for seed in self.spec.seeds:
-                    for name in self.spec.schedulers:
-                        clean = index[(name, capacity, seed, trace, None)].mean(metric)
-                        faulted = index[(name, capacity, seed, trace, fault)].mean(metric)
+        ratios: Dict[str, List[float]] = {}
+        for label, name, k in self.series():
+            ratios[label] = []
+            for trace in self.spec.traces:
+                for capacity in self.spec.capacities:
+                    for seed in self.spec.seeds:
+                        cell = (index, name, capacity, seed, trace)
+                        clean = self._cell_run(*cell, None, k).mean(metric)
+                        faulted = self._cell_run(*cell, fault, k).mean(metric)
                         if clean > 0:
-                            ratios[name].append(faulted / clean)
+                            ratios[label].append(faulted / clean)
         return {
-            name: float(sum(values) / len(values))
-            for name, values in ratios.items()
+            label: float(sum(values) / len(values))
+            for label, values in ratios.items()
             if values
         }
 
@@ -387,7 +403,7 @@ class SweepArtifact:
     # -- serialization ------------------------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:
-        """Plain-JSON representation (round-trips through :meth:`from_dict`)."""
+        """Plain-JSON representation (what :meth:`save` writes)."""
         return {
             "schema": SCHEMA_VERSION,
             "sweep_key": self.spec.sweep_key(),
@@ -395,22 +411,9 @@ class SweepArtifact:
             "runs": [run.to_dict() for run in self.runs],
         }
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "SweepArtifact":
-        """Rebuild a :class:`SweepArtifact` from :meth:`to_dict` output."""
-        return cls(
-            spec=ExperimentSpec.from_dict(payload["spec"]),
-            runs=[RunArtifact.from_dict(run) for run in payload["runs"]],
-        )
-
     def to_json(self) -> str:
         """Serialize to a JSON string."""
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SweepArtifact":
-        """Deserialize from :meth:`to_json` output."""
-        return cls.from_dict(json.loads(text))
 
     def save(self, path: PathLike) -> Path:
         """Write the artifact to ``path`` as JSON; returns the path."""
@@ -419,7 +422,9 @@ class SweepArtifact:
         path.write_text(self.to_json() + "\n")
         return path
 
-    @classmethod
-    def load(cls, path: PathLike) -> "SweepArtifact":
-        """Read an artifact previously written by :meth:`save`."""
-        return cls.from_json(Path(path).read_text())
+
+def _series_label(name: str, options: Optional[Mapping[str, object]]) -> str:
+    """A table row's label: the scheduler, plus its option-axis overlay if any."""
+    if not options:
+        return name
+    return f"{name}[{','.join(f'{key}={value}' for key, value in sorted(options.items()))}]"

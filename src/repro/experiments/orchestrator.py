@@ -3,7 +3,7 @@
 :class:`Runner` is the orchestration layer on top of the declarative
 specs and the execution backends::
 
-    spec = ExperimentSpec.scalability(capacities=(16, 32, 48, 64))
+    spec = ExperimentSpec(schedulers=("ONES", "FIFO"), capacities=(16, 32, 48, 64))
     runner = Runner(backend="process", workers=4, cache_dir="results/cells")
     sweep = runner.run(spec, resume=True)
 
@@ -40,7 +40,7 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Union
 
 from repro.experiments.artifacts import RunArtifact, SweepArtifact
 from repro.experiments.backends import (
@@ -77,20 +77,6 @@ class RunnerStats:
     claimed_cells: int = 0
     expired_leases: int = 0
     dead_cells: int = 0
-
-    def as_dict(self) -> Dict[str, float]:
-        """Plain-dict view for logs and reports."""
-        return {
-            "total_cells": self.total_cells,
-            "executed_cells": self.executed_cells,
-            "cached_cells": self.cached_cells,
-            "wall_time": self.wall_time,
-            "retried_cells": self.retried_cells,
-            "timed_out_cells": self.timed_out_cells,
-            "claimed_cells": self.claimed_cells,
-            "expired_leases": self.expired_leases,
-            "dead_cells": self.dead_cells,
-        }
 
     def describe(self) -> str:
         """One-line human-readable summary."""
@@ -182,10 +168,6 @@ class Runner:
             artifacts[index] = artifact
         return SweepArtifact(spec=spec, runs=list(artifacts))
 
-    def run_cells(self, cells: Sequence[RunSpec]) -> List[RunArtifact]:
-        """Execute an explicit list of cells (no grid, no cache), in order."""
-        return self.backend.run(list(cells), policy=self.policy)
-
     # -- cell cache ---------------------------------------------------------------------
 
     def cell_path(self, cell: RunSpec) -> Optional[Path]:
@@ -216,28 +198,3 @@ class Runner:
             return
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(artifact.to_json() + "\n")
-
-
-def run_experiment(
-    spec: ExperimentSpec,
-    backend: Union[str, ExecutionBackend] = "serial",
-    workers: Optional[int] = None,
-    cache_dir: Optional[PathLike] = None,
-    resume: bool = False,
-    timeout_s: Optional[float] = None,
-    max_retries: int = 0,
-    retry_backoff_s: float = 0.0,
-    queue_dir: Optional[PathLike] = None,
-    lease_ttl: float = 30.0,
-) -> SweepArtifact:
-    """One-shot convenience wrapper around :class:`Runner`."""
-    return Runner(
-        backend=backend,
-        workers=workers,
-        cache_dir=cache_dir,
-        timeout_s=timeout_s,
-        max_retries=max_retries,
-        retry_backoff_s=retry_backoff_s,
-        queue_dir=queue_dir,
-        lease_ttl=lease_ttl,
-    ).run(spec, resume=resume)

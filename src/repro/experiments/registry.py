@@ -139,33 +139,12 @@ def register_scheduler(
     return decorator
 
 
-def unregister_scheduler(name: str) -> None:
-    """Remove a registered scheduler (and its aliases) by name or alias.
-
-    Accepts the same case-insensitive names/aliases as every other
-    lookup.  Mostly useful for tests and interactive experimentation;
-    the built-in schedulers are registered at import time and normally
-    stay put.
-    """
-    canonical = _LOOKUP.get(str(name).lower())
-    if canonical is None:
-        raise UnknownSchedulerError(str(name), available_schedulers())
-    entry = _REGISTRY.pop(canonical)
-    for key in [entry.name.lower()] + [alias.lower() for alias in entry.aliases]:
-        _LOOKUP.pop(key, None)
-
-
 def resolve(name: str) -> SchedulerEntry:
     """Look up a registry entry by canonical name or alias (case-insensitive)."""
     canonical = _LOOKUP.get(str(name).lower())
     if canonical is None:
         raise UnknownSchedulerError(str(name), available_schedulers())
     return _REGISTRY[canonical]
-
-
-def is_registered(name: str) -> bool:
-    """Whether ``name`` resolves to a registered scheduler."""
-    return str(name).lower() in _LOOKUP
 
 
 def create_scheduler(name: str, seed: int, **options) -> SchedulerBase:

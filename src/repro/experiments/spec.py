@@ -226,7 +226,7 @@ class ExperimentSpec:
             return self.simulation
         return _dc_replace(self.simulation, faults=fault)
 
-    def _cell_options(
+    def options_for(
         self, scheduler: str, overlay: Mapping[str, Mapping[str, object]]
     ) -> Dict[str, object]:
         """Shared options for ``scheduler`` with one option-axis overlay applied."""
@@ -234,46 +234,52 @@ class ExperimentSpec:
         options.update(overlay.get(scheduler, {}))
         return options
 
+    def cell(
+        self,
+        scheduler: str,
+        capacity: int,
+        seed: int,
+        trace: TraceConfig,
+        fault: Optional[FaultConfig] = None,
+        overlay: Optional[Mapping[str, Mapping[str, object]]] = None,
+    ) -> RunSpec:
+        """The cell at one value of every axis (``overlay``: an option-axis entry)."""
+        return RunSpec(
+            scheduler=scheduler,
+            num_gpus=capacity,
+            seed=seed,
+            trace=trace,
+            simulation=self._cell_simulation(fault),
+            scheduler_options=self.options_for(scheduler, overlay or {}),
+        )
+
     def expand(self) -> List[RunSpec]:
-        """The individual cells of the grid, in deterministic order."""
-        cells: List[RunSpec] = []
+        """The distinct cells of the grid, in deterministic order.
+
+        An option-axis overlay that leaves a scheduler's options as they
+        are yields that scheduler's cells again; each cell (by
+        :meth:`RunSpec.cell_key`) is kept at its first occurrence only.
+        """
+        cells: Dict[str, RunSpec] = {}
         for fault in self.faults:
-            simulation = self._cell_simulation(fault)
             for overlay in self.option_axis:
                 for trace in self.traces:
                     for capacity in self.capacities:
                         for seed in self.seeds:
                             for scheduler in self.schedulers:
-                                cells.append(
-                                    RunSpec(
-                                        scheduler=scheduler,
-                                        num_gpus=capacity,
-                                        seed=seed,
-                                        trace=trace,
-                                        simulation=simulation,
-                                        scheduler_options=self._cell_options(
-                                            scheduler, overlay
-                                        ),
-                                    )
-                                )
-        return cells
+                                cell = self.cell(scheduler, capacity, seed, trace, fault, overlay)
+                                cells.setdefault(cell.cell_key(), cell)
+        return list(cells.values())
 
     @property
     def num_cells(self) -> int:
-        """Size of the grid (``len(self.expand())`` without materialising it)."""
-        return (
-            len(self.schedulers)
-            * len(self.capacities)
-            * len(self.seeds)
-            * len(self.traces)
-            * len(self.faults)
-            * len(self.option_axis)
-        )
+        """Number of distinct cells the grid expands to."""
+        return len(self.expand())
 
     # -- serialization ------------------------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:
-        """Plain-JSON representation (round-trips through :meth:`from_dict`).
+        """Plain-JSON representation, hashed by :meth:`sweep_key`.
 
         Like the cell serialization, the ``faults`` axis is only present
         when it differs from the zero-fault default, so sweep keys of
@@ -300,26 +306,6 @@ class ExperimentSpec:
                 for entry in self.option_axis
             ]
         return payload
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "ExperimentSpec":
-        """Rebuild an :class:`ExperimentSpec` from :meth:`to_dict` output."""
-        faults = payload.get("faults")
-        return cls(
-            schedulers=tuple(payload["schedulers"]),
-            capacities=tuple(payload["capacities"]),
-            seeds=tuple(payload["seeds"]),
-            traces=tuple(TraceConfig.from_dict(t) for t in payload["traces"]),
-            simulation=SimulationConfig.from_dict(payload["simulation"]),
-            scheduler_options=payload.get("scheduler_options", {}),
-            faults=tuple(
-                FaultConfig.from_dict(entry) if entry is not None else None
-                for entry in faults
-            )
-            if faults is not None
-            else (None,),
-            option_axis=tuple(payload.get("option_axis", [{}])),
-        )
 
     def sweep_key(self) -> str:
         """Content hash of the whole grid (names the sweep artifact on disk)."""
@@ -357,33 +343,6 @@ class ExperimentSpec:
             scheduler_options=scheduler_options or {},
             faults=_fault_axis(faults),
         )
-
-    @classmethod
-    def scalability(
-        cls,
-        schedulers: Optional[Sequence[str]] = None,
-        capacities: Sequence[int] = (16, 32, 48, 64),
-        seeds: Sequence[int] = (2021,),
-        trace: TraceConfig | None = None,
-        simulation: SimulationConfig | None = None,
-        scheduler_options: Mapping[str, Mapping[str, object]] | None = None,
-        faults: "Optional[FaultConfig]" = None,
-    ) -> "ExperimentSpec":
-        """The Fig. 17/18 scalability sweep over cluster capacities.
-
-        As with :meth:`comparison`, a ``faults`` config adds a faulted
-        twin of every cell next to the zero-fault grid.
-        """
-        return cls(
-            schedulers=_default_schedulers(schedulers),
-            capacities=tuple(capacities),
-            seeds=tuple(seeds),
-            traces=(trace or TraceConfig(),),
-            simulation=simulation or SimulationConfig(),
-            scheduler_options=scheduler_options or {},
-            faults=_fault_axis(faults),
-        )
-
 
 def _fault_axis(faults: Optional[FaultConfig]) -> Tuple[Optional[FaultConfig], ...]:
     """``None`` -> the zero-fault axis; a config -> (clean twin, faulted)."""

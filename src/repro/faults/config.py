@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Mapping, Tuple, Union
 
@@ -177,10 +177,6 @@ class FaultConfig:
 
     @classmethod
     def from_plan_file(cls, path: PathLike, **overrides) -> "FaultConfig":
-        """A config replaying an explicit JSON plan (see ``FaultPlan.save``)."""
+        """A config replaying an explicit JSON plan (``FaultPlan.load``'s format)."""
         plan = FaultPlan.load(path)
         return cls(profile="plan", injections=plan.injections, **overrides)
-
-    def with_seed(self, seed: int) -> "FaultConfig":
-        """The same fault weather distribution under a different seed."""
-        return replace(self, seed=int(seed))

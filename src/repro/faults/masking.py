@@ -28,7 +28,7 @@ either side of the mapping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,19 +55,6 @@ class CompactView:
                 for gpu, worker in allocation.workers().items()
             }
         )
-
-    def compress(self, allocation: Allocation) -> Allocation:
-        """Translate a real-id allocation (on up nodes only) to virtual ids."""
-        mapping: Dict[int, WorkerAssignment] = {}
-        for gpu, worker in allocation.workers().items():
-            virtual = self.from_real.get(int(gpu))
-            if virtual is None:
-                raise ValueError(
-                    f"allocation places job {worker.job_id!r} on unavailable GPU {gpu}"
-                )
-            mapping[virtual] = worker
-        return Allocation(mapping)
-
 
 def _up_nodes(state: ClusterState) -> Tuple[int, ...]:
     """Surviving node ids, asserting the node-granular availability contract."""

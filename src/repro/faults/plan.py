@@ -134,14 +134,6 @@ class FaultPlan:
     def __iter__(self) -> Iterator[FaultInjection]:
         return iter(self.injections)
 
-    def __bool__(self) -> bool:
-        return bool(self.injections)
-
-    @property
-    def max_time(self) -> float:
-        """Timestamp of the last injection (0.0 for an empty plan)."""
-        return self.injections[-1].time if self.injections else 0.0
-
     def counts(self) -> Dict[str, int]:
         """Number of injections per kind (keys are ``FaultKind`` values)."""
         counts = {kind.value: 0 for kind in FaultKind}
@@ -204,25 +196,14 @@ class FaultPlan:
             )
         )
 
-    def to_json(self) -> str:
-        """Serialize to a JSON string."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
-        """Deserialize from :meth:`to_json` output."""
+        """Deserialize from a JSON string of :meth:`to_dict`'s shape."""
         return cls.from_dict(json.loads(text))
-
-    def save(self, path: PathLike) -> Path:
-        """Write the plan to ``path`` as JSON; returns the path."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_json() + "\n")
-        return path
 
     @classmethod
     def load(cls, path: PathLike) -> "FaultPlan":
-        """Read a plan previously written by :meth:`save` (or hand-authored)."""
+        """Read a JSON plan file (``{"injections": [...]}``, as :meth:`to_dict` gives)."""
         return cls.from_json(Path(path).read_text())
 
     def plan_key(self) -> str:

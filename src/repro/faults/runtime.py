@@ -42,11 +42,6 @@ class FaultRuntime:
 
     # -- availability -------------------------------------------------------------------
 
-    @property
-    def active(self) -> bool:
-        """Whether any fault state is currently in effect."""
-        return bool(self.down_nodes) or bool(self.degraded)
-
     def unavailable_gpus(self) -> FrozenSet[int]:
         """GPU ids on down nodes (cached; empty frozenset when healthy)."""
         return self._unavailable

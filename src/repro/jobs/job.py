@@ -75,15 +75,6 @@ class JobSpec:
         """Largest per-GPU batch that fits on the device for this model."""
         return self.model.max_local_batch
 
-    def expected_total_epochs(self, global_batch: Optional[int] = None) -> float:
-        """Rough expected epoch count (target epochs + patience)."""
-        batch = global_batch if global_batch is not None else self.base_batch
-        return (
-            self.convergence.epochs_to_target(batch, lr_scaled=True)
-            + self.convergence_patience
-        )
-
-
 @dataclass(frozen=True)
 class EpochRecord:
     """Snapshot logged by a worker at the end of each training epoch.
@@ -389,10 +380,3 @@ class Job:
     def processed_epochs(self) -> float:
         """``Y_processed / ‖D‖`` — fractional epochs processed so far."""
         return self.samples_processed / self.dataset_size
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Job({self.job_id}, {self.status.value}, "
-            f"epochs={self.epochs_completed}, gpus={self.num_gpus}, "
-            f"B={self.global_batch})"
-        )

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import (
     Hashable,
     Mapping,
-    MutableMapping,
     Optional,
     Sequence,
     Tuple,
@@ -162,19 +161,6 @@ class ThroughputModel:
 
     # -- derived helpers ---------------------------------------------------------------
 
-    def epoch_time(
-        self,
-        model: ModelSpec,
-        dataset_size: int,
-        local_batches: Sequence[int],
-        gpu_ids: Sequence[int],
-    ) -> float:
-        """Wall-clock time of one epoch over ``dataset_size`` samples."""
-        rate = self.throughput(model, local_batches, gpu_ids)
-        if rate <= 0:
-            return float("inf")
-        return dataset_size / rate
-
     def scaling_curve(
         self,
         model: ModelSpec,
@@ -238,12 +224,11 @@ def derive_global_batch(
     return max(batch, count)
 
 
-class BoundedMemo(MutableMapping):
-    """A small LRU-evicting mapping used to bound throughput memoisation.
+class BoundedMemo:
+    """A small LRU-evicting memo of throughput model evaluations.
 
-    The ONES scheduler previously memoised candidate throughputs in a
-    plain dict that grew for the lifetime of a simulation; this mapping
-    keeps the most recently used ``max_entries`` only.
+    Keeps the ``max_entries`` most recently used entries; :meth:`get`
+    counts hits and misses and refreshes the recency of a hit.
     """
 
     def __init__(self, max_entries: int = 65536) -> None:
@@ -253,20 +238,6 @@ class BoundedMemo(MutableMapping):
         self.hits = 0
         self.misses = 0
 
-    def __contains__(self, key: Hashable) -> bool:
-        # Membership tests neither count as hits nor refresh recency.
-        return key in self._data
-
-    def __getitem__(self, key: Hashable) -> float:
-        try:
-            value = self._data[key]
-        except KeyError:
-            self.misses += 1
-            raise
-        self.hits += 1
-        self._data.move_to_end(key)
-        return value
-
     def __setitem__(self, key: Hashable, value: float) -> None:
         if key in self._data:
             self._data.move_to_end(key)
@@ -274,20 +245,16 @@ class BoundedMemo(MutableMapping):
         while len(self._data) > self.max_entries:
             self._data.popitem(last=False)
 
-    def __delitem__(self, key: Hashable) -> None:
-        del self._data[key]
-
-    def __iter__(self):
-        return iter(self._data)
-
     def __len__(self) -> int:
         return len(self._data)
 
     def get(self, key: Hashable, default=None):
-        try:
-            return self[key]
-        except KeyError:
+        if key not in self._data:
+            self.misses += 1
             return default
+        self.hits += 1
+        self._data.move_to_end(key)
+        return self._data[key]
 
 
 class ThroughputTable:
@@ -319,7 +286,7 @@ class ThroughputTable:
     ``(model, global batch, count, crosses nodes)``.
 
     Every table carries a monotonically-increasing :attr:`version`
-    stamped at construction (and re-stamped by :meth:`invalidate`).
+    stamped at construction.
     Downstream caches keyed on a table's values — the scheduler-level
     table reuse in :class:`~repro.core.ones_scheduler.ONESScheduler`,
     the delta-scoring engine's attribution counters — compare versions
@@ -341,7 +308,7 @@ class ThroughputTable:
         limits: Mapping[str, int],
         num_gpus: int,
         roster: Optional[Sequence[str]] = None,
-        memo: Optional[MutableMapping] = None,
+        memo: Optional[BoundedMemo] = None,
     ) -> None:
         check_positive_int(num_gpus, "num_gpus")
         self._model = model
@@ -375,52 +342,12 @@ class ThroughputTable:
         self.model_calls = 0
         self._version = self._next_version()
 
-    @classmethod
-    def from_matrix(
-        cls, roster: Sequence[str], matrix: np.ndarray
-    ) -> "ThroughputTable":
-        """Build a fully-specified table from a raw array — for tests and
-        synthetic what-if studies (no model calls).
-
-        ``matrix`` is ``(num_jobs, num_gpus+1)`` (the same curve for both
-        locality planes) or ``(num_jobs, num_gpus+1, 2)``.
-        """
-        matrix = np.asarray(matrix, dtype=float)
-        roster = tuple(roster)
-        if matrix.ndim == 2:
-            matrix = np.repeat(matrix[:, :, None], 2, axis=2)
-        if matrix.ndim != 3 or matrix.shape[0] != len(roster) or matrix.shape[2] != 2:
-            raise ValueError(
-                f"matrix must have shape (num_jobs={len(roster)}, num_gpus+1[, 2]), "
-                f"got {matrix.shape}"
-            )
-        table = cls.__new__(cls)
-        table._model = None
-        table._jobs = {}
-        table._limits = {}
-        table._memo = None
-        table._roster = roster
-        table._index = {job_id: i for i, job_id in enumerate(roster)}
-        table._num_gpus = matrix.shape[1] - 1
-        table._gpus_per_node = max(1, table._num_gpus)
-        table._node_of = np.zeros(table._num_gpus, dtype=np.int64)
-        table._multi_node_cluster = False
-        table._table = matrix.copy()
-        table.model_calls = 0
-        table._version = cls._next_version()
-        return table
-
     # -- introspection ------------------------------------------------------------
 
     @property
     def roster(self) -> Tuple[str, ...]:
         """Job ids the table rows correspond to."""
         return self._roster
-
-    @property
-    def num_gpus(self) -> int:
-        """Cluster size the table covers (columns are counts 0..num_gpus)."""
-        return self._num_gpus
 
     @property
     def node_of(self) -> np.ndarray:
@@ -431,26 +358,6 @@ class ThroughputTable:
     def version(self) -> int:
         """Monotone cache-invalidation stamp (see the class docstring)."""
         return self._version
-
-    def invalidate(self) -> None:
-        """Re-stamp :attr:`version`, marking every dependent cache dirty.
-
-        The table's own entries stay (they are still correct for its
-        inputs); this exists for callers that mutated one of those
-        inputs in place — e.g. a batch-size limit — while holding onto
-        the table instance.
-        """
-        self._version = self._next_version()
-
-    @property
-    def capacity(self) -> int:
-        """Hard bound on the number of entries the table can ever hold."""
-        return len(self._roster) * (self._num_gpus + 1) * 2
-
-    @property
-    def filled_entries(self) -> int:
-        """Entries evaluated so far (always ``<= capacity``)."""
-        return int(np.count_nonzero(~np.isnan(self._table)))
 
     # -- evaluation ---------------------------------------------------------------
 
@@ -463,16 +370,7 @@ class ThroughputTable:
             return list(range(count - 1)) + [self._gpus_per_node]
         return range(count)
 
-    def _default_crosses(self, count: int) -> bool:
-        """Locality of the canonical *packed* placement of ``count`` GPUs."""
-        return count > self._gpus_per_node
-
     def _compute(self, job_idx: int, count: int, crosses: bool) -> float:
-        if self._model is None:
-            raise RuntimeError(
-                "this table was built from a raw matrix and cannot evaluate "
-                f"new entries (job {self._roster[job_idx]!r}, count {count})"
-            )
         job = self._jobs[self._roster[job_idx]]
         global_batch = derive_global_batch(
             count, job.spec.max_local_batch, self._limits[self._roster[job_idx]],
@@ -489,31 +387,6 @@ class ThroughputTable:
         self.model_calls += 1
         if self._memo is not None:
             self._memo[key] = value
-        return float(value)
-
-    def throughput(
-        self, job_id: str, count: int, crosses_nodes: Optional[bool] = None
-    ) -> float:
-        """``X_j(c)``: throughput of ``job_id`` on ``count`` GPUs.
-
-        ``crosses_nodes`` selects the locality plane; ``None`` assumes
-        the canonical packed placement (crosses servers only when the
-        count exceeds one server).
-        """
-        if count <= 0:
-            return 0.0
-        if count > self._num_gpus:
-            raise ValueError(
-                f"count {count} exceeds cluster size {self._num_gpus}"
-            )
-        if crosses_nodes is None:
-            crosses_nodes = self._default_crosses(count)
-        idx = self._index[job_id]
-        plane = int(bool(crosses_nodes))
-        value = self._table[idx, count, plane]
-        if np.isnan(value):
-            value = self._compute(idx, count, bool(crosses_nodes))
-            self._table[idx, count, plane] = value
         return float(value)
 
     def lookup(
@@ -560,24 +433,3 @@ class ThroughputTable:
                 self._table[j, c, p] = self._compute(j, c, bool(p))
             values = self._table[job_idx, counts, planes]
         return values
-
-    def row(self, job_id: str) -> np.ndarray:
-        """The packed curve ``X_j(0..num_gpus)`` of one job (fills it)."""
-        return np.array(
-            [0.0]
-            + [
-                self.throughput(job_id, count)
-                for count in range(1, self._num_gpus + 1)
-            ]
-        )
-
-    def matrix(self) -> np.ndarray:
-        """The fully-built ``(num_jobs, num_gpus + 1, 2)`` table."""
-        for idx in range(len(self._roster)):
-            for count in range(1, self._num_gpus + 1):
-                for plane in (0, 1):
-                    if np.isnan(self._table[idx, count, plane]):
-                        self._table[idx, count, plane] = self._compute(
-                            idx, count, bool(plane)
-                        )
-        return self._table.copy()

@@ -1,6 +1,6 @@
 """Observability layer: structured tracing + uniform metrics registry.
 
 See :mod:`repro.obs.trace` for the deterministic span/event recorder
-and :mod:`repro.obs.metrics` for the counters/gauges/histograms
-registry with Prometheus text exposition.
+and :mod:`repro.obs.metrics` for the counter/gauge registry and the
+latency histogram.
 """

@@ -1,4 +1,4 @@
-"""Uniform metrics registry: counters, gauges, histograms, Prometheus text.
+"""Uniform metrics registry: counters and gauges, plus a latency histogram.
 
 Every entry point (CLI runs, the scheduler service, queue workers)
 exposes its counters through one registry type instead of ad-hoc
@@ -18,14 +18,13 @@ histogram implementation.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 
 __all__ = [
     "Counter",
     "Gauge",
     "LatencyHistogram",
     "MetricsRegistry",
-    "render_prometheus",
 ]
 
 
@@ -120,10 +119,6 @@ class LatencyHistogram:
             "max_ms": self.max_value * 1e3,
         }
 
-    def bucket_edges(self) -> List[float]:
-        """Finite upper edges (seconds) for Prometheus bucket rendering."""
-        return [self._FLOOR * (2.0 ** index) for index in range(self._BUCKETS)]
-
 
 Number = Union[int, float]
 
@@ -146,28 +141,21 @@ class Counter:
 
 
 class Gauge:
-    """Settable value, or a callback evaluated at read time."""
+    """Settable value."""
 
-    __slots__ = ("value", "_fn")
+    __slots__ = ("value",)
 
     def __init__(self) -> None:
         self.value: Number = 0
-        self._fn: Optional[Callable[[], Number]] = None
 
     def set(self, value: Number) -> None:
-        self._fn = None
         self.value = value
 
-    def set_function(self, fn: Callable[[], Number]) -> None:
-        self._fn = fn
-
     def get(self) -> Number:
-        if self._fn is not None:
-            return self._fn()
         return self.value
 
 
-_VALID_KINDS = ("counter", "gauge", "histogram")
+_VALID_KINDS = ("counter", "gauge")
 
 
 class MetricFamily:
@@ -183,11 +171,7 @@ class MetricFamily:
         self._series: Dict[Tuple[str, ...], object] = {}
 
     def _make_child(self) -> object:
-        if self.kind == "counter":
-            return Counter()
-        if self.kind == "gauge":
-            return Gauge()
-        return LatencyHistogram()
+        return Counter() if self.kind == "counter" else Gauge()
 
     def labels(self, **labels: str):
         """The series for one label combination (created on demand)."""
@@ -202,16 +186,6 @@ class MetricFamily:
             self._series[key] = child
         return child
 
-    def attach(self, child: object, **labels: str) -> object:
-        """Adopt an existing Counter/Gauge/LatencyHistogram as a series."""
-        if set(labels) != set(self.label_names):
-            raise ValueError(
-                f"{self.name}: labels {sorted(labels)} != declared {sorted(self.label_names)}"
-            )
-        key = tuple(str(labels[name]) for name in self.label_names)
-        self._series[key] = child
-        return child
-
     # Label-less families proxy to their single implicit series.
 
     def _default(self):
@@ -223,21 +197,12 @@ class MetricFamily:
     def set(self, value: Number) -> None:
         self._default().set(value)
 
-    def set_function(self, fn: Callable[[], Number]) -> None:
-        self._default().set_function(fn)
-
-    def record(self, seconds: float) -> None:
-        self._default().record(seconds)
-
-    def get(self) -> Number:
-        return self._default().get()
-
     def series(self) -> Iterable[Tuple[Tuple[str, ...], object]]:
         return sorted(self._series.items())
 
 
 class MetricsRegistry:
-    """Named families of counters/gauges/histograms.
+    """Named families of counters and gauges.
 
     Registration is idempotent: asking for an existing name returns the
     existing family (and raises if the kind or labels disagree), so
@@ -267,9 +232,6 @@ class MetricsRegistry:
     def gauge(self, name: str, help: str = "", labels: Sequence[str] = ()) -> MetricFamily:
         return self._family(name, "gauge", help, labels)
 
-    def histogram(self, name: str, help: str = "", labels: Sequence[str] = ()) -> MetricFamily:
-        return self._family(name, "histogram", help, labels)
-
     def set_gauges(self, values: Mapping[str, Number], help: str = "") -> None:
         """Bulk-register label-less gauges from a plain mapping."""
         for name, value in values.items():
@@ -279,7 +241,7 @@ class MetricsRegistry:
         return [self._families[name] for name in sorted(self._families)]
 
     def values(self) -> Dict[str, Number]:
-        """Flat snapshot of counters and gauges (histograms → ``_count``).
+        """Flat snapshot of every series.
 
         Label-less series map ``name -> value``; labeled series map
         ``name{label="v",...} -> value``.  Integer values stay integers
@@ -289,85 +251,11 @@ class MetricsRegistry:
         for family in self.families():
             for key, child in family.series():
                 name = family.name
-                if family.kind == "histogram":
-                    name += "_count"
                 if key:
                     label_text = ",".join(
                         f'{label}="{value}"'
                         for label, value in zip(family.label_names, key)
                     )
                     name = f"{name}{{{label_text}}}"
-                if family.kind == "histogram":
-                    out[name] = child.count
-                else:
-                    out[name] = child.get()
+                out[name] = child.get()
         return out
-
-    def as_dict(self) -> Dict[str, object]:
-        """Nested JSON snapshot: ``{name: {kind, help, series: {...}}}``."""
-        out: Dict[str, object] = {}
-        for family in self.families():
-            series: Dict[str, object] = {}
-            for key, child in family.series():
-                label_text = ",".join(
-                    f'{label}="{value}"'
-                    for label, value in zip(family.label_names, key)
-                )
-                if family.kind == "histogram":
-                    series[label_text] = child.as_dict()
-                else:
-                    series[label_text] = child.get()
-            out[family.name] = {
-                "kind": family.kind,
-                "help": family.help,
-                "series": series,
-            }
-        return out
-
-    def render_text(self) -> str:
-        """Prometheus text exposition (version 0.0.4)."""
-        return render_prometheus(self)
-
-
-def _format_value(value: Number) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
-    if value != value:  # NaN
-        return "NaN"
-    if value in (float("inf"), float("-inf")):
-        return "+Inf" if value > 0 else "-Inf"
-    return repr(float(value))
-
-
-def _label_block(label_names: Tuple[str, ...], key: Tuple[str, ...], extra: str = "") -> str:
-    parts = [f'{label}="{value}"' for label, value in zip(label_names, key)]
-    if extra:
-        parts.append(extra)
-    return "{" + ",".join(parts) + "}" if parts else ""
-
-
-def render_prometheus(registry: MetricsRegistry) -> str:
-    """Render a registry in the Prometheus text exposition format."""
-    lines: List[str] = []
-    for family in registry.families():
-        if family.help:
-            lines.append(f"# HELP {family.name} {family.help}")
-        lines.append(f"# TYPE {family.name} {family.kind}")
-        for key, child in family.series():
-            if family.kind == "histogram":
-                cumulative = 0
-                for edge, bucket_count in zip(child.bucket_edges(), child.counts):
-                    cumulative += bucket_count
-                    block = _label_block(family.label_names, key, f'le="{edge:.6g}"')
-                    lines.append(f"{family.name}_bucket{block} {cumulative}")
-                block = _label_block(family.label_names, key, 'le="+Inf"')
-                lines.append(f"{family.name}_bucket{block} {child.count}")
-                plain = _label_block(family.label_names, key)
-                lines.append(f"{family.name}_sum{plain} {_format_value(child.total)}")
-                lines.append(f"{family.name}_count{plain} {child.count}")
-            else:
-                block = _label_block(family.label_names, key)
-                lines.append(f"{family.name}{block} {_format_value(child.get())}")
-    return "\n".join(lines) + "\n"

@@ -184,11 +184,6 @@ class TraceRecorder:
         """Records evicted by the ring buffer."""
         return self._emitted - len(self._records)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._records.clear()
-            self._stack.clear()
-
     # -- export -------------------------------------------------------
 
     def header(self) -> Dict[str, Any]:

@@ -12,7 +12,7 @@ simulation never needs it, and ``import repro.cli`` loads no scipy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -29,7 +29,7 @@ class BetaDistribution:
 
     Eq. 6 applies a threshold so that ``α, β >= 1``; we enforce the same
     guard at construction.  It answers the queries the predictor and
-    Fig. 6 make: moments, quantiles and sampling.
+    Fig. 6 make: the mean and quantiles.
     """
 
     alpha: float
@@ -50,31 +50,6 @@ class BetaDistribution:
         """Expected progress ``α / (α + β)``."""
         return self.alpha / (self.alpha + self.beta)
 
-    @property
-    def variance(self) -> float:
-        """Variance of the distribution."""
-        a, b = self.alpha, self.beta
-        return (a * b) / ((a + b) ** 2 * (a + b + 1.0))
-
-    @property
-    def std(self) -> float:
-        """Standard deviation."""
-        return float(np.sqrt(self.variance))
-
-    @property
-    def mode(self) -> Optional[float]:
-        """Mode of the distribution (None when it is not unique)."""
-        a, b = self.alpha, self.beta
-        if a > 1.0 and b > 1.0:
-            return (a - 1.0) / (a + b - 2.0)
-        if a == 1.0 and b == 1.0:
-            return None  # uniform: every point is a mode
-        if a <= 1.0 < b:
-            return 0.0
-        if b <= 1.0 < a:
-            return 1.0
-        return None
-
     # -- quantiles / intervals ---------------------------------------------------------
 
     def quantile(self, q: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
@@ -93,25 +68,6 @@ class BetaDistribution:
         tail = (1.0 - level) / 2.0
         return (float(self.quantile(tail)), float(self.quantile(1.0 - tail)))
 
-    # -- sampling -----------------------------------------------------------------
-
-    def sample(self, rng: SeedLike = None, size: Optional[int] = None):
-        """Draw one sample (or ``size`` samples) of the progress ρ.
-
-        Samples are clipped away from exactly 0 and 1 so downstream uses
-        of ``1/ρ - 1`` (Eq. 7) stay finite.
-        """
-        rng = as_generator(rng)
-        draw = rng.beta(self.alpha, self.beta, size=size)
-        draw = np.clip(draw, SAMPLE_EPS, 1.0 - SAMPLE_EPS)
-        if size is None:
-            return float(draw)
-        return draw
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"BetaDistribution(alpha={self.alpha:.3f}, beta={self.beta:.3f})"
-
-
 #: The uniform ``Be(1, 1)`` prior used for jobs without a fitted
 #: distribution.  Hoisted to module level so hot paths do not allocate a
 #: fresh distribution per unseen job per call.
@@ -124,9 +80,10 @@ def sample_many(
     """Draw one sample from each distribution with a single RNG call.
 
     ``rng.beta`` with array parameters consumes the underlying bit
-    stream element by element, so the result is bit-identical to calling
-    :meth:`BetaDistribution.sample` sequentially on the same generator —
-    just without the per-call Python overhead.
+    stream element by element, so the result is bit-identical to one
+    scalar ``rng.beta`` draw per distribution, in order, on the same
+    generator — without the per-call Python overhead.  Draws are
+    clipped away from exactly 0 and 1.
     """
     rng = as_generator(rng)
     n = len(distributions)

@@ -112,18 +112,6 @@ class BayesianLinearRegression:
 
     # -- prediction -----------------------------------------------------------------------
 
-    @property
-    def is_fitted(self) -> bool:
-        """Whether :meth:`fit` has succeeded at least once."""
-        return self.mean_ is not None
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Posterior-mean weights ``[b, A_1, ..., A_d]`` (bias first)."""
-        if self.mean_ is None:
-            raise RuntimeError("model is not fitted")
-        return self.mean_.copy()
-
     def predict(
         self, X: np.ndarray, return_std: bool = False
     ) -> np.ndarray | Tuple[np.ndarray, np.ndarray]:
@@ -141,11 +129,3 @@ class BayesianLinearRegression:
         """Predict mean and std for a single feature vector."""
         mean, std = self.predict(np.atleast_2d(x), return_std=True)
         return float(mean[0]), float(std[0])
-
-    def predict_mean_one(self, x: np.ndarray) -> float:
-        """Predictive mean only for a single feature vector.
-
-        Skips the posterior-covariance contraction the variance needs —
-        callers that never read the uncertainty use this.
-        """
-        return float(self.predict(np.atleast_2d(x))[0])

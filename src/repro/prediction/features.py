@@ -103,8 +103,3 @@ class FeatureScaler:
     def fit_transform(self, X: np.ndarray) -> np.ndarray:
         """Fit on ``X`` and return its transformation."""
         return self.fit(X).transform(X)
-
-    @property
-    def is_fitted(self) -> bool:
-        """Whether :meth:`fit` has been called."""
-        return self.mean_ is not None

@@ -372,13 +372,3 @@ class GaussianProcessRegression:
         """Predict mean and std for a single feature vector."""
         mean, std = self.predict(np.atleast_2d(x), return_std=True)
         return float(mean[0]), float(std[0])
-
-    def predict_mean_one(self, x: np.ndarray) -> float:
-        """Predictive mean only for a single feature vector.
-
-        Skips the triangular solve the predictive variance needs — the
-        mean is one kernel row times the cached ``alpha`` — so callers
-        that never look at the uncertainty (the Fig. 6 prediction curve)
-        do O(n·d) work instead of O(n²).
-        """
-        return float(self.predict(np.atleast_2d(x))[0])

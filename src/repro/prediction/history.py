@@ -91,11 +91,6 @@ class HistoryStore:
         """Number of completed jobs folded into the store."""
         return self._completed_jobs
 
-    @property
-    def examples(self) -> Sequence[TrainingExample]:
-        """Read-only view of the stored examples."""
-        return tuple(self._examples)
-
     def add_examples(self, examples: Sequence[TrainingExample]) -> None:
         """Add pre-built examples and re-thin if the pool overflows."""
         self._examples.extend(examples)
@@ -127,8 +122,3 @@ class HistoryStore:
         X = np.asarray([e.features for e in self._examples], dtype=float)
         y = np.asarray([e.epochs_remaining for e in self._examples], dtype=float)
         return X, y
-
-    def clear(self) -> None:
-        """Drop everything (used between independent experiments)."""
-        self._examples.clear()
-        self._completed_jobs = 0

@@ -15,16 +15,15 @@ A scheduling decision needs ``β_j`` for every active job at once, so
 :meth:`ProgressPredictor.progress_distributions` stacks their feature
 rows, standardises them in one :meth:`FeatureScaler.transform` and asks
 the model for all predictive means in one ``predict`` call.  The
-one-job queries (:meth:`~ProgressPredictor.progress_distribution`,
-:meth:`~ProgressPredictor.mean_epochs_remaining`) are one-row batches
-of the same path.
+one-job query :meth:`~ProgressPredictor.progress_distribution` is a
+one-row batch of the same path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, List, Literal, Optional, Sequence, Tuple
+from typing import Dict, List, Literal, Optional, Sequence
 
 import numpy as np
 
@@ -123,23 +122,6 @@ class ProgressPredictor:
         self.fit_count += 1
         return True
 
-    @property
-    def is_fitted(self) -> bool:
-        """Whether a regression model is available (otherwise the prior is used)."""
-        return self._fitted
-
-    # -- per-job predictions ---------------------------------------------------------------
-
-    def predict_epochs_remaining(self, job: Job) -> Tuple[float, float]:
-        """Predict (mean, std) of the epochs the job still needs."""
-        if not self._fitted:
-            return float(self.config.prior_epochs_remaining), float(
-                self.config.prior_epochs_remaining
-            )
-        x = self._scaler.transform(job_features(job))
-        mean, std = self._model.predict_one(x)
-        return float(max(mean, 0.0)), float(max(std, 0.0))
-
     def _means_remaining(self, jobs: Sequence[Job]) -> List[float]:
         """Predictive means of the epochs each job still needs, in one batch.
 
@@ -151,16 +133,6 @@ class ProgressPredictor:
             return [float(self.config.prior_epochs_remaining)] * len(jobs)
         X = self._scaler.transform(np.array([job_features(job) for job in jobs]))
         return [max(float(mean), 0.0) for mean in self._model.predict(X)]
-
-    def mean_epochs_remaining(self, job: Job) -> float:
-        """Predictive mean of the epochs the job still needs.
-
-        The uncertainty-free sibling of :meth:`predict_epochs_remaining`:
-        identical mean (same kernel row, same ``alpha``), but skips the
-        O(n²) variance solve.  It is a one-job batch of the path
-        :meth:`progress_distributions` takes for a whole decision.
-        """
-        return self._means_remaining([job])[0]
 
     def progress_distribution(self, job: Job) -> BetaDistribution:
         """The Beta distribution of the job's training progress (Eq. 6)."""
@@ -203,17 +175,6 @@ class ProgressPredictor:
             return float(self.config.prior_epochs_remaining * job.dataset_size)
         return float(processed * (1.0 / rho - 1.0))
 
-    def remaining_time(
-        self, job: Job, throughput: float, progress: Optional[float] = None
-    ) -> float:
-        """Estimated remaining time ``T_j = Y_j / X_j`` (Eq. 5)."""
-        check_positive(throughput, "throughput")
-        return self.remaining_workload(job, progress) / throughput
-
-    def sample_progress(self, job: Job) -> float:
-        """Draw one progress sample ρ_j (used by Algorithm 1)."""
-        return self.progress_distribution(job).sample(self._rng)
-
     # -- introspection for Fig. 6 ------------------------------------------------------------
 
     def prediction_curve(
@@ -241,7 +202,8 @@ class ProgressPredictor:
                     loss_improvement_ratio=job.loss_improvement_ratio,
                     accuracy=job.current_accuracy,
                 )
-                mean_remaining = self._model.predict_mean_one(self._scaler.transform(x))
+                x = np.atleast_2d(self._scaler.transform(x))
+                mean_remaining = float(self._model.predict(x)[0])
                 beta = max(1.0, mean_remaining)
             else:
                 beta = max(1.0, self.config.prior_epochs_remaining)

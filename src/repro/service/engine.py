@@ -30,10 +30,9 @@ transport (:mod:`repro.service.http`) serialises calls into it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -41,7 +40,7 @@ from repro.cluster.events import Event, EventKind
 from repro.cluster.topology import make_longhorn_cluster
 from repro.experiments.registry import create_scheduler
 from repro.jobs.job import JobSpec
-from repro.obs.metrics import LatencyHistogram, MetricsRegistry
+from repro.obs.metrics import LatencyHistogram
 from repro.obs.trace import active_tracer
 from repro.service.schemas import (
     AdmissionError,
@@ -80,7 +79,6 @@ class TenantState:
         """Telemetry snapshot of this tenant."""
         return {
             "tenant": self.quota.tenant,
-            "weight": float(self.quota.weight),
             "submitted": int(self.submitted),
             "rejected": int(self.rejected),
             "placed": int(self.placed),
@@ -136,12 +134,6 @@ class SchedulerService:
             quota.tenant: TenantState(quota=quota) for quota in config.tenants
         }
         self._open_admission = not config.tenants
-        # Weighted-share admission only activates when some registered
-        # tenant carries a non-default weight; with all weights at 1.0
-        # the policy is inert and admission behaves exactly as before.
-        self._weighted_admission = any(
-            float(quota.weight) != 1.0 for quota in config.tenants
-        )
         self._submission_counter = 0
         self._tenant_of_job: Dict[str, str] = {}
         self._completed_seen: set = set()
@@ -381,41 +373,7 @@ class SchedulerService:
                 f"{state.outstanding_gpus} + requested {submission.gpu_demand} GPUs "
                 f"exceeds max_gpus={quota.max_gpus}"
             )
-        if self._weighted_admission:
-            self._check_weighted_share(state)
         return state
-
-    def _check_weighted_share(self, state: TenantState) -> None:
-        """Proportional concurrency under contention, driven by quota weights.
-
-        Only consulted when some registered tenant carries a non-default
-        ``weight`` (the flag is computed once at startup); with every
-        weight at 1.0, admission is bit-for-bit what it was before this
-        policy existed.  The check binds only while the cluster is
-        contended — some admitted job is waiting for GPUs.  A tenant may
-        then hold at most ``ceil((A + 1) * w_i / W)`` concurrent
-        incomplete jobs, where ``A`` is the number of active jobs across
-        all tenants and ``W`` the sum of all tenants' weights.  The
-        ``max(1, ...)`` floor guarantees a tiny weight never means
-        outright starvation: every tenant can always run one job.
-        """
-        if self.queue_depth() == 0:
-            return
-        total_weight = sum(float(t.quota.weight) for t in self.tenants.values())
-        if total_weight <= 0.0:  # pragma: no cover - weights validate positive
-            return
-        total_active = sum(len(t.active_jobs) for t in self.tenants.values())
-        share = max(
-            1,
-            math.ceil((total_active + 1) * float(state.quota.weight) / total_weight),
-        )
-        if len(state.active_jobs) + 1 > share:
-            raise AdmissionError(
-                f"tenant {state.quota.tenant!r} exceeds its weighted share under "
-                f"contention: holds {len(state.active_jobs)} active jobs but its "
-                f"share of {total_active + 1} is {share} "
-                f"(weight {state.quota.weight:g} of {total_weight:g})"
-            )
 
     def _build_spec(self, submission: JobSubmission, arrival_time: float) -> JobSpec:
         if submission.spec is not None:
@@ -437,34 +395,7 @@ class SchedulerService:
             rng=self._rng if self.config.convergence_jitter else None,
         )
 
-    # -- replay & drain -----------------------------------------------------------------
-
-    def replay_trace(
-        self, trace: Sequence[JobSpec], *, tenant: str
-    ) -> List[PlacementDecision]:
-        """Push a recorded trace through the service in virtual time.
-
-        Each spec travels through the full submission path (validation,
-        admission, injection) with its recorded arrival time; combined
-        with :meth:`drain` the end state is bit-identical to an offline
-        :meth:`~repro.sim.simulator.ClusterSimulator.run` of the trace.
-        """
-        from repro.workload.replay import jobspec_to_dict
-
-        decisions = []
-        for spec in trace:
-            decisions.append(
-                self.submit(
-                    JobSubmission(
-                        tenant=tenant,
-                        replicas=int(spec.requested_gpus),
-                        gpus_per_replica=1,
-                        arrival_time=float(spec.arrival_time),
-                        spec=jobspec_to_dict(spec),
-                    )
-                )
-            )
-        return decisions
+    # -- drain -----------------------------------------------------------------
 
     def drain(self) -> SimulationResult:
         """Close the submission stream and run the cluster to completion."""
@@ -475,10 +406,6 @@ class SchedulerService:
                 break
             if self._timed_step() is None:
                 break
-        return self.sim.build_result()
-
-    def result(self) -> SimulationResult:
-        """Snapshot result of the run so far (without closing the stream)."""
         return self.sim.build_result()
 
     # -- telemetry ----------------------------------------------------------------------
@@ -514,56 +441,6 @@ class SchedulerService:
                 name: state.as_dict() for name, state in sorted(self.tenants.items())
             },
         }
-
-    def metrics_registry(self) -> MetricsRegistry:
-        """The service's live telemetry as a metrics registry.
-
-        Histograms are *adopted* (not copied): the registry renders the
-        same :class:`LatencyHistogram` instances the engine records
-        into.  Scheduler counters come from the scheduler's own
-        registry, re-registered under a ``scheduler_`` prefix — this is
-        how the scoring-cache and table-reuse counters reach the
-        ``/metrics`` transport op and ``service-status --metrics``.
-        """
-        registry = MetricsRegistry()
-        registry.histogram(
-            "service_decision_latency_seconds", help="end-to-end decision latency"
-        ).attach(self.decision_latency)
-        tenant_hist = registry.histogram(
-            "service_tenant_decision_latency_seconds",
-            help="decision latency per tenant",
-            labels=("tenant",),
-        )
-        for name, state in sorted(self.tenants.items()):
-            tenant_hist.attach(state.decision_latency, tenant=name)
-        step_hist = registry.histogram(
-            "service_step_latency_seconds",
-            help="kernel step latency per event kind",
-            labels=("kind",),
-        )
-        for kind, hist in sorted(self.step_latency.items()):
-            step_hist.attach(hist, kind=kind)
-        registry.set_gauges(
-            {
-                "service_queue_depth": self.queue_depth(),
-                "service_submissions_per_second": self.submissions_per_second(),
-                "service_virtual_time_seconds": float(self.sim.now),
-                "service_events_processed": int(self.sim.kernel.events_processed),
-            },
-            help="service engine state",
-        )
-        goodput = registry.counter(
-            "service_completed_jobs", help="completed jobs per tenant", labels=("tenant",)
-        )
-        for name, state in sorted(self.tenants.items()):
-            goodput.labels(tenant=name).inc(int(state.completed))
-        scheduler_registry = getattr(self.sim.scheduler, "metrics_registry", None)
-        if scheduler_registry is not None:
-            for name, value in scheduler_registry().values().items():
-                registry.gauge(
-                    f"scheduler_{name}", help="scheduler counter"
-                ).set(value)
-        return registry
 
     def metrics(self) -> Dict[str, object]:
         """Observability snapshot: latency histograms, throughput, goodput."""

@@ -168,10 +168,6 @@ class ServiceServer:
             return {"ok": True, "status": service.status()}
         if op == "metrics":
             return {"ok": True, "metrics": service.metrics()}
-        if op == "metrics_text":
-            # Prometheus text exposition — the transport's /metrics
-            # equivalent, rendered from the service's live registry.
-            return {"ok": True, "text": service.metrics_registry().render_text()}
         if op == "stream":
             tenant = str(request.get("tenant", "*"))
             cursor = int(request.get("cursor", 0))
@@ -281,10 +277,6 @@ class ServiceClient:
 
     # -- convenience verbs --------------------------------------------------------------
 
-    def submit(self, submission: JobSubmission) -> Dict[str, Any]:
-        """Submit one job; returns the placement-decision dict."""
-        return self.request("submit", submission=submission.to_dict())["decision"]
-
     def submit_batch(self, submissions: List[JobSubmission]) -> List[Dict[str, Any]]:
         """Submit many jobs in one round trip; returns their decisions."""
         return self.request(
@@ -299,10 +291,6 @@ class ServiceClient:
         """Observability snapshot (see ``SchedulerService.metrics``)."""
         return self.request("metrics")["metrics"]
 
-    def metrics_text(self) -> str:
-        """Prometheus text exposition of the service registry."""
-        return self.request("metrics_text")["text"]
-
     def stream(
         self, tenant: str = "*", cursor: int = 0, limit: Optional[int] = None
     ) -> Dict[str, Any]:
@@ -311,10 +299,6 @@ class ServiceClient:
         if limit is not None:
             fields["limit"] = int(limit)
         return self.request("stream", **fields)
-
-    def advance(self, to_time: float) -> Dict[str, Any]:
-        """Advance the virtual clock (virtual-mode runs)."""
-        return self.request("advance", to_time=float(to_time))
 
     def drain(self) -> Dict[str, Any]:
         """Close the stream and run the cluster dry; returns the summary."""

@@ -20,8 +20,6 @@ oversubscribed quota).  Both are turned into ``status="rejected"``
 from __future__ import annotations
 
 import enum
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -206,11 +204,6 @@ class PlacementDecision:
             self, "local_batches", tuple(int(b) for b in self.local_batches)
         )
 
-    @property
-    def num_gpus(self) -> int:
-        """GPUs granted by this decision (0 when queued / rejected)."""
-        return len(self.gpu_ids)
-
     # -- serialization ------------------------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:
@@ -228,22 +221,6 @@ class PlacementDecision:
             "reason": str(self.reason),
         }
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "PlacementDecision":
-        """Rebuild a :class:`PlacementDecision` from :meth:`to_dict` output."""
-        return cls(
-            submission_id=str(payload["submission_id"]),
-            job_id=str(payload["job_id"]),
-            tenant=str(payload["tenant"]),
-            status=str(payload["status"]),
-            virtual_time=float(payload["virtual_time"]),
-            decision_latency_ms=float(payload.get("decision_latency_ms", 0.0)),
-            gpu_ids=tuple(payload.get("gpu_ids", ())),
-            local_batches=tuple(payload.get("local_batches", ())),
-            queue_depth=int(payload.get("queue_depth", 0)),
-            reason=str(payload.get("reason", "")),
-        )
-
 
 @dataclass(frozen=True)
 class TenantQuota:
@@ -251,45 +228,18 @@ class TenantQuota:
 
     ``max_gpus`` caps the tenant's *outstanding requested* GPU demand
     (demand of admitted-but-incomplete jobs); ``max_active`` caps its
-    concurrent incomplete jobs.  ``weight`` drives weighted-share
-    admission: when any registered tenant has a non-default weight and
-    the cluster is contended, each tenant's concurrent jobs are capped
-    at its proportional share ``ceil((active + 1) * w_i / sum(w))``
-    (floored at one job).  With every weight at the default 1.0 the
-    policy is inert and admission behaves as if weights did not exist.
+    concurrent incomplete jobs.
     """
 
     tenant: str
     max_gpus: int = 1 << 30
     max_active: int = 1 << 30
-    weight: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.tenant or not str(self.tenant).strip():
             raise ValueError("tenant must be a non-empty string")
         check_positive_int(self.max_gpus, "max_gpus")
         check_positive_int(self.max_active, "max_active")
-        check_positive(self.weight, "weight")
-
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-JSON representation (round-trips through :meth:`from_dict`)."""
-        return {
-            "tenant": str(self.tenant),
-            "max_gpus": int(self.max_gpus),
-            "max_active": int(self.max_active),
-            "weight": float(self.weight),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "TenantQuota":
-        """Rebuild a :class:`TenantQuota` from :meth:`to_dict` output."""
-        return cls(
-            tenant=str(payload["tenant"]),
-            max_gpus=int(payload.get("max_gpus", 1 << 30)),
-            max_active=int(payload.get("max_active", 1 << 30)),
-            weight=float(payload.get("weight", 1.0)),
-        )
-
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -328,50 +278,3 @@ class ServiceConfig:
         names = [quota.tenant for quota in self.tenants]
         if len(set(names)) != len(names):
             raise ValueError("tenants contains duplicate names")
-
-    def quota_of(self, tenant: str) -> Optional[TenantQuota]:
-        """The quota registered for ``tenant`` (``None`` when unknown)."""
-        for quota in self.tenants:
-            if quota.tenant == tenant:
-                return quota
-        return None
-
-    # -- serialization ------------------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-JSON representation (round-trips through :meth:`from_dict`)."""
-        return {
-            "num_gpus": int(self.num_gpus),
-            "scheduler": str(self.scheduler),
-            "seed": int(self.seed),
-            "mode": str(self.mode),
-            "time_scale": float(self.time_scale),
-            "max_time": float(self.max_time),
-            "max_events": int(self.max_events),
-            "convergence_jitter": bool(self.convergence_jitter),
-            "tenants": [quota.to_dict() for quota in self.tenants],
-            "scheduler_options": dict(self.scheduler_options),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "ServiceConfig":
-        """Rebuild a :class:`ServiceConfig` from :meth:`to_dict` output."""
-        return cls(
-            num_gpus=int(payload.get("num_gpus", 64)),
-            scheduler=str(payload.get("scheduler", "ONES")),
-            seed=int(payload.get("seed", 2021)),
-            mode=str(payload.get("mode", "virtual")),
-            time_scale=float(payload.get("time_scale", 60.0)),
-            max_time=float(payload.get("max_time", 14 * 24 * 3600.0)),
-            max_events=int(payload.get("max_events", 10_000_000)),
-            convergence_jitter=bool(payload.get("convergence_jitter", True)),
-            tenants=tuple(
-                TenantQuota.from_dict(entry) for entry in payload.get("tenants", ())
-            ),
-            scheduler_options=dict(payload.get("scheduler_options", {})),
-        )
-
-    def config_key(self) -> str:
-        """Content hash of the service configuration (provenance key)."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]

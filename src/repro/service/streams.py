@@ -2,21 +2,20 @@
 
 The engine publishes every :class:`~repro.service.schemas.PlacementDecision`
 (and job-completion notice) into a :class:`StreamHub`; transports and
-tests subscribe with a cursor and poll/await new records.  The hub is a
+tests subscribe with a cursor and poll for new records.  The hub is a
 bounded ring per tenant — a slow consumer loses the *oldest* records
 (tracked in ``dropped``), never blocks the scheduler's event loop.  That
 back-pressure stance is what keeps decision latency independent of how
 many clients are watching.
 
-The hub is transport-agnostic: it never imports asyncio.  Async servers
-register a plain callable via :meth:`add_waiter` and get poked once per
-publish; pull-based consumers just call :meth:`read` with their cursor.
+The hub is transport-agnostic: it never imports asyncio.  Consumers
+call :meth:`read` with their cursor.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Mapping, Optional, Tuple
+from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
 #: Wildcard tenant: subscribes to every tenant's records.
 ALL_TENANTS = "*"
@@ -32,7 +31,6 @@ class StreamHub:
         self._rings: Dict[str, Deque[Tuple[int, Mapping[str, object]]]] = {}
         self._next_seq: Dict[str, int] = {}
         self._dropped: Dict[str, int] = {}
-        self._waiters: List[Callable[[], None]] = []
 
     # -- publishing (engine side) -------------------------------------------------------
 
@@ -46,8 +44,6 @@ class StreamHub:
         seq = self._append(tenant, record)
         if tenant != ALL_TENANTS:
             self._append(ALL_TENANTS, record)
-        for waiter in list(self._waiters):
-            waiter()
         return seq
 
     def _append(self, tenant: str, record: Mapping[str, object]) -> int:
@@ -95,10 +91,6 @@ class StreamHub:
                 break
         return out, next_cursor
 
-    def latest_cursor(self, tenant: str) -> int:
-        """The cursor positioned *after* the newest record (empty read next)."""
-        return self._next_seq.get(tenant, 0)
-
     def dropped(self, tenant: str) -> int:
         """Records evicted from ``tenant``'s ring before any read caught up."""
         return self._dropped.get(tenant, 0)
@@ -107,19 +99,6 @@ class StreamHub:
         """Records currently retained in ``tenant``'s ring."""
         ring = self._rings.get(tenant)
         return len(ring) if ring else 0
-
-    # -- wakeup plumbing ----------------------------------------------------------------
-
-    def add_waiter(self, waiter: Callable[[], None]) -> None:
-        """Register a zero-arg callable poked after every publish."""
-        self._waiters.append(waiter)
-
-    def remove_waiter(self, waiter: Callable[[], None]) -> None:
-        """Unregister a waiter previously added with :meth:`add_waiter`."""
-        try:
-            self._waiters.remove(waiter)
-        except ValueError:
-            pass
 
     # -- introspection ------------------------------------------------------------------
 

@@ -176,28 +176,6 @@ class SimulationKernel:
                 handler.handle(event)
                 profile.time_handler(event.kind, start)
 
-    def run_until(self, to_time: float) -> int:
-        """Process every event *strictly before* ``to_time``; return the count.
-
-        Strictness is what makes online replay bit-identical to offline
-        runs: events at exactly ``to_time`` stay queued, so an event
-        injected *at* ``to_time`` (a job arrival) still sorts against
-        them by the deterministic (time, kind, insertion) order instead
-        of being processed after events it should precede.  The clock is
-        not advanced past the last processed event — the next event (or
-        an explicit :meth:`advance`) moves it.
-        """
-        processed = 0
-        while self.events and self.events_processed < self.max_events:
-            if self.events.peek().time >= to_time:
-                break
-            if self.step() is None:
-                break
-            processed += 1
-            if self._done():
-                break
-        return processed
-
     # -- the loop -----------------------------------------------------------------------
 
     def run(self) -> int:

@@ -25,7 +25,7 @@ simulator keeps the hot loop free of timer calls when disabled.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, Mapping, Optional
+from typing import Dict
 
 from repro.cluster.events import EventKind
 
@@ -39,9 +39,6 @@ class SimProfile:
         self.event_counts: Dict[EventKind, int] = {}
         self.extra_seconds: Dict[str, float] = {}
         self._started = perf_counter()
-        #: Set by :meth:`from_dict` so a deserialised profile reports
-        #: the original run's total instead of this process's clock.
-        self._total_seconds: Optional[float] = None
 
     # -- timers used by the kernel ------------------------------------------------------
 
@@ -68,16 +65,10 @@ class SimProfile:
 
         Event kinds serialise as their *names* (``handler_timer_seconds``,
         ``events_node_down``), never enum reprs, so artifact keys stay
-        stable across enum reordering and are parseable by
-        :meth:`from_dict`.
+        stable across enum reordering.
         """
-        total = (
-            self._total_seconds
-            if self._total_seconds is not None
-            else perf_counter() - self._started
-        )
         payload: Dict[str, float] = {
-            "total_seconds": total,
+            "total_seconds": perf_counter() - self._started,
             "advance_seconds": self.advance_seconds,
         }
         for kind, seconds in sorted(self.handler_seconds.items()):
@@ -92,34 +83,3 @@ class SimProfile:
                 key = f"scheduler_{key}"
             payload[key] = seconds
         return payload
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, float]) -> "SimProfile":
-        """Rebuild a profile from :meth:`as_dict` output.
-
-        ``handler_*``/``events_*`` keys naming a known
-        :class:`EventKind` round-trip back into the enum-keyed tables;
-        scheduler phase keys land back in ``extra_seconds``.  For any
-        profile recorded by this build,
-        ``SimProfile.from_dict(p.as_dict()).as_dict() == p.as_dict()``.
-        """
-        profile = cls()
-        profile._total_seconds = float(payload.get("total_seconds", 0.0))
-        profile.advance_seconds = float(payload.get("advance_seconds", 0.0))
-        known = {kind.name.lower(): kind for kind in EventKind}
-        for key, value in payload.items():
-            if key in ("total_seconds", "advance_seconds"):
-                continue
-            if key.startswith("handler_") and key.endswith("_seconds"):
-                kind = known.get(key[len("handler_") : -len("_seconds")])
-                if kind is not None:
-                    profile.handler_seconds[kind] = float(value)
-                    continue
-            if key.startswith("events_"):
-                kind = known.get(key[len("events_") :])
-                if kind is not None:
-                    profile.event_counts[kind] = int(value)
-                    continue
-            name = key[: -len("_seconds")] if key.endswith("_seconds") else key
-            profile.extra_seconds[name] = float(value)
-        return profile

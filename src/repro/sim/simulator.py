@@ -46,7 +46,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.cluster.allocation import Allocation
-from repro.cluster.events import Event, EventKind, EventQueue
+from repro.cluster.events import Event, EventKind
 from repro.cluster.topology import ClusterTopology
 from repro.faults.config import FaultConfig
 from repro.faults.costs import FaultCostModel
@@ -385,15 +385,6 @@ class ClusterSimulator:
         """Current simulation time (the kernel's clock)."""
         return self.kernel.now
 
-    @property
-    def _events(self) -> EventQueue:
-        """The kernel's event queue (kept under the historical name)."""
-        return self.kernel.events
-
-    @property
-    def _events_processed(self) -> int:
-        return self.kernel.events_processed
-
     # -- public API ---------------------------------------------------------------------------
 
     def run(self) -> SimulationResult:
@@ -426,7 +417,7 @@ class ClusterSimulator:
         :meth:`submit` and the periodic timer is armed on the first
         submission (so its first tick is ``first_arrival + interval``,
         exactly as in an offline replay).  The caller then drives
-        ``self.kernel`` with ``step()`` / ``run_until()``.
+        ``self.kernel`` with ``step()``.
         """
         if not self.online:
             raise RuntimeError("start() is only meaningful in online mode; use run()")
@@ -523,11 +514,7 @@ class ClusterSimulator:
             self.faults.charge_downtime(to_time - self.kernel.now)
         self.ledger.advance_to(to_time)
 
-    def _advance_time(self, to_time: float) -> None:
-        """Advance the clock (historical entry point; kernel-guarded)."""
-        self.kernel.advance(to_time)
-
-    # -- event handlers (thin delegates into the strategy objects) ---------------------------------
+    # -- hooks the event handlers call ----------------------------------------------------------
 
     def admit_job(self, job_id: str) -> Job:
         """Create the :class:`Job` for an arriving spec and register it."""
@@ -537,15 +524,6 @@ class ClusterSimulator:
         self.active[spec.job_id] = job
         self.ledger.register(job, self.now)
         return job
-
-    def _handle_arrival(self, event: Event) -> None:
-        self.handlers[EventKind.JOB_ARRIVAL].handle(event)
-
-    def _handle_epoch_end(self, event: Event) -> None:
-        self.handlers[EventKind.EPOCH_END].handle(event)
-
-    def _handle_timer(self, event: Event) -> None:
-        self.handlers[EventKind.TIMER].handle(event)
 
     def _complete_job(self, job: Job) -> None:
         job.mark_completed(self.now)

@@ -32,12 +32,6 @@ class GanttSegment:
     end: float
     num_gpus: int
 
-    @property
-    def duration(self) -> float:
-        """Length of the segment in seconds."""
-        return max(0.0, self.end - self.start)
-
-
 def job_gantt(jobs: Mapping[str, Job]) -> List[GanttSegment]:
     """Flatten every job's run intervals into Gantt segments (time-ordered)."""
     segments: List[GanttSegment] = []
@@ -90,28 +84,6 @@ def utilization_timeline(
     """Cluster utilisation (busy fraction of GPUs) over time."""
     times, busy = busy_gpu_timeline(result, num_points)
     return times, busy / max(result.num_gpus, 1)
-
-
-def batch_size_timeline(job: Job) -> Tuple[np.ndarray, np.ndarray]:
-    """Step-wise global batch size of one job over time."""
-    if not job.batch_history:
-        return np.zeros(0), np.zeros(0)
-    times = np.asarray([t for t, _ in job.batch_history], dtype=float)
-    batches = np.asarray([b for _, b in job.batch_history], dtype=float)
-    return times, batches
-
-
-def gpu_count_timeline(job: Job) -> Tuple[np.ndarray, np.ndarray]:
-    """Step-wise GPU count of one job over time (from its run intervals)."""
-    times: List[float] = []
-    counts: List[float] = []
-    for interval in job.run_intervals:
-        times.append(interval.start)
-        counts.append(float(interval.num_gpus))
-        if interval.end is not None:
-            times.append(interval.end)
-            counts.append(0.0)
-    return np.asarray(times), np.asarray(counts)
 
 
 #: The keys of :meth:`RunTelemetry.as_dict`, in report-column order.

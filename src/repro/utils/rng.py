@@ -11,7 +11,7 @@ streams, we derive named child generators from a single root seed using
 from __future__ import annotations
 
 import hashlib
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -57,50 +57,3 @@ def spawn_generator(seed: SeedLike, name: str) -> np.random.Generator:
         base = int(seed)
     mixed = np.random.SeedSequence([base, _name_to_offset(name)])
     return np.random.default_rng(mixed)
-
-
-class RngFactory:
-    """Factory of named, reproducible random streams.
-
-    Parameters
-    ----------
-    seed:
-        Root seed.  ``None`` uses fresh OS entropy (non-reproducible).
-
-    Examples
-    --------
-    >>> factory = RngFactory(1234)
-    >>> trace_rng = factory.get("trace")
-    >>> evo_rng = factory.get("evolution")
-    >>> factory.get("trace").integers(10) == RngFactory(1234).get("trace").integers(10)
-    True
-    """
-
-    def __init__(self, seed: Optional[int] = None) -> None:
-        if seed is None:
-            seed = int(np.random.SeedSequence().generate_state(1)[0])
-        self._seed = int(seed)
-        self._cache: dict[str, np.random.Generator] = {}
-
-    @property
-    def seed(self) -> int:
-        """Root seed of the factory."""
-        return self._seed
-
-    def get(self, name: str) -> np.random.Generator:
-        """Return the generator for stream ``name`` (cached per factory)."""
-        if name not in self._cache:
-            self._cache[name] = spawn_generator(self._seed, name)
-        return self._cache[name]
-
-    def fresh(self, name: str) -> np.random.Generator:
-        """Return a *new* generator for ``name``, resetting any cached one."""
-        self._cache[name] = spawn_generator(self._seed, name)
-        return self._cache[name]
-
-    def child(self, name: str) -> "RngFactory":
-        """Return a child factory whose root seed is derived from ``name``."""
-        return RngFactory(self._seed ^ _name_to_offset(name))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RngFactory(seed={self._seed})"

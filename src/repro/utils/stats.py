@@ -9,8 +9,8 @@ are derived identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -33,20 +33,6 @@ class SummaryStats:
     p75: float
     maximum: float
 
-    def as_dict(self) -> dict:
-        """Return the summary as a plain dictionary (for reporting)."""
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "std": self.std,
-            "min": self.minimum,
-            "p25": self.p25,
-            "median": self.median,
-            "p75": self.p75,
-            "max": self.maximum,
-        }
-
-
 def summarize(values: Iterable[float]) -> SummaryStats:
     """Compute a :class:`SummaryStats` over ``values``.
 
@@ -67,16 +53,6 @@ def summarize(values: Iterable[float]) -> SummaryStats:
         p75=float(np.percentile(arr, 75)),
         maximum=float(np.max(arr)),
     )
-
-
-def percentile_summary(
-    values: Iterable[float], percentiles: Sequence[float] = (50, 90, 95, 99)
-) -> dict:
-    """Return ``{percentile: value}`` for the requested percentiles."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        raise ValueError("cannot summarize an empty sample")
-    return {float(p): float(np.percentile(arr, p)) for p in percentiles}
 
 
 def cumulative_frequency(
@@ -118,7 +94,7 @@ def fraction_below(values: Iterable[float], threshold: float) -> float:
 
 @dataclass
 class RunningMean:
-    """Numerically stable streaming mean/variance (Welford).
+    """Numerically stable streaming mean (Welford's update).
 
     The simulator uses this to profile per-job throughput online — the
     paper (§3.2.1) uses "the mean value of collected measures".
@@ -126,23 +102,8 @@ class RunningMean:
 
     count: int = 0
     mean: float = 0.0
-    _m2: float = field(default=0.0, repr=False)
 
     def update(self, value: float) -> None:
-        """Fold one observation into the running statistics."""
+        """Fold one observation into the running mean."""
         self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
-
-    @property
-    def variance(self) -> float:
-        """Sample variance (0 for fewer than two observations)."""
-        if self.count < 2:
-            return 0.0
-        return self._m2 / (self.count - 1)
-
-    @property
-    def std(self) -> float:
-        """Sample standard deviation."""
-        return float(np.sqrt(self.variance))
+        self.mean += (value - self.mean) / self.count

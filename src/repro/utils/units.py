@@ -30,16 +30,6 @@ HOUR: float = 3600.0
 DAY: float = 86400.0
 
 
-def format_bytes(num_bytes: float) -> str:
-    """Format a byte count using binary prefixes, e.g. ``1.5 GiB``."""
-    value = float(num_bytes)
-    for unit in ("B", "KiB", "MiB", "GiB", "TiB"):
-        if abs(value) < 1024.0 or unit == "TiB":
-            return f"{value:.2f} {unit}"
-        value /= 1024.0
-    return f"{value:.2f} TiB"  # pragma: no cover - unreachable
-
-
 def format_duration(seconds: float) -> str:
     """Format a duration in seconds as a compact human-readable string."""
     seconds = float(seconds)
@@ -57,15 +47,3 @@ def format_duration(seconds: float) -> str:
     hours, rem = divmod(seconds, HOUR)
     minutes = rem / MINUTE
     return f"{int(hours)}h{minutes:04.1f}m"
-
-
-def format_rate(value: float, unit: str = "samples/s") -> str:
-    """Format a rate with an SI prefix, e.g. ``12.3 ksamples/s``."""
-    value = float(value)
-    if abs(value) >= GIGA:
-        return f"{value / GIGA:.2f} G{unit}"
-    if abs(value) >= MEGA:
-        return f"{value / MEGA:.2f} M{unit}"
-    if abs(value) >= KILO:
-        return f"{value / KILO:.2f} k{unit}"
-    return f"{value:.2f} {unit}"

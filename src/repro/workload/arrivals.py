@@ -17,8 +17,7 @@ them with workload templates.
 On top of the raw processes sits a *declarative* layer in the style of
 the fault-profile registry (:mod:`repro.faults.profiles`): an
 :class:`ArrivalConfig` names a registered profile plus its scalar
-parameters and a seed, JSON round-trips like every other config, and is
-content-hashable via :meth:`ArrivalConfig.config_key`.  Determinism
+parameters and a seed.  Determinism
 contract: generating from a config uses **only** a ``numpy`` generator
 seeded from the config — no wall clock, no ``hash()`` — so the same
 config produces a bit-identical arrival stream in any process regardless
@@ -29,11 +28,9 @@ load driver (``repro-ones submit --arrival-profile ...``).
 from __future__ import annotations
 
 import abc
-import hashlib
-import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -166,8 +163,7 @@ class UnknownArrivalProfileError(KeyError):
 
     def __init__(self, name: str) -> None:
         super().__init__(
-            f"unknown arrival profile {name!r}; available: "
-            f"{', '.join(available_arrival_profiles())}"
+            f"unknown arrival profile {name!r}; available: {', '.join(_ARRIVAL_PROFILES)}"
         )
 
     def __str__(self) -> str:  # KeyError quotes its repr by default
@@ -189,19 +185,6 @@ def register_arrival_profile(
         return fn
 
     return decorator
-
-
-def available_arrival_profiles() -> Tuple[str, ...]:
-    """Names of every registered arrival profile, in registration order."""
-    return tuple(_ARRIVAL_PROFILES)
-
-
-def arrival_profile_table() -> List[Dict[str, str]]:
-    """``{profile, description}`` rows for CLI listings."""
-    return [
-        {"profile": name, "description": description}
-        for name, (_, description) in _ARRIVAL_PROFILES.items()
-    ]
 
 
 @dataclass(frozen=True)
@@ -244,42 +227,6 @@ class ArrivalConfig:
         if self.burst_factor <= 1.0:
             raise ValueError("burst_factor must exceed 1.0")
 
-    # -- serialization ------------------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-JSON representation (round-trips through :meth:`from_dict`)."""
-        return {
-            "profile": str(self.profile),
-            "rate": float(self.rate),
-            "seed": int(self.seed),
-            "amplitude": float(self.amplitude),
-            "period_hours": float(self.period_hours),
-            "phase": float(self.phase),
-            "burst_factor": float(self.burst_factor),
-            "mean_quiet_s": float(self.mean_quiet_s),
-            "mean_burst_s": float(self.mean_burst_s),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "ArrivalConfig":
-        """Rebuild an :class:`ArrivalConfig` from :meth:`to_dict` output."""
-        return cls(
-            profile=str(payload["profile"]),
-            rate=float(payload["rate"]),
-            seed=int(payload["seed"]),
-            amplitude=float(payload.get("amplitude", 0.8)),
-            period_hours=float(payload.get("period_hours", 24.0)),
-            phase=float(payload.get("phase", 0.0)),
-            burst_factor=float(payload.get("burst_factor", 10.0)),
-            mean_quiet_s=float(payload.get("mean_quiet_s", 600.0)),
-            mean_burst_s=float(payload.get("mean_burst_s", 120.0)),
-        )
-
-    def config_key(self) -> str:
-        """Content hash of the config (cache / provenance key)."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
-
     # -- generation ---------------------------------------------------------------------
 
     def build_process(self) -> ArrivalProcess:
@@ -318,19 +265,3 @@ def _bursty_arrival_profile(config: ArrivalConfig) -> ArrivalProcess:
         mean_quiet_duration=config.mean_quiet_s,
         mean_burst_duration=config.mean_burst_s,
     )
-
-
-def interarrival_statistics(times: Sequence[float]) -> dict:
-    """Mean / std / burstiness (coefficient of variation) of inter-arrivals."""
-    arr = np.sort(np.asarray(list(times), dtype=float))
-    if arr.size < 2:
-        return {"mean": 0.0, "std": 0.0, "cv": 0.0, "count": int(arr.size)}
-    gaps = np.diff(arr)
-    mean = float(np.mean(gaps))
-    std = float(np.std(gaps))
-    return {
-        "mean": mean,
-        "std": std,
-        "cv": std / mean if mean > 0 else 0.0,
-        "count": int(arr.size),
-    }

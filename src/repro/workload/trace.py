@@ -135,28 +135,3 @@ class TraceGenerator:
             )
         jobs.sort(key=lambda spec: (spec.arrival_time, spec.job_id))
         return jobs
-
-    def generate_batch_arrival(self, at_time: float = 0.0) -> List[JobSpec]:
-        """Generate a trace where every job arrives at the same instant.
-
-        Useful for offline-scheduling unit tests where queueing dynamics
-        should not depend on arrival order.
-        """
-        jobs = self.generate()
-        return [
-            JobSpec(
-                job_id=spec.job_id,
-                task=spec.task,
-                model=spec.model,
-                dataset=spec.dataset,
-                dataset_size=spec.dataset_size,
-                num_classes=spec.num_classes,
-                convergence=spec.convergence,
-                base_batch=spec.base_batch,
-                base_lr=spec.base_lr,
-                requested_gpus=spec.requested_gpus,
-                arrival_time=float(at_time),
-                convergence_patience=spec.convergence_patience,
-            )
-            for spec in jobs
-        ]

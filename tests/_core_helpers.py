@@ -47,6 +47,35 @@ def make_jobs(
     return jobs
 
 
+def table_from_matrix(roster: Sequence[str], matrix) -> ThroughputTable:
+    """A fully-specified :class:`ThroughputTable` from a raw array (no model calls).
+
+    ``matrix`` is ``(num_jobs, num_gpus + 1)`` (the same curve on both
+    locality planes) or ``(num_jobs, num_gpus + 1, 2)``.  The table has no
+    model behind it, so every entry a lookup reads must be given.
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim == 2:
+        matrix = np.repeat(matrix[:, :, None], 2, axis=2)
+    roster = tuple(roster)
+    assert matrix.shape[0] == len(roster) and matrix.shape[2] == 2, matrix.shape
+    table = ThroughputTable.__new__(ThroughputTable)
+    table._model = None
+    table._jobs = {}
+    table._limits = {}
+    table._memo = None
+    table._roster = roster
+    table._index = {job_id: i for i, job_id in enumerate(roster)}
+    table._num_gpus = matrix.shape[1] - 1
+    table._gpus_per_node = max(1, table._num_gpus)
+    table._node_of = np.zeros(table._num_gpus, dtype=np.int64)
+    table._multi_node_cluster = False
+    table._table = matrix.copy()
+    table.model_calls = 0
+    table._version = ThroughputTable._next_version()
+    return table
+
+
 def make_context(
     jobs: Optional[Dict[str, Job]] = None,
     num_gpus: int = 8,

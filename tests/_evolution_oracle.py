@@ -39,6 +39,63 @@ from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_positive_int
 
 
+# --- schedule queries -----------------------------------------------------------------------------
+
+
+def empty_schedule(roster, num_gpus: int) -> Schedule:
+    """A schedule over ``roster`` with every GPU idle."""
+    return Schedule(roster=tuple(roster), genome=np.full(num_gpus, IDLE, dtype=np.int64))
+
+
+def schedule_from_assignment(roster, num_gpus: int, assignment: Mapping[int, str]) -> Schedule:
+    """A schedule built from ``{gpu_id: job_id}``."""
+    roster = tuple(roster)
+    genome = np.full(num_gpus, IDLE, dtype=np.int64)
+    for gpu, job_id in assignment.items():
+        genome[int(gpu)] = roster.index(job_id)
+    return Schedule(roster=roster, genome=genome)
+
+
+def with_genome(schedule: Schedule, genome) -> Schedule:
+    """``schedule``'s roster over a different genome."""
+    return Schedule(roster=schedule.roster, genome=np.array(genome, dtype=np.int64))
+
+
+def gpu_counts(schedule: Schedule) -> Dict[str, int]:
+    """GPU counts of every placed job."""
+    genome = schedule.genome
+    counts = np.bincount(genome[genome != IDLE], minlength=len(schedule.roster))
+    return {job_id: int(counts[i]) for i, job_id in enumerate(schedule.roster) if counts[i]}
+
+
+def idle_gpus(schedule: Schedule) -> List[int]:
+    """Ids of the idle GPUs."""
+    return [int(g) for g in np.nonzero(schedule.genome == IDLE)[0]]
+
+
+def waiting_jobs(schedule: Schedule) -> List[str]:
+    """Roster jobs without a GPU."""
+    placed = set(schedule.placed_jobs())
+    return [job_id for job_id in schedule.roster if job_id not in placed]
+
+
+def schedule_key(schedule: Schedule) -> Tuple[int, ...]:
+    """Hashable genome key."""
+    return tuple(int(v) for v in schedule.genome)
+
+
+def table_value(table: ThroughputTable, job_id: str, count: int, crosses=None) -> float:
+    """``X_j(c)`` of one roster job on one locality plane (packed when ``crosses`` is None)."""
+    counts = np.zeros((1, len(table.roster)), dtype=np.int64)
+    index = table.roster.index(job_id)
+    counts[0, index] = count
+    planes = None
+    if crosses is not None:
+        planes = np.zeros(counts.shape, dtype=bool)
+        planes[0, index] = crosses
+    return float(table.lookup(counts, planes)[0, index])
+
+
 # --- throughput of concrete placements -----------------------------------------------------------
 
 
@@ -61,7 +118,7 @@ def table_throughput_fn(table: ThroughputTable):
         if count == 0 or job.job_id not in table.roster:
             return 0.0
         crosses = crosses_nodes(table, schedule.gpus_of(job.job_id))
-        return table.throughput(job.job_id, count, crosses)
+        return table_value(table, job.job_id, count, crosses)
 
     return throughput
 
@@ -70,7 +127,7 @@ def utilization_at(ctx: EvolutionContext, job_id: str, count: int, crosses: bool
     """A job's Eq. 8 term at mean progress, on ``count`` GPUs."""
     if count <= 0:
         return 0.0
-    throughput = ctx.throughput_table.throughput(job_id, count, crosses)
+    throughput = table_value(ctx.throughput_table, job_id, count, crosses)
     if throughput <= 0:
         return float("inf")
     remaining = ctx.remaining_workload.get(job_id, float(ctx.jobs[job_id].dataset_size))
@@ -88,7 +145,7 @@ def refresh(schedule: Schedule, ctx: EvolutionContext) -> Schedule:
     # (2) Each job keeps its first ``desired_gpus`` GPUs.
     for job_id in candidate.placed_jobs():
         genome[candidate.gpus_of(job_id)[ctx.desired_gpus(job_id):]] = IDLE
-    candidate = candidate.with_genome(genome)
+    candidate = with_genome(candidate, genome)
 
     # (3) Every brand-new job gets one GPU, taking GPUs from the
     # longest-running jobs when none are idle (starvation avoidance).
@@ -99,7 +156,7 @@ def refresh(schedule: Schedule, ctx: EvolutionContext) -> Schedule:
     ]
     if new_jobs:
         genome = np.array(candidate.genome)
-        idle = candidate.idle_gpus()
+        idle = idle_gpus(candidate)
         victims = sorted(
             (j for j in candidate.placed_jobs() if j not in ctx.never_started),
             key=lambda j: ctx.executed_time.get(j, 0.0),
@@ -116,7 +173,7 @@ def refresh(schedule: Schedule, ctx: EvolutionContext) -> Schedule:
             if not idle:
                 break  # nothing left to take; remaining new jobs must wait
             genome[idle.pop(0)] = ctx.roster.index(job_id)
-        candidate = candidate.with_genome(genome)
+        candidate = with_genome(candidate, genome)
 
     # (4) Fill remaining idle GPUs with the most beneficial resume/grow moves.
     return fill_idle_gpus(candidate, ctx)
@@ -131,12 +188,12 @@ def fill_idle_gpus(schedule: Schedule, ctx: EvolutionContext) -> Schedule:
     the first strictly-smallest one.  Rounds repeat until no GPU is idle
     or no job can use one.
     """
-    idle = schedule.idle_gpus()
+    idle = idle_gpus(schedule)
     if not idle:
         return schedule
     node_of = ctx.throughput_table.node_of
     genome = np.array(schedule.genome)
-    counts = schedule.gpu_counts()
+    counts = gpu_counts(schedule)
     desired = {job_id: ctx.desired_gpus(job_id) for job_id in ctx.roster}
     nodes_of_job: Dict[str, set] = {job_id: set() for job_id in ctx.roster}
     for gpu, gene in enumerate(genome.tolist()):
@@ -163,7 +220,7 @@ def fill_idle_gpus(schedule: Schedule, ctx: EvolutionContext) -> Schedule:
         idle = idle[take:]
         counts[job_id] = counts.get(job_id, 0) + take
         nodes_of_job[job_id] = after
-    return schedule.with_genome(genome)
+    return with_genome(schedule, genome)
 
 
 def uniform_crossover(
@@ -176,8 +233,8 @@ def uniform_crossover(
         raise ValueError("crossover parents must cover the same number of GPUs")
     mask = as_generator(rng).integers(0, 2, size=parent_a.num_gpus).astype(bool)
     return (
-        parent_a.with_genome(np.where(mask, parent_a.genome, parent_b.genome)),
-        parent_a.with_genome(np.where(mask, parent_b.genome, parent_a.genome)),
+        with_genome(parent_a, np.where(mask, parent_a.genome, parent_b.genome)),
+        with_genome(parent_a, np.where(mask, parent_b.genome, parent_a.genome)),
     )
 
 
@@ -191,7 +248,7 @@ def uniform_mutation(
     for gene in np.unique(genome[genome != IDLE]):
         if ctx.rng.random() < mutation_rate:
             genome[genome == gene] = IDLE
-    return fill_idle_gpus(schedule.with_genome(genome), ctx)
+    return fill_idle_gpus(with_genome(schedule, genome), ctx)
 
 
 def reorder(schedule: Schedule) -> Schedule:
@@ -202,7 +259,7 @@ def reorder(schedule: Schedule) -> Schedule:
         first.setdefault(gene, position)
     packed = sorted(genes, key=first.__getitem__)
     packed += [IDLE] * (schedule.num_gpus - len(packed))
-    return schedule.with_genome(packed)
+    return with_genome(schedule, packed)
 
 
 # --- Eq. 8 and Algorithm 1 -----------------------------------------------------------------------
@@ -212,7 +269,7 @@ def candidate_score(
     schedule: Schedule, jobs: Mapping, progress: Mapping[str, float], table: ThroughputTable
 ) -> float:
     """Remaining-utilisation score of one candidate (Eq. 8, lower is better)."""
-    counts = schedule.gpu_counts()
+    counts = gpu_counts(schedule)
     terms = np.zeros(len(schedule.roster), dtype=float)
     for i, job_id in enumerate(schedule.roster):
         processed = jobs[job_id].samples_processed
@@ -221,7 +278,7 @@ def candidate_score(
             # history: the preferential treatment refresh relies on).
             continue
         crosses = crosses_nodes(table, schedule.gpus_of(job_id))
-        throughput = table.throughput(job_id, counts[job_id], crosses)
+        throughput = table_value(table, job_id, counts[job_id], crosses)
         if throughput <= 0:
             terms[i] = float("inf")
             continue

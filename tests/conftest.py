@@ -2,20 +2,10 @@
 
 from __future__ import annotations
 
-import os
-
-# BLAS and OpenMP pools are sized when numpy loads, so pin them to one
-# thread first; a value set in the environment still wins.  On two CPUs
-# unpinned pools oversubscribe the GPR solves of every ONES run.
-for _var in (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "BLIS_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-):
-    os.environ.setdefault(_var, "1")
+# Importing the package first pins the BLAS and OpenMP pools to one
+# thread before numpy sizes them (a value set in the environment still
+# wins); on two CPUs unpinned pools oversubscribe every ONES run's GPR.
+import repro  # noqa: F401
 
 import numpy as np
 import pytest
@@ -28,6 +18,17 @@ from repro.jobs.model_zoo import get_model
 from repro.jobs.throughput import ThroughputModel
 from repro.workload.tasks import build_workload_catalog, make_job_spec
 from repro.workload.trace import TraceConfig, TraceGenerator
+
+
+def gpu_count(allocation: Allocation, job_id: str) -> int:
+    """Number of GPUs ``job_id`` holds under ``allocation``."""
+    return len(allocation.gpus_of(job_id))
+
+
+def global_batch(allocation: Allocation, job_id: str) -> int:
+    """Global batch of ``job_id`` under ``allocation`` (0 when unplaced)."""
+    config = allocation.config_of(job_id)
+    return sum(config.local_batches) if config is not None else 0
 
 
 @pytest.fixture

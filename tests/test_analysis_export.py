@@ -15,7 +15,7 @@ from repro.analysis.export import (
 )
 from repro.baselines.fifo import FIFOScheduler
 from repro.experiments.backends import simulate_trace
-from repro.experiments.orchestrator import run_experiment
+from repro.experiments.orchestrator import Runner
 from repro.experiments.spec import ExperimentSpec
 from repro.workload.trace import TraceConfig, TraceGenerator
 
@@ -33,7 +33,7 @@ def comparison():
     spec = ExperimentSpec.comparison(
         schedulers=("FIFO", "Tiresias"), num_gpus=8, seed=5, trace=TRACE
     )
-    return run_experiment(spec)
+    return Runner().run(spec)
 
 
 class TestResultExport:
@@ -75,13 +75,13 @@ class TestComparisonExport:
         assert set(payload["summaries"]) == {"FIFO", "Tiresias"}
 
     def test_sweep_json(self, tmp_path):
-        spec = ExperimentSpec.scalability(
+        spec = ExperimentSpec(
             schedulers=("FIFO",),
             capacities=(8,),
             seeds=(6,),
-            trace=TraceConfig(num_jobs=3, arrival_rate=1.0 / 10.0, convergence_patience=3),
+            traces=(TraceConfig(num_jobs=3, arrival_rate=1.0 / 10.0, convergence_patience=3),),
         )
-        path = export_sweep_json(run_experiment(spec), tmp_path / "sweep.json")
+        path = export_sweep_json(Runner().run(spec), tmp_path / "sweep.json")
         payload = json.loads(path.read_text())
         assert "8" in payload
         assert "averages_jct" in payload["8"]

@@ -62,7 +62,7 @@ class TestSummaries:
     def test_metric_summary(self, ones_result):
         summary = metric_summary(ones_result, "jct")
         assert summary.scheduler == "ONES"
-        assert summary.average == pytest.approx(250.0)
+        assert summary.stats.mean == pytest.approx(250.0)
         assert summary.stats.median == pytest.approx(250.0)
 
     def test_cdf_and_fraction(self, ones_result):

@@ -8,7 +8,6 @@ from repro.analysis.reporting import (
     ascii_cdf,
     ascii_series,
     format_table,
-    render_comparison,
 )
 
 
@@ -63,16 +62,3 @@ class TestAsciiSeries:
         text = ascii_series([16, 32], {"ONES": [100, 50], "DRL": [150, 80]}, x_label="gpus")
         assert "16" in text and "32" in text
         assert "ONES" in text and "DRL" in text
-
-
-class TestRenderComparison:
-    def test_includes_title_bars_and_improvements(self):
-        text = render_comparison(
-            "Average JCT",
-            {"ONES": 245.0, "DRL": 335.0},
-            unit="s",
-            improvements={"DRL": 0.269},
-        )
-        assert "Average JCT" in text
-        assert "ONES" in text
-        assert "26.9%" in text

@@ -47,7 +47,7 @@ class TestWilcoxon:
         assert report.p_two_sided < 0.05
         assert report.p_one_sided_less < 0.05
         assert report.p_one_sided_greater > 0.95
-        assert report.significantly_different
+        assert report.p_two_sided < 0.05
         assert report.ours_is_smaller
         assert report.median_difference < 0
 
@@ -56,7 +56,7 @@ class TestWilcoxon:
         b = _result("B", [100, 200, 300])
         report = wilcoxon_comparison(a, b)
         assert report.p_two_sided == 1.0
-        assert not report.significantly_different
+        assert not report.p_two_sided < 0.05
 
     def test_as_row_matches_table4_columns(self, clearly_better):
         ours, theirs = clearly_better

@@ -6,13 +6,12 @@ from repro.baselines.base import (
     ClusterState,
     SchedulerCapabilities,
     allocation_with_job,
-    allocation_without_jobs,
     pick_gpus_packed,
     user_local_batch,
 )
 from repro.cluster.allocation import Allocation
 from repro.jobs.throughput import ThroughputModel
-from tests.conftest import make_job, make_running_job
+from tests.conftest import gpu_count, make_job, make_running_job
 
 
 def _state(jobs, topology, allocation=None, now=0.0):
@@ -65,13 +64,6 @@ class TestClusterState:
         state = _state({}, small_topology, simple_allocation)
         assert state.free_gpus() == [4, 5, 6, 7]
 
-    def test_throughput_estimates(self, small_topology):
-        job = make_running_job(job_id="run", gpu_ids=(0,), local_batches=(64,))
-        state = _state({"run": job}, small_topology)
-        estimate = state.estimate_throughput(job, [0, 1], 128)
-        assert estimate > 0
-        assert state.estimate_throughput(job, [], 0) == 0.0
-
     def test_observed_or_estimated_prefers_measurements(self, small_topology):
         job = make_running_job(job_id="run")
         job.advance(1000, 2.0)  # measured 500 samples/s
@@ -111,8 +103,8 @@ class TestHelpers:
     def test_allocation_with_job(self, simple_allocation):
         job = make_job(job_id="job-c")
         new = allocation_with_job(simple_allocation, job, [4, 5], [16, 16])
-        assert new.num_gpus("job-c") == 2
-        assert new.num_gpus("job-a") == 2
+        assert gpu_count(new, "job-c") == 2
+        assert gpu_count(new, "job-a") == 2
 
     def test_allocation_with_job_replaces_existing_workers(self, simple_allocation):
         job = make_job(job_id="job-a")
@@ -124,6 +116,3 @@ class TestHelpers:
         with pytest.raises(ValueError):
             allocation_with_job(simple_allocation, job, [0], [16])
 
-    def test_allocation_without_jobs(self, simple_allocation):
-        new = allocation_without_jobs(simple_allocation, ["job-a"])
-        assert new.jobs() == {"job-b"}

@@ -15,7 +15,7 @@ from repro.cluster.allocation import Allocation
 from repro.cluster.topology import make_longhorn_cluster
 from repro.jobs.throughput import ThroughputModel
 from repro.sim.simulator import ClusterSimulator
-from tests.conftest import make_job, make_running_job
+from tests.conftest import gpu_count, make_job, make_running_job
 
 
 def _state(jobs, topology, allocation=None, now=0.0):
@@ -84,7 +84,7 @@ class TestDRLScheduler:
         # The untrained policy is uniform; it may choose the no-op, but if it
         # proposes something it must be a valid launch of the pending job.
         if proposal is not None:
-            assert proposal.num_gpus("a") in scheduler.size_choices
+            assert gpu_count(proposal, "a") in scheduler.size_choices
 
     def test_never_preempts_running_jobs(self, small_topology):
         scheduler = DRLScheduler(seed=0, greedy=True)
@@ -112,8 +112,6 @@ class TestDRLScheduler:
         job = make_job(job_id="a")
         scheduler.on_job_arrival(job, _state({"a": job}, small_topology))
         assert len(scheduler.trajectory) == 1
-        scheduler.reset_trajectory()
-        assert scheduler.trajectory == []
 
     def test_table3_capabilities(self):
         caps = DRLScheduler().capabilities

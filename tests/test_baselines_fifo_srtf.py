@@ -9,7 +9,7 @@ from repro.cluster.allocation import Allocation
 from repro.cluster.topology import make_longhorn_cluster
 from repro.jobs.throughput import ThroughputModel
 from repro.sim.simulator import ClusterSimulator
-from tests.conftest import make_job
+from tests.conftest import gpu_count, make_job
 
 
 def _state(jobs, topology, allocation=None, now=0.0):
@@ -30,8 +30,8 @@ class TestFIFO:
             "early": make_job(job_id="early", arrival_time=1.0, requested_gpus=2),
         }
         proposal = scheduler.on_job_arrival(jobs["late"], _state(jobs, small_topology, now=5.0))
-        assert proposal.num_gpus("early") == 2
-        assert proposal.num_gpus("late") == 2
+        assert gpu_count(proposal, "early") == 2
+        assert gpu_count(proposal, "late") == 2
 
     def test_head_of_line_blocking(self, small_topology):
         """Strict FIFO: a big job at the head blocks smaller later jobs."""
@@ -72,8 +72,8 @@ class TestSRTF:
         jobs = {"short": short, "long": long}
         proposal = scheduler.on_job_arrival(short, _state(jobs, small_topology))
         # Only one of them fits; it must be the short one.
-        assert proposal.num_gpus("short") == 8
-        assert proposal.num_gpus("long") == 0
+        assert gpu_count(proposal, "short") == 8
+        assert gpu_count(proposal, "long") == 0
 
     def test_preempts_long_job_for_short_arrival(self, small_topology):
         scheduler = SRTFScheduler()
@@ -84,8 +84,8 @@ class TestSRTF:
         jobs = {"long": long, "short": short}
         proposal = scheduler.on_job_arrival(short, _state(jobs, small_topology, allocation, now=1.0))
         assert proposal is not None
-        assert proposal.num_gpus("short") == 8
-        assert proposal.num_gpus("long") == 0
+        assert gpu_count(proposal, "short") == 8
+        assert gpu_count(proposal, "long") == 0
 
     def test_allows_preemption_capability(self):
         assert SRTFScheduler().capabilities.allows_preemption

@@ -9,7 +9,7 @@ from repro.cluster.topology import make_longhorn_cluster
 from repro.jobs.throughput import ThroughputModel
 from repro.sim.simulator import ClusterSimulator
 from repro.utils.units import MINUTE
-from tests.conftest import make_job, make_running_job
+from tests.conftest import gpu_count, make_job, make_running_job
 
 
 def _state(jobs, topology, allocation=None, now=0.0):
@@ -44,7 +44,7 @@ class TestScheduling:
         scheduler = GandivaScheduler()
         job = make_job(job_id="a", requested_gpus=2)
         proposal = scheduler.on_job_arrival(job, _state({"a": job}, small_topology))
-        assert proposal.num_gpus("a") == 2
+        assert gpu_count(proposal, "a") == 2
 
     def test_arrival_waits_when_cluster_full(self, small_topology):
         scheduler = GandivaScheduler()

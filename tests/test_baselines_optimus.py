@@ -10,7 +10,7 @@ from repro.cluster.topology import make_longhorn_cluster
 from repro.jobs.throughput import ThroughputModel
 from repro.sim.simulator import ClusterSimulator
 from repro.utils.units import MINUTE
-from tests.conftest import make_job, make_running_job
+from tests.conftest import gpu_count, make_job, make_running_job
 
 
 def _state(jobs, topology, allocation=None, now=0.0):
@@ -73,7 +73,7 @@ class TestScheduling:
         proposal = scheduler.on_timer(_state(jobs, small_topology, now=600.0))
         assert proposal is not None
         for job_id in jobs:
-            assert proposal.num_gpus(job_id) >= 1
+            assert gpu_count(proposal, job_id) >= 1
         # The greedy loop should hand out every useful GPU.
         assert len(proposal.used_gpus()) > 3
 
@@ -83,7 +83,7 @@ class TestScheduling:
         light = make_job(job_id="light", model_name="resnet18", dataset_size=2000, base_batch=64)
         jobs = {"heavy": heavy, "light": light}
         proposal = scheduler.on_timer(_state(jobs, small_topology, now=600.0))
-        assert proposal.num_gpus("heavy") >= proposal.num_gpus("light")
+        assert gpu_count(proposal, "heavy") >= gpu_count(proposal, "light")
 
     def test_keeps_unchanged_jobs_in_place(self, small_topology):
         scheduler = OptimusScheduler(max_gpus_per_job=1)

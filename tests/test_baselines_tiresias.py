@@ -8,7 +8,7 @@ from repro.cluster.allocation import Allocation
 from repro.cluster.topology import make_longhorn_cluster
 from repro.jobs.throughput import ThroughputModel
 from repro.sim.simulator import ClusterSimulator
-from tests.conftest import make_job, make_running_job
+from tests.conftest import gpu_count, make_job, make_running_job
 
 
 def _state(jobs, topology, allocation=None, now=0.0):
@@ -46,7 +46,7 @@ class TestScheduling:
         scheduler = TiresiasScheduler()
         job = make_job(job_id="a", requested_gpus=2)
         proposal = scheduler.on_job_arrival(job, _state({"a": job}, small_topology))
-        assert proposal.num_gpus("a") == 2
+        assert gpu_count(proposal, "a") == 2
 
     def test_prioritises_least_attained_service(self, small_topology):
         scheduler = TiresiasScheduler(queue_thresholds=(50.0, 500.0))
@@ -58,7 +58,7 @@ class TestScheduling:
         # The old job has attained 800 GPU-seconds and falls to a lower
         # queue; the newcomer (0 attained) must be served.
         assert proposal is not None
-        assert proposal.num_gpus("new") == 4
+        assert gpu_count(proposal, "new") == 4
 
     def test_keeps_running_job_in_place_when_possible(self, small_topology):
         scheduler = TiresiasScheduler()

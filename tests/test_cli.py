@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import SCHEDULERS, build_parser, main
+from repro.cli import build_parser, main
 
 
 class TestParser:
@@ -13,7 +13,9 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_all_schedulers_available(self):
-        assert {"ones", "drl", "tiresias", "optimus", "gandiva", "fifo", "srtf"} <= set(SCHEDULERS)
+        parser = build_parser()
+        for name in ("ones", "ones-hier", "drl", "tiresias", "optimus", "gandiva", "fifo", "srtf"):
+            assert parser.parse_args(["run", "--scheduler", name]).scheduler == name
 
     def test_run_defaults(self):
         args = build_parser().parse_args(["run"])
@@ -244,28 +246,27 @@ class TestQueueBackendCLI:
 
 
 class TestSchedulersCommand:
-    def test_cli_sees_schedulers_registered_after_import(self, capsys):
-        """SCHEDULERS is a live registry view, not an import-time snapshot."""
+    def test_cli_sees_schedulers_registered_after_import(self, capsys, monkeypatch):
+        """The parser reads the registry when it is built, not at import."""
         from repro.baselines.base import SchedulerCapabilities
         from repro.baselines.fifo import FIFOScheduler
-        from repro.experiments.registry import register_scheduler, unregister_scheduler
+        from repro.experiments import registry
 
+        monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+        monkeypatch.setattr(registry, "_LOOKUP", dict(registry._LOOKUP))
         caps = SchedulerCapabilities(
             strategy="greedy", allows_preemption=False,
             elastic_job_size=False, elastic_batch_size=False,
         )
-        register_scheduler("LatePolicy", capabilities=caps)(lambda seed: FIFOScheduler())
-        try:
-            assert "latepolicy" in SCHEDULERS
-            code = main([
-                "run", "--scheduler", "latepolicy", "--gpus", "8", "--jobs", "3",
-                "--arrival-interval", "10", "--seed", "4",
-            ])
-            assert code == 0
-            assert "completed_jobs" in capsys.readouterr().out
-        finally:
-            unregister_scheduler("LatePolicy")
-        assert "latepolicy" not in SCHEDULERS
+        registry.register_scheduler("LatePolicy", capabilities=caps)(
+            lambda seed: FIFOScheduler()
+        )
+        code = main([
+            "run", "--scheduler", "latepolicy", "--gpus", "8", "--jobs", "3",
+            "--arrival-interval", "10", "--seed", "4",
+        ])
+        assert code == 0
+        assert "completed_jobs" in capsys.readouterr().out
 
     def test_lists_registry(self, capsys):
         assert main(["schedulers"]) == 0

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.allocation import Allocation, JobConfig, WorkerAssignment
+from tests.conftest import global_batch, gpu_count
 
 
 class TestWorkerAssignment:
@@ -20,14 +21,14 @@ class TestWorkerAssignment:
 class TestAllocationBasics:
     def test_empty(self):
         alloc = Allocation.empty()
-        assert len(alloc) == 0
+        assert alloc.used_gpus() == []
         assert alloc.jobs() == set()
         assert alloc.free_gpus(range(4)) == [0, 1, 2, 3]
 
     def test_job_views(self, simple_allocation):
         assert simple_allocation.gpus_of("job-a") == [0, 1]
-        assert simple_allocation.global_batch("job-a") == 128
-        assert simple_allocation.num_gpus("job-b") == 2
+        assert global_batch(simple_allocation, "job-a") == 128
+        assert gpu_count(simple_allocation, "job-b") == 2
         assert simple_allocation.jobs() == {"job-a", "job-b"}
         assert simple_allocation.used_gpus() == [0, 1, 2, 3]
         assert simple_allocation.free_gpus(range(6)) == [4, 5]
@@ -36,7 +37,7 @@ class TestAllocationBasics:
         config = simple_allocation.config_of("job-a")
         assert config.gpu_ids == (0, 1)
         assert config.local_batches == (64, 64)
-        assert config.global_batch == 128
+        assert sum(config.local_batches) == 128
         assert config.num_gpus == 2
         assert simple_allocation.config_of("missing") is None
 
@@ -44,18 +45,12 @@ class TestAllocationBasics:
         with pytest.raises(ValueError, match="assigned to both"):
             Allocation.from_job_map({"a": [(0, 8)], "b": [(0, 8)]})
 
-    def test_worker_on(self, simple_allocation):
-        assert simple_allocation.worker_on(0).job_id == "job-a"
-        assert simple_allocation.worker_on(5) is None
-
-
 class TestAllocationComparison:
-    def test_equality_and_hash(self, simple_allocation):
+    def test_equality(self, simple_allocation):
         clone = Allocation(
             {g: WorkerAssignment(j, b) for g, (j, b) in simple_allocation.as_dict().items()}
         )
         assert clone == simple_allocation
-        assert hash(clone) == hash(simple_allocation)
 
     def test_changed_jobs_detects_batch_change(self, simple_allocation):
         modified = dict(simple_allocation.as_dict())
@@ -88,12 +83,6 @@ class TestValidation:
     def test_valid_passes(self, simple_allocation):
         simple_allocation.validate(num_gpus=8, max_local_batch={"job-a": 64, "job-b": 32})
 
-    def test_utilization(self, simple_allocation):
-        assert simple_allocation.utilization(8) == pytest.approx(0.5)
-        with pytest.raises(ValueError):
-            simple_allocation.utilization(0)
-
-
 class TestJobIndex:
     """The lazy job → GPU index answers exactly what a scan of every GPU does."""
 
@@ -120,8 +109,8 @@ class TestJobIndex:
         for job_id in sorted(scanned_jobs) + ["job-missing"]:
             gpus = self._scan_gpus(alloc, job_id)
             assert alloc.gpus_of(job_id) == gpus
-            assert alloc.num_gpus(job_id) == len(gpus)
-            assert alloc.global_batch(job_id) == sum(
+            assert gpu_count(alloc, job_id) == len(gpus)
+            assert global_batch(alloc, job_id) == sum(
                 w.local_batch
                 for w in alloc._assignments.values()
                 if w.job_id == job_id

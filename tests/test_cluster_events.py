@@ -62,16 +62,3 @@ class TestEventQueue:
     def test_peek_empty_raises(self):
         with pytest.raises(IndexError):
             EventQueue().peek()
-
-    def test_iteration_is_sorted_and_non_destructive(self):
-        queue = EventQueue()
-        for t in (4.0, 2.0, 9.0):
-            queue.push(Event(time=t, kind=EventKind.TIMER))
-        assert [e.time for e in queue] == [2.0, 4.0, 9.0]
-        assert len(queue) == 3
-
-    def test_clear(self):
-        queue = EventQueue()
-        queue.push(Event(time=1.0, kind=EventKind.TIMER))
-        queue.clear()
-        assert len(queue) == 0

@@ -72,8 +72,8 @@ class TestLayout:
 
 class TestBandwidth:
     def test_intra_node_faster_than_inter(self, small_topology):
-        intra = small_topology.link_bandwidth(0, 0)
-        inter = small_topology.link_bandwidth(0, 1)
+        intra = small_topology.ring_bandwidth([0, 1])
+        inter = small_topology.ring_bandwidth([0, 4])
         assert intra > inter
 
     def test_ring_bandwidth_single_node(self, small_topology):
@@ -95,7 +95,13 @@ class TestBandwidth:
 
 
 class TestStarOracle:
-    """``link_bandwidth``/``ring_bandwidth`` equal the star-path oracle exactly."""
+    """``ring_bandwidth`` equals the star-path oracle exactly."""
+
+    @staticmethod
+    def _pair_ring(topology, a, b):
+        """Two GPUs on servers ``a`` and ``b`` (two of one server when equal)."""
+        first = topology.gpus_per_node * a
+        return [first, first + 1] if a == b else [first, topology.gpus_per_node * b]
 
     @staticmethod
     def _oracle_inputs(topology):
@@ -109,7 +115,8 @@ class TestStarOracle:
         topology = make_longhorn_cluster(num_gpus)
         intra, uplinks, _ = self._oracle_inputs(topology)
         for a, b in itertools.product(range(topology.num_nodes), repeat=2):
-            assert topology.link_bandwidth(a, b) == star_link_oracle(intra, uplinks, a, b)
+            ring = self._pair_ring(topology, a, b)
+            assert topology.ring_bandwidth(ring) == star_link_oracle(intra, uplinks, a, b)
 
     @pytest.mark.parametrize("num_gpus", [8, 64, 1024])
     def test_ring_bandwidth_random_subsets(self, num_gpus):
@@ -130,7 +137,8 @@ class TestStarOracle:
         uplinks = [float(10 + (7 * node) % 16) for node in range(topology.num_nodes)]
         topology._uplink = list(uplinks)
         for a, b in itertools.product(range(topology.num_nodes), repeat=2):
-            assert topology.link_bandwidth(a, b) == star_link_oracle(intra, uplinks, a, b)
+            ring = self._pair_ring(topology, a, b)
+            assert topology.ring_bandwidth(ring) == star_link_oracle(intra, uplinks, a, b)
         rng = np.random.default_rng(7)
         for _ in range(300):
             gpu_ids = rng.choice(64, size=int(rng.integers(1, 17)), replace=False).tolist()

@@ -22,19 +22,14 @@ class TestStartPolicy:
         job = make_job(base_batch=512, requested_gpus=4, dataset_size=20_000)
         limit = limiter.on_job_arrival(job)
         assert limit <= job.spec.max_local_batch
-        assert limiter.limit(job.job_id) == limit
-
-    def test_unknown_job_raises(self):
-        with pytest.raises(KeyError):
-            BatchSizeLimiter().limit("nope")
-
+        assert limiter.limits()[job.job_id] == limit
 
 class TestScaleUpPolicy:
     def test_doubles_each_epoch_when_short(self):
         limiter = BatchSizeLimiter(BatchLimitConfig(sigma=1e-9))
         job = make_running_job(base_batch=128, dataset_size=20_000)
         limiter.on_job_arrival(job)
-        start = limiter.limit(job.job_id)
+        start = limiter.limits()[job.job_id]
         job.epochs_completed = 1
         first = limiter.on_epoch_end(job, executed_time=10.0)
         job.epochs_completed = 2
@@ -47,7 +42,7 @@ class TestScaleUpPolicy:
         job = make_running_job(base_batch=128, dataset_size=20_000)
         limiter.on_job_arrival(job)
         job.epochs_completed = 1
-        assert limiter.on_epoch_end(job, 5.0) == limiter.limit(job.job_id)
+        assert limiter.on_epoch_end(job, 5.0) == limiter.limits()[job.job_id]
 
     def test_cap_at_max_multiplier(self):
         limiter = BatchSizeLimiter(BatchLimitConfig(sigma=1e-9, max_batch_multiplier=4.0))
@@ -96,7 +91,7 @@ class TestResumePolicy:
         job.epochs_completed = 1
         for _ in range(4):
             limiter.on_epoch_end(job, 1.0)
-        grown = limiter.limit(job.job_id)
+        grown = limiter.limits()[job.job_id]
         halved = limiter.on_schedule_rejection(job)
         assert halved == pytest.approx(grown / 2, abs=1)
 
@@ -112,7 +107,7 @@ class TestResumePolicy:
         limiter = BatchSizeLimiter()
         job = make_job(base_batch=128)
         limiter.on_job_arrival(job)
-        assert limiter.on_preemption(job) == limiter.limit(job.job_id)
+        assert limiter.on_preemption(job) == limiter.limits()[job.job_id]
 
 
 class TestArrivalRate:
@@ -134,4 +129,4 @@ class TestArrivalRate:
         limiter.on_job_arrival(job)
         limiter.forget(job.job_id)
         with pytest.raises(KeyError):
-            limiter.limit(job.job_id)
+            limiter.limits()[job.job_id]

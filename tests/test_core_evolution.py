@@ -7,6 +7,7 @@ from repro.core.evolution import EvolutionConfig, EvolutionarySearch
 from repro.core.schedule import Schedule
 from tests._core_helpers import make_context, make_jobs
 from tests._evolution_oracle import candidate_score
+from tests._evolution_oracle import idle_gpus, schedule_from_assignment, waiting_jobs
 
 
 class TestEvolutionConfig:
@@ -72,8 +73,8 @@ class TestEvolutionarySearch:
         ctx = self._context_with_progress(num_jobs=3, num_gpus=8)
         search = EvolutionarySearch(EvolutionConfig(population_size=8), seed=2)
         best, _ = search.step(ctx)
-        if best.idle_gpus():
-            assert not best.waiting_jobs()
+        if idle_gpus(best):
+            assert not waiting_jobs(best)
         # The cluster is never left empty.
         assert len(best.placed_jobs()) >= 1
 
@@ -100,7 +101,7 @@ class TestEvolutionarySearch:
     def test_search_improves_or_matches_greedy_seed(self):
         """The evolved best candidate is no worse than the deployed schedule."""
         ctx = self._context_with_progress(num_jobs=4, num_gpus=8)
-        current = Schedule.from_assignment(
+        current = schedule_from_assignment(
             ctx.roster, 8, {0: "job-0", 1: "job-1", 2: "job-2", 3: "job-3"}
         )
         search = EvolutionarySearch(EvolutionConfig(population_size=8), seed=3)

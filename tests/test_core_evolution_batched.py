@@ -41,8 +41,10 @@ from tests._core_helpers import (
     make_context,
     make_jobs,
     random_genomes,
+    table_from_matrix,
     table_workload,
 )
+from tests._evolution_oracle import empty_schedule
 
 
 def _rows(schedules):
@@ -95,7 +97,7 @@ def test_fill_parity_on_zero_throughput_curves():
     matrix[2, 1:3] = [80.0, 120.0]
     ctx = replace(
         make_context(jobs, num_gpus=num_gpus),
-        throughput_table=ThroughputTable.from_matrix(roster, matrix),
+        throughput_table=table_from_matrix(roster, matrix),
     )
     genomes = random_genomes(roster, num_gpus, 16, seed=9, idle_fraction=0.6)
     scalar = _rows(
@@ -216,13 +218,13 @@ def _assert_searches_agree(num_gpus, num_jobs, seed, steps, config=None):
     scalar = oracle.OracleSearch(config, seed=99)
     kernel = EvolutionarySearch(config, seed=99)
     ctx_a, ctx_b = fresh_ctx(seed + 40), fresh_ctx(seed + 40)
-    current = Schedule.empty(roster, num_gpus)
+    current = empty_schedule(roster, num_gpus)
     for step in range(steps):
         best_a, score_a = scalar.step(ctx_a, current=current if step == 0 else None)
         best_b, score_b = kernel.step(ctx_b, current=current if step == 0 else None)
         assert np.array_equal(best_a.genome, best_b.genome), f"step {step}"
         assert score_a == score_b
-        assert np.array_equal(scalar.genomes, kernel.genomes)
+        assert np.array_equal(scalar.genomes, kernel._genomes)
 
 
 @pytest.mark.parametrize("num_gpus,num_jobs,seed", [(8, 4, 0), (16, 9, 1), (16, 14, 2)])
@@ -259,13 +261,13 @@ def test_roster_change_reindexes_identically():
             ),
         )
 
-    current = Schedule.empty(smaller_roster, 16)
+    current = empty_schedule(smaller_roster, 16)
     best_a, score_a = scalar.step(shrunk(ctx_a), current=current)
     best_b, score_b = kernel.step(shrunk(ctx_b), current=current)
     assert np.array_equal(best_a.genome, best_b.genome)
     assert score_a == score_b
     assert "job-3" not in best_b.placed_jobs()
-    assert np.array_equal(scalar.genomes, kernel.genomes)
+    assert np.array_equal(scalar.genomes, kernel._genomes)
 
 
 def test_unique_rows_matches_unique_schedules():

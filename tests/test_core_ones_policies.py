@@ -10,7 +10,7 @@ from repro.core.ones_scheduler import ONESConfig, ONESScheduler
 from repro.jobs.throughput import ThroughputModel
 from repro.sim.simulator import ClusterSimulator, SimulationConfig
 from repro.workload.trace import TraceConfig, TraceGenerator
-from tests.conftest import make_job, make_running_job
+from tests.conftest import gpu_count, make_job, make_running_job
 
 
 def _state(jobs, topology, allocation=None, now=0.0):
@@ -65,7 +65,7 @@ class TestUpdateCondition:
         assert proposal is not None
         # The running job's configuration is untouched by the immediate fill.
         assert proposal.config_of("run") == allocation.config_of("run")
-        assert proposal.num_gpus("wait") >= 1
+        assert gpu_count(proposal, "wait") >= 1
 
     def test_immediate_fill_can_be_disabled(self, topology):
         scheduler = ONESScheduler(
@@ -97,21 +97,21 @@ class TestResumePolicy:
         waiting = make_job(job_id="wait", arrival_time=20.0, base_batch=128)
         jobs["wait"] = waiting
         scheduler.limiter.on_job_arrival(waiting)
-        before = scheduler.limiter.limit("wait")
+        before = scheduler.limiter.limits()["wait"]
         state = _state(jobs, topology, allocation, now=20.0)
         # Force a full update; if the best candidate keeps "wait" out, the
         # resume policy halves its limit (floored at the submitted batch).
         scheduler._apply_resume_policy(state, allocation)
-        after = scheduler.limiter.limit("wait")
+        after = scheduler.limiter.limits()["wait"]
         assert after <= before
 
     def test_preempted_job_keeps_its_limit(self, scheduler, topology):
         job = make_running_job(job_id="run", gpu_ids=(0,), local_batches=(64,))
         scheduler.limiter.on_job_arrival(job)
-        before = scheduler.limiter.limit("run")
+        before = scheduler.limiter.limits()["run"]
         state = _state({"run": job}, topology, Allocation.from_job_map({"run": [(0, 64)]}))
         scheduler._apply_resume_policy(state, Allocation.empty())
-        assert scheduler.limiter.limit("run") == before
+        assert scheduler.limiter.limits()["run"] == before
 
 
 class TestEndToEndBehaviour:

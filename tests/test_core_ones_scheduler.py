@@ -10,7 +10,7 @@ from repro.core.ones_scheduler import ONESConfig, ONESScheduler
 from repro.jobs.throughput import ThroughputModel
 from repro.scaling.overhead import ReconfigurationKind
 from repro.sim.simulator import ClusterSimulator, SimulationConfig
-from tests.conftest import make_job, make_spec
+from tests.conftest import global_batch, gpu_count, make_job, make_spec
 
 
 def _state(jobs, topology, allocation=None, now=0.0):
@@ -79,13 +79,13 @@ class TestArrival:
         jobs = {"job-0": job}
         proposal = scheduler.on_job_arrival(job, _state(jobs, topology))
         assert proposal is not None
-        assert proposal.num_gpus("job-0") >= 1
-        assert proposal.global_batch("job-0") >= 1
+        assert gpu_count(proposal, "job-0") >= 1
+        assert global_batch(proposal, "job-0") >= 1
 
     def test_arrival_registers_batch_limit(self, scheduler, topology):
         job = make_job(job_id="job-0")
         scheduler.on_job_arrival(job, _state({"job-0": job}, topology))
-        assert scheduler.limiter.limit("job-0") <= job.spec.max_local_batch
+        assert scheduler.limiter.limits()["job-0"] <= job.spec.max_local_batch
 
     def test_proposal_respects_device_limits(self, scheduler, topology):
         job = make_job(job_id="job-0", base_batch=256, requested_gpus=2)
@@ -108,7 +108,7 @@ class TestArrival:
                     jobs[job_id].start_running(
                         float(i), config.gpu_ids, config.local_batches
                     )
-        placed = {j for j in jobs if allocation.num_gpus(j) > 0}
+        placed = {j for j in jobs if gpu_count(allocation, j) > 0}
         assert placed == set(jobs)
 
 
@@ -147,7 +147,7 @@ class TestEndToEnd:
         )
         ClusterSimulator(topology, scheduler, tiny_trace).run()
         assert scheduler.predictor.history.completed_jobs == len(tiny_trace)
-        assert scheduler.predictor.is_fitted
+        assert scheduler.predictor.fit_count > 0
         # The fits' numerical health reaches the metrics registry.
         state = scheduler.describe_state()
         health = scheduler.predictor.gpr_health
@@ -169,7 +169,7 @@ class TestThroughputMemoisation:
         assert len(scheduler._throughput_memo) <= scheduler.config.throughput_memo_entries
         table = scheduler.last_throughput_table
         assert table is not None
-        assert table.filled_entries <= table.capacity
+        assert table.model_calls <= len(table.roster) * table.node_of.size * 2
         state = scheduler.describe_state()
         assert state["throughput_memo_entries"] == len(scheduler._throughput_memo)
 

@@ -18,6 +18,7 @@ from tests._evolution_oracle import (
     uniform_crossover,
     uniform_mutation,
 )
+from tests._evolution_oracle import empty_schedule, gpu_counts, idle_gpus
 
 
 class TestRefresh:
@@ -32,7 +33,7 @@ class TestRefresh:
     def test_new_jobs_get_one_gpu(self):
         jobs = make_jobs(3)
         ctx = make_context(jobs, num_gpus=4)
-        empty = Schedule.empty(ctx.roster, 4)
+        empty = empty_schedule(ctx.roster, 4)
         refreshed = refresh(empty, ctx)
         for job_id in ctx.never_started:
             assert refreshed.gpu_count(job_id) >= 1
@@ -62,9 +63,9 @@ class TestRefresh:
     def test_idle_gpus_filled_when_limits_allow(self):
         jobs = make_jobs(2)
         ctx = make_context(jobs, num_gpus=8, limits={"job-0": 1024, "job-1": 1024})
-        empty = Schedule.empty(ctx.roster, 8)
+        empty = empty_schedule(ctx.roster, 8)
         refreshed = refresh(empty, ctx)
-        assert len(refreshed.idle_gpus()) == 0
+        assert len(idle_gpus(refreshed)) == 0
 
 
 class TestFillIdleGpus:
@@ -81,7 +82,7 @@ class TestFillIdleGpus:
         schedule = Schedule(roster=ctx.roster, genome=np.array([0, IDLE, IDLE, IDLE]))
         filled = fill_idle_gpus(schedule, ctx)
         assert filled.gpu_count("job-0") == 1
-        assert len(filled.idle_gpus()) == 3
+        assert len(idle_gpus(filled)) == 3
 
 
 class TestUniformCrossover:
@@ -98,11 +99,11 @@ class TestUniformCrossover:
     def test_mismatched_parents_rejected(self):
         jobs = make_jobs(2)
         ctx = make_context(jobs, num_gpus=4)
-        a = Schedule.empty(ctx.roster, 4)
-        b = Schedule.empty(("other",), 4)
+        a = empty_schedule(ctx.roster, 4)
+        b = empty_schedule(("other",), 4)
         with pytest.raises(ValueError):
             uniform_crossover(a, b)
-        c = Schedule.empty(ctx.roster, 6)
+        c = empty_schedule(ctx.roster, 6)
         with pytest.raises(ValueError):
             uniform_crossover(a, c)
 
@@ -113,7 +114,7 @@ class TestUniformMutation:
         ctx = make_context(jobs, num_gpus=4, limits={"job-0": 128, "job-1": 128})
         schedule = Schedule(roster=ctx.roster, genome=np.array([0, 1, IDLE, IDLE]))
         mutated = uniform_mutation(schedule, ctx, mutation_rate=0.0)
-        assert mutated.gpu_counts() == schedule.gpu_counts()
+        assert gpu_counts(mutated) == gpu_counts(schedule)
 
     def test_mutation_rate_one_preempts_and_refills(self):
         jobs = make_jobs(2)
@@ -121,12 +122,12 @@ class TestUniformMutation:
         schedule = Schedule(roster=ctx.roster, genome=np.array([0, 0, 0, 0]))
         mutated = uniform_mutation(schedule, ctx, mutation_rate=1.0)
         # Everything was preempted; the fill step re-used the GPUs.
-        assert len(mutated.idle_gpus()) == 0
+        assert len(idle_gpus(mutated)) == 0
 
     def test_invalid_rate_rejected(self):
         jobs = make_jobs(1)
         ctx = make_context(jobs, num_gpus=4)
-        schedule = Schedule.empty(ctx.roster, 4)
+        schedule = empty_schedule(ctx.roster, 4)
         with pytest.raises(ValueError):
             uniform_mutation(schedule, ctx, mutation_rate=1.5)
 
@@ -147,7 +148,7 @@ class TestReorder:
         scattered = Schedule(
             roster=ctx.roster, genome=np.array([2, 0, 1, 0, IDLE, 2, IDLE, IDLE])
         )
-        assert reorder(scattered).gpu_counts() == scattered.gpu_counts()
+        assert gpu_counts(reorder(scattered)) == gpu_counts(scattered)
 
     def test_reorder_improves_locality(self, topology16):
         jobs = make_jobs(2)

@@ -13,6 +13,7 @@ from repro.core.evolution import EvolutionConfig, EvolutionarySearch
 from repro.core.evolution_batched import first_seen_rows, initial_population_genomes
 from repro.core.schedule import IDLE, Schedule
 from tests._core_helpers import make_context, make_jobs
+from tests._evolution_oracle import empty_schedule
 
 
 class TestPopulation:
@@ -22,10 +23,10 @@ class TestPopulation:
         ctx = make_context(jobs, num_gpus=4)
         search = EvolutionarySearch(EvolutionConfig(population_size=3), seed=0)
         assert search.population_size == 0
-        assert search.genomes is None
-        search.ensure_population(ctx, Schedule.empty(ctx.roster, 4))
+        assert search._genomes is None
+        search.ensure_population(ctx, empty_schedule(ctx.roster, 4))
         assert search.population_size == 4
-        assert search.genomes.shape == (4, 4)
+        assert search._genomes.shape == (4, 4)
 
     def test_unique_dedups_by_genome(self):
         """Selection keeps one copy of each genome: survivors are distinct."""
@@ -33,7 +34,7 @@ class TestPopulation:
         ctx = make_context(jobs, num_gpus=4)
         search = EvolutionarySearch(EvolutionConfig(population_size=8), seed=1)
         search.step(ctx)
-        rows = search.genomes
+        rows = search._genomes
         assert np.unique(rows, axis=0).shape[0] == rows.shape[0]
 
     def test_reindexed(self):
@@ -42,14 +43,14 @@ class TestPopulation:
         ctx = make_context(jobs, num_gpus=4)
         search = EvolutionarySearch(EvolutionConfig(population_size=4), seed=2)
         search.ensure_population(ctx, None)
-        before = search.genomes.copy()
+        before = search._genomes.copy()
         smaller = make_context({"job-1": jobs["job-1"]}, num_gpus=4)
         search.ensure_population(smaller, None)
         expected = [
             Schedule(roster=ctx.roster, genome=row).reindexed(("job-1",)).genome
             for row in before
         ]
-        assert np.array_equal(search.genomes, np.stack(expected))
+        assert np.array_equal(search._genomes, np.stack(expected))
 
 
 class TestInitialPopulation:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cluster.allocation import Allocation, WorkerAssignment
 from repro.core.schedule import IDLE, Schedule
-from tests.conftest import make_job
+from tests.conftest import global_batch, gpu_count, make_job
 
 
 @pytest.fixture
@@ -20,12 +20,6 @@ def schedule(roster):
 
 
 class TestConstruction:
-    def test_empty(self, roster):
-        sched = Schedule.empty(roster, 4)
-        assert sched.idle_gpus() == [0, 1, 2, 3]
-        assert sched.placed_jobs() == []
-        assert sched.waiting_jobs() == list(roster)
-
     def test_duplicate_roster_rejected(self):
         with pytest.raises(ValueError):
             Schedule(roster=("a", "a"), genome=np.array([0]))
@@ -56,8 +50,9 @@ class TestConstruction:
         # indistinguishable from a publicly constructed schedule.
         valid = np.array([0, 1, 2, IDLE])
         fast = Schedule.from_validated_genome(roster, valid)
-        assert fast == Schedule(roster=roster, genome=valid)
-        assert hash(fast) == hash(Schedule(roster=roster, genome=valid))
+        public = Schedule(roster=roster, genome=valid)
+        assert fast.roster == public.roster
+        assert np.array_equal(fast.genome, public.genome)
 
     def test_from_validated_genome_copies_and_freezes(self, roster):
         source = np.array([0, 1, 2, IDLE])
@@ -66,16 +61,6 @@ class TestConstruction:
         assert fast.job_id_at(0) == "job-a"
         with pytest.raises(ValueError):
             fast.genome[0] = 1  # frozen like the public constructor's
-
-    def test_from_assignment(self, roster):
-        sched = Schedule.from_assignment(roster, 4, {0: "job-b", 3: "job-a"})
-        assert sched.job_id_at(0) == "job-b"
-        assert sched.job_id_at(3) == "job-a"
-        assert sched.job_id_at(1) is None
-
-    def test_from_assignment_unknown_job(self, roster):
-        with pytest.raises(KeyError):
-            Schedule.from_assignment(roster, 4, {0: "mystery"})
 
     def test_from_allocation_drops_unknown_jobs(self, roster):
         alloc = Allocation(
@@ -92,7 +77,6 @@ class TestQueries:
         assert schedule.gpu_count("job-b") == 1
         assert schedule.gpu_count("job-c") == 0
         assert schedule.gpu_count("unknown") == 0
-        assert schedule.gpu_counts() == {"job-a": 2, "job-b": 1}
 
     def test_gpus_of(self, schedule):
         assert schedule.gpus_of("job-a") == [0, 1]
@@ -100,8 +84,6 @@ class TestQueries:
 
     def test_placed_and_waiting(self, schedule):
         assert schedule.placed_jobs() == ["job-a", "job-b"]
-        assert schedule.waiting_jobs() == ["job-c"]
-        assert schedule.idle_gpus() == [3]
 
 
 class TestBatchDerivation:
@@ -136,23 +118,13 @@ class TestConversions:
         jobs = {"job-a": make_job(job_id="job-a"), "job-b": make_job(job_id="job-b")}
         limits = {"job-a": 100, "job-b": 64}
         alloc = schedule.to_allocation(jobs, limits)
-        assert alloc.num_gpus("job-a") == 2
-        assert alloc.global_batch("job-a") == 100
-        assert alloc.global_batch("job-b") == 64
+        assert gpu_count(alloc, "job-a") == 2
+        assert global_batch(alloc, "job-a") == 100
+        assert global_batch(alloc, "job-b") == 64
 
     def test_reindexed_drops_missing_jobs(self, schedule):
         new = schedule.reindexed(("job-b", "job-d"))
         assert new.gpu_count("job-b") == 1
         assert new.gpu_count("job-a") == 0
-        assert new.idle_gpus() == [0, 1, 3]
+        assert np.flatnonzero(new.genome == IDLE).tolist() == [0, 1, 3]
 
-    def test_with_genome_preserves_roster(self, schedule, roster):
-        new = schedule.with_genome(np.array([2, 2, 2, 2]))
-        assert new.roster == roster
-        assert new.gpu_count("job-c") == 4
-
-    def test_equality_and_key(self, schedule, roster):
-        clone = Schedule(roster=roster, genome=np.array([0, 0, 1, IDLE]))
-        assert clone == schedule
-        assert clone.key() == schedule.key()
-        assert hash(clone) == hash(schedule)

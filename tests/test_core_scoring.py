@@ -15,6 +15,7 @@ from repro.core.schedule import IDLE, Schedule
 from repro.core.scoring import sample_progress
 from repro.core.scoring_incremental import build_decomposition, score_decomposition
 from tests._core_helpers import make_context, make_jobs
+from tests._evolution_oracle import schedule_key
 
 
 def _scores(ctx, schedules, progress):
@@ -120,7 +121,7 @@ class TestSelectTopK:
         assert len(survivors) == 3
         scores = [s for _, s in survivors]
         assert scores == sorted(scores)
-        keys = {sched.key() for sched, _ in survivors}
+        keys = {schedule_key(sched) for sched, _ in survivors}
         assert len(keys) == 3
 
     def test_k_larger_than_pool(self, context):

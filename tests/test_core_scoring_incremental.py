@@ -88,7 +88,8 @@ class TestDecomposition:
                 assert decomp.crosses[k, j] == oracle.crosses_nodes(
                     table, schedule.gpus_of(job_id)
                 )
-        assert decomp.matches(genomes)
+        fresh = build_decomposition(genomes, num_jobs, table.node_of)
+        assert np.array_equal(decomp.sole_node, fresh.sole_node)
         # sole_node: defined exactly on non-crossing placed jobs.
         placed = decomp.counts > 0
         assert np.all((decomp.sole_node >= 0) == (placed & ~decomp.crosses))
@@ -227,16 +228,12 @@ class TestEngineLifecycle:
 
 
 class TestTableVersioning:
-    def test_versions_are_unique_and_invalidatable(self):
+    def test_versions_are_unique(self):
         jobs = make_jobs(3)
         model = ThroughputModel(make_longhorn_cluster(8))
         limits = {j: job.spec.base_batch for j, job in jobs.items()}
         a = ThroughputTable(model, jobs, limits, 8, roster=tuple(sorted(jobs)))
         b = ThroughputTable(model, jobs, limits, 8, roster=tuple(sorted(jobs)))
-        assert a.version != b.version
-        before = a.version
-        a.invalidate()
-        assert a.version != before
         assert a.version != b.version
 
     def test_scheduler_reuses_table_between_limit_changes(self):

@@ -20,7 +20,7 @@ from repro.experiments.backends import (
     make_backend,
     simulate_run,
 )
-from repro.experiments.orchestrator import Runner, run_experiment
+from repro.experiments.orchestrator import Runner
 from repro.experiments.spec import ExperimentSpec, RunSpec
 from repro.sim.simulator import SimulationConfig
 from repro.workload.trace import TraceConfig
@@ -78,7 +78,7 @@ class TestExecuteRun:
                        simulation=TINY_SIM)
         [artifact] = SerialBackend(resolver=resolver).run([spec])
         assert calls == [("NotRegistered", 7)]
-        assert artifact.scheduler_name == "FIFO"
+        assert artifact.result.scheduler_name == "FIFO"
 
 
 class TestBackendParity:
@@ -118,10 +118,10 @@ class TestBackendParity:
 class TestSweepArtifact:
     @pytest.fixture(scope="class")
     def sweep(self):
-        return run_experiment(tiny_grid())
+        return Runner().run(tiny_grid())
 
     def test_grid_order_and_lookup(self, sweep):
-        assert [run.spec.label() for run in sweep] == [
+        assert [run.spec.label() for run in sweep.runs] == [
             "ONES@8g/seed7", "FIFO@8g/seed7", "ONES@8g/seed9", "FIFO@8g/seed9",
         ]
         assert sweep.get("FIFO", capacity=8, seed=9).spec.seed == 9
@@ -139,11 +139,6 @@ class TestSweepArtifact:
         with pytest.raises(KeyError):
             sweep.relative_to("Tiresias")
 
-    def test_json_round_trip(self, sweep):
-        restored = SweepArtifact.from_json(sweep.to_json())
-        assert restored.spec == sweep.spec
-        assert restored.runs == sweep.runs
-
     def test_results_for_selects_each_seed(self, sweep):
         for seed in (7, 9):
             results = sweep.results_for(8, seed=seed)
@@ -152,7 +147,7 @@ class TestSweepArtifact:
         assert sweep.results_for() == sweep.results_for(8, seed=7)
 
     def test_results_for_is_the_comparison_slice(self):
-        sweep = run_experiment(tiny_grid(seeds=(7,)))
+        sweep = Runner().run(tiny_grid(seeds=(7,)))
         results = sweep.results_for(8)
         assert set(results) == {"ONES", "FIFO"}
         assert all(result.num_gpus == 8 for result in results.values())
@@ -188,7 +183,7 @@ class TestRunnerCaching:
         result = runner.run(grown, resume=True)
         assert runner.stats.cached_cells == 2
         assert runner.stats.executed_cells == 2
-        assert len(result) == grown.num_cells
+        assert len(result.runs) == grown.num_cells
 
     def test_without_resume_cells_rerun(self, tmp_path):
         spec = tiny_grid(seeds=(7,))
@@ -215,7 +210,7 @@ class TestRunnerCaching:
         resumed = runner.run(spec, resume=True)
         assert runner.stats.executed_cells == 1
         assert runner.stats.cached_cells == 1
-        assert len(resumed) == spec.num_cells
+        assert len(resumed.runs) == spec.num_cells
         # ... and the cell was re-cached with valid content.
         assert json.loads(victim.read_text())["spec"]["scheduler"] == "ONES"
 
@@ -260,10 +255,8 @@ class TestRunnerCaching:
 
     def test_parallel_runner_with_cache_matches_serial(self, tmp_path):
         spec = tiny_grid(seeds=(7,))
-        serial = run_experiment(spec)
-        parallel = run_experiment(
-            spec, backend="process", workers=2, cache_dir=tmp_path / "cells"
-        )
+        serial = Runner().run(spec)
+        parallel = Runner(backend="process", workers=2, cache_dir=tmp_path / "cells").run(spec)
         assert serial.runs == parallel.runs
         # A serial resume over the pool-written cache reuses everything.
         resumed_runner = Runner(backend="serial", cache_dir=tmp_path / "cells")

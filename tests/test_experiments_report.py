@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.experiments.artifacts import SweepArtifact, dead_cell_artifact
+from repro.experiments.artifacts import RunArtifact, SweepArtifact, dead_cell_artifact
 from repro.experiments.backends import execute_run
-from repro.experiments.orchestrator import Runner, run_experiment
+from repro.experiments.orchestrator import Runner
 from repro.experiments.report import (
     build_comparison_report,
     build_sweep_report,
@@ -23,7 +23,7 @@ def comparison():
         seed=11,
         trace=TraceConfig(num_jobs=4, arrival_rate=1.0 / 10.0, convergence_patience=3),
     )
-    return run_experiment(spec)
+    return Runner().run(spec)
 
 
 class TestBuildReport:
@@ -45,7 +45,8 @@ class TestBuildReport:
         assert "## Average metrics" in report
 
     def test_same_text_after_json_round_trip(self, comparison):
-        restored = SweepArtifact.from_json(comparison.to_json())
+        runs = [RunArtifact.from_json(run.to_json()) for run in comparison.runs]
+        restored = SweepArtifact(spec=comparison.spec, runs=runs)
         assert build_comparison_report(restored) == build_comparison_report(comparison)
 
     def test_markdown_tables_are_well_formed(self, comparison):
@@ -66,14 +67,14 @@ class TestWriteReport:
 class TestSweepReportRecoverySections:
     @pytest.fixture(scope="class")
     def faulted_sweep(self):
-        spec = ExperimentSpec.scalability(
+        spec = ExperimentSpec(
             capacities=(8,),
             seeds=(11,),
             schedulers=("FIFO", "Tiresias"),
-            trace=TraceConfig(num_jobs=4, arrival_rate=1.0 / 10.0,
-                              convergence_patience=3),
-            faults=FaultConfig(profile="mtbf", mtbf_hours=0.2,
-                               repair_minutes=5.0, seed=3),
+            traces=(TraceConfig(num_jobs=4, arrival_rate=1.0 / 10.0,
+                                convergence_patience=3),),
+            faults=(None, FaultConfig(profile="mtbf", mtbf_hours=0.2,
+                                      repair_minutes=5.0, seed=3)),
         )
         return Runner(backend="serial").run(spec)
 

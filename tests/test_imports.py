@@ -141,3 +141,42 @@ class TestImportBudget:
         report = _run_fresh(_FIFO_SERVICE)
         assert report["status"] == "placed"
         assert report["heavy"] == []
+
+
+#: The thread-pool variables ``repro/__init__.py`` pins.
+PINNED = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+)
+
+
+def _pool_settings_after_import(**overrides: str) -> dict:
+    """The pinned variables as a fresh ``import repro.cli`` leaves them."""
+    env = {key: value for key, value in os.environ.items() if key not in PINNED}
+    env.update(overrides)
+    env["PYTHONPATH"] = SRC
+    code = (
+        "import json, os, sys\n"
+        "import repro.cli\n"
+        "assert 'numpy' in sys.modules\n"
+        f"print(json.dumps({{var: os.environ.get(var) for var in {PINNED!r}}}))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+class TestThreadPoolPin:
+    def test_entry_points_pin_every_pool_to_one_thread(self):
+        assert _pool_settings_after_import() == {var: "1" for var in PINNED}
+
+    def test_an_explicit_setting_wins(self):
+        settings = _pool_settings_after_import(OPENBLAS_NUM_THREADS="2")
+        assert settings["OPENBLAS_NUM_THREADS"] == "2"
+        assert settings["OMP_NUM_THREADS"] == "1"

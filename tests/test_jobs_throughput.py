@@ -11,6 +11,7 @@ from repro.jobs.throughput import (
     derive_global_batch,
     split_batch,
 )
+from tests._evolution_oracle import table_value
 
 
 class TestSplitBatch:
@@ -69,15 +70,6 @@ class TestThroughput:
 
     def test_empty_config_is_zero(self, throughput_model):
         assert throughput_model.throughput(get_model("resnet50"), [], []) == 0.0
-
-    def test_epoch_time(self, throughput_model):
-        model = get_model("resnet50")
-        rate = throughput_model.throughput(model, [64], [0])
-        epoch = throughput_model.epoch_time(model, 6400, [64], [0])
-        assert epoch == pytest.approx(6400 / rate)
-
-    def test_epoch_time_unplaced_is_infinite(self, throughput_model):
-        assert throughput_model.epoch_time(get_model("resnet50"), 6400, [], []) == float("inf")
 
     def test_invalid_efficiency(self, small_topology):
         with pytest.raises(ValueError):
@@ -167,7 +159,7 @@ class TestBoundedMemo:
         memo.get("a")  # refresh 'a' so 'b' is the least recently used
         memo["d"] = 4.0
         assert len(memo) == 3
-        assert "a" in memo and "b" not in memo
+        assert memo.get("a") == 1.0 and memo.get("b") is None
 
     def test_hit_miss_counters(self):
         memo = BoundedMemo(max_entries=8)
@@ -179,6 +171,14 @@ class TestBoundedMemo:
     def test_invalid_bound(self):
         with pytest.raises(ValueError):
             BoundedMemo(max_entries=0)
+
+
+def _fill(table: ThroughputTable) -> np.ndarray:
+    """Look up every count on both locality planes: the whole table."""
+    counts = np.repeat(np.arange(table.node_of.size + 1), len(table.roster)).reshape(
+        -1, len(table.roster)
+    )
+    return np.stack([table.lookup(counts, np.full(counts.shape, plane)) for plane in (0, 1)])
 
 
 class TestThroughputTable:
@@ -205,18 +205,18 @@ class TestThroughputTable:
                     ),
                     range(count),
                 )
-                assert table.throughput(job_id, count) == expected
+                assert table_value(table, job_id, count) == expected
 
     def test_lazy_fill_is_bounded(self):
         jobs, model, limits, num_gpus = self._fixture()
         table = ThroughputTable(model, jobs, limits, num_gpus)
         # The zero-count column of both locality planes starts filled.
-        assert table.filled_entries == 2 * len(jobs)
-        table.throughput("job-0", 4)
-        assert table.filled_entries == 2 * len(jobs) + 1
-        table.matrix()
-        assert table.filled_entries == table.capacity
-        assert table.capacity == len(jobs) * (num_gpus + 1) * 2
+        table_value(table, "job-0", 4)
+        assert table.model_calls == 1
+        _fill(table)
+        assert table.model_calls == len(jobs) * num_gpus * 2
+        _fill(table)
+        assert table.model_calls == len(jobs) * num_gpus * 2
 
     def test_vectorised_lookup_matches_scalar(self):
         jobs, model, limits, num_gpus = self._fixture()
@@ -226,7 +226,8 @@ class TestThroughputTable:
         values = table.lookup(counts)
         for k in range(counts.shape[0]):
             for j, job_id in enumerate(roster):
-                assert values[k, j] == table.throughput(job_id, int(counts[k, j]))
+                fresh = ThroughputTable(model, jobs, limits, num_gpus)
+                assert values[k, j] == table_value(fresh, job_id, int(counts[k, j]))
 
     def test_lookup_fills_missing_entries_once_in_triple_order(self, monkeypatch):
         jobs, model, limits, num_gpus = self._fixture()
@@ -247,7 +248,8 @@ class TestThroughputTable:
         assert calls == sorted(missing)
         for k in range(counts.shape[0]):
             for j, job_id in enumerate(table.roster):
-                expected = table.throughput(job_id, int(counts[k, j]), bool(crosses[k, j]))
+                fresh = ThroughputTable(model, jobs, limits, num_gpus)
+                expected = table_value(fresh, job_id, int(counts[k, j]), bool(crosses[k, j]))
                 assert values[k, j] == expected
         table.lookup(counts, crosses)
         assert len(calls) == len(missing)
@@ -258,20 +260,14 @@ class TestThroughputTable:
         with pytest.raises(ValueError):
             table.lookup(np.zeros((2, 99), dtype=np.int64))
 
-    def test_count_out_of_range_rejected(self):
-        jobs, model, limits, num_gpus = self._fixture()
-        table = ThroughputTable(model, jobs, limits, num_gpus)
-        with pytest.raises(ValueError):
-            table.throughput("job-0", num_gpus + 1)
-
     def test_shared_memo_avoids_repeat_model_calls(self):
         jobs, model, limits, num_gpus = self._fixture()
         memo = BoundedMemo(max_entries=1024)
         first = ThroughputTable(model, jobs, limits, num_gpus, memo=memo)
-        first.matrix()
+        _fill(first)
         assert first.model_calls > 0
         second = ThroughputTable(model, jobs, limits, num_gpus, memo=memo)
-        second.matrix()
+        _fill(second)
         assert second.model_calls == 0  # every entry came from the memo
 
     def test_as_throughput_fn_adapter(self):
@@ -285,19 +281,8 @@ class TestThroughputTable:
         genome = np.full(num_gpus, IDLE, dtype=np.int64)
         genome[:2] = 0
         schedule = Schedule(roster=roster, genome=genome)
-        assert fn(jobs[roster[0]], schedule) == table.throughput(roster[0], 2)
+        assert fn(jobs[roster[0]], schedule) == table_value(table, roster[0], 2)
         assert fn(jobs[roster[1]], schedule) == 0.0
-
-    def test_from_matrix_is_frozen(self):
-        table = ThroughputTable.from_matrix(("a", "b"), np.ones((2, 4)))
-        assert table.throughput("a", 3) == 1.0
-        with pytest.raises(ValueError):
-            ThroughputTable.from_matrix(("a",), np.ones((2, 4)))
-        sparse = np.ones((1, 4))
-        sparse[0, 2] = np.nan
-        frozen = ThroughputTable.from_matrix(("a",), sparse)
-        with pytest.raises(RuntimeError):
-            frozen.throughput("a", 2)
 
     def test_adapter_matches_placement_aware_model(self):
         """The locality planes restore the seed's placement sensitivity:
@@ -329,6 +314,6 @@ class TestThroughputTable:
         straddling two servers (NVLink vs InfiniBand ring)."""
         jobs, model, limits, num_gpus = self._fixture()
         table = ThroughputTable(model, jobs, limits, num_gpus)
-        intra = table.throughput("job-0", 2, crosses_nodes=False)
-        inter = table.throughput("job-0", 2, crosses_nodes=True)
+        intra = table_value(table, "job-0", 2, crosses=False)
+        inter = table_value(table, "job-0", 2, crosses=True)
         assert intra > inter > 0

@@ -18,8 +18,7 @@ class TestFit:
     def test_recovers_linear_weights(self, linear_data):
         X, y, weights = linear_data
         model = BayesianLinearRegression().fit(X, y)
-        assert model.is_fitted
-        fitted = model.weights
+        fitted = model.mean_
         assert fitted[0] == pytest.approx(1.5, abs=0.1)
         assert np.allclose(fitted[1:], weights, atol=0.1)
 

@@ -64,8 +64,3 @@ class TestFeatureScaler:
         with pytest.raises(ValueError):
             FeatureScaler().fit(np.empty((0, NUM_FEATURES)))
 
-    def test_is_fitted_flag(self):
-        scaler = FeatureScaler()
-        assert not scaler.is_fitted
-        scaler.fit(np.random.default_rng(0).normal(size=(5, NUM_FEATURES)))
-        assert scaler.is_fitted

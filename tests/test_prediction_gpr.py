@@ -97,13 +97,6 @@ class TestFitPredict:
         with pytest.raises(ValueError):
             GaussianProcessRegression(noise_variance=0.0)
 
-    def test_predict_mean_one_matches_predict_one_mean(self, smooth_data):
-        X, y = smooth_data
-        model = GaussianProcessRegression(random_state=0).fit(X, y)
-        for x in X[:5]:
-            assert model.predict_mean_one(x) == model.predict_one(x)[0]
-
-
 class TestNLLGradient:
     def test_gradient_matches_finite_differences_with_underflowed_pairs(self):
         # Two clusters far enough apart that the RBF kernel underflows to

@@ -69,13 +69,6 @@ class TestHistoryStore:
         assert X.shape == (0, NUM_FEATURES)
         assert y.shape == (0,)
 
-    def test_clear(self):
-        store = HistoryStore(seed=0)
-        store.add_completed_job(_completed_job())
-        store.clear()
-        assert len(store) == 0
-        assert store.completed_jobs == 0
-
     def test_invalid_max_size(self):
         with pytest.raises(ValueError):
             HistoryStore(max_size=0)

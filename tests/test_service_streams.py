@@ -51,16 +51,6 @@ class TestStreamHub:
         records, _ = hub.read("a", cursor, limit=4)
         assert [r["n"] for r in records] == [4, 5, 6, 7]
 
-    def test_waiters_poked_on_publish(self):
-        hub = StreamHub()
-        pokes = []
-        hub.add_waiter(lambda: pokes.append(1))
-        hub.publish("a", {"n": 1})
-        assert pokes == [1]
-        hub.remove_waiter(next(iter(hub._waiters), None) or (lambda: None))
-        # Removing an unknown waiter is a no-op.
-        hub.remove_waiter(lambda: None)
-
     def test_unknown_tenant_reads_empty(self):
         hub = StreamHub()
         records, cursor = hub.read("ghost", 7)

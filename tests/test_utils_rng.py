@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import RngFactory, as_generator, spawn_generator
+from repro.utils.rng import as_generator, spawn_generator
 
 
 class TestAsGenerator:
@@ -40,32 +40,3 @@ class TestSpawnGenerator:
         a = spawn_generator(5, "trace").integers(0, 10**6, size=8)
         b = spawn_generator(6, "trace").integers(0, 10**6, size=8)
         assert not np.array_equal(a, b)
-
-
-class TestRngFactory:
-    def test_get_is_cached(self):
-        factory = RngFactory(9)
-        assert factory.get("x") is factory.get("x")
-
-    def test_reproducible_across_factories(self):
-        a = RngFactory(11).get("stream").integers(0, 10**6, size=6)
-        b = RngFactory(11).get("stream").integers(0, 10**6, size=6)
-        assert np.array_equal(a, b)
-
-    def test_fresh_resets_stream(self):
-        factory = RngFactory(3)
-        first = factory.get("s").integers(0, 10**6, size=3)
-        fresh = factory.fresh("s").integers(0, 10**6, size=3)
-        assert np.array_equal(first, fresh)
-
-    def test_child_factory_differs_from_parent(self):
-        parent = RngFactory(3)
-        child = parent.child("worker")
-        assert parent.seed != child.seed
-        a = parent.get("s").integers(0, 10**6, size=4)
-        b = child.get("s").integers(0, 10**6, size=4)
-        assert not np.array_equal(a, b)
-
-    def test_none_seed_generates_entropy(self):
-        factory = RngFactory(None)
-        assert isinstance(factory.seed, int)

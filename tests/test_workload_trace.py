@@ -61,11 +61,6 @@ class TestTraceGenerator:
         slow = TraceGenerator(TraceConfig(num_jobs=50, arrival_rate=0.01), seed=4).generate()
         assert fast[-1].arrival_time < slow[-1].arrival_time
 
-    def test_batch_arrival_variant(self):
-        generator = TraceGenerator(TraceConfig(num_jobs=10), seed=5)
-        trace = generator.generate_batch_arrival(at_time=3.0)
-        assert all(j.arrival_time == 3.0 for j in trace)
-
     def test_empty_catalog_rejected(self):
         with pytest.raises(ValueError):
             TraceGenerator(TraceConfig(num_jobs=5), catalog=[], seed=1)
