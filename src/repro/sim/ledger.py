@@ -83,6 +83,7 @@ class ProgressLedger:
         self.dataset = np.ones(capacity)
         self.tp_count = np.zeros(capacity, dtype=np.int64)
         self.tp_mean = np.zeros(capacity)
+        self.tp_m2 = np.zeros(capacity)
         self._dirty = np.zeros(capacity, dtype=bool)
 
     # -- slot management ----------------------------------------------------------------
@@ -91,7 +92,7 @@ class ProgressLedger:
         for name in (
             "rate", "resume", "last_progress", "running", "samples",
             "effective_epochs", "spike", "gain", "recovery", "dataset",
-            "tp_count", "tp_mean", "_dirty",
+            "tp_count", "tp_mean", "tp_m2", "_dirty",
         ):
             old = getattr(self, name)
             new = np.zeros(2 * old.shape[0], dtype=old.dtype)
@@ -154,6 +155,7 @@ class ProgressLedger:
         profile = job.throughput_profile
         self.tp_count[slot] = profile.count
         self.tp_mean[slot] = profile.mean
+        self.tp_m2[slot] = profile._m2
         if job.is_running:
             batch = max(1, job.global_batch)
             self.gain[slot] = job.spec.convergence.epoch_progress(batch, job.lr_scaled)
@@ -171,13 +173,14 @@ class ProgressLedger:
         if dirty.size == 0:
             return
         jobs = self._jobs
-        for slot, samples, epochs, spike, count, mean in zip(
+        for slot, samples, epochs, spike, count, mean, m2 in zip(
             dirty.tolist(),
             self.samples[dirty].tolist(),
             self.effective_epochs[dirty].tolist(),
             self.spike[dirty].tolist(),
             self.tp_count[dirty].tolist(),
             self.tp_mean[dirty].tolist(),
+            self.tp_m2[dirty].tolist(),
         ):
             job = jobs[slot]
             job.samples_processed = samples
@@ -186,6 +189,7 @@ class ProgressLedger:
             profile = job.throughput_profile
             profile.count = count
             profile.mean = mean
+            profile._m2 = m2
         self._dirty[dirty] = False
 
     def _write_back(self, slot: int) -> None:
@@ -196,6 +200,7 @@ class ProgressLedger:
         profile = job.throughput_profile
         profile.count = int(self.tp_count[slot])
         profile.mean = float(self.tp_mean[slot])
+        profile._m2 = float(self.tp_m2[slot])
         self._dirty[slot] = False
 
     # -- the vectorized hot path --------------------------------------------------------
@@ -243,8 +248,10 @@ class ProgressLedger:
         for k in spiked:
             slot = int(idx[k])
             self.spike[slot] *= math.exp(-float(fraction[k]) / float(self.recovery[slot]))
-        # Throughput profile (RunningMean.update, element-wise).
+        # Welford throughput profile (RunningMean.update, element-wise).
         value = delta / duration
         self.tp_count[idx] += 1
-        self.tp_mean[idx] += (value - self.tp_mean[idx]) / self.tp_count[idx]
+        d1 = value - self.tp_mean[idx]
+        self.tp_mean[idx] += d1 / self.tp_count[idx]
+        self.tp_m2[idx] += d1 * (value - self.tp_mean[idx])
         self._dirty[idx] = True

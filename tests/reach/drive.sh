@@ -2,7 +2,7 @@
 # Reach gate: run every entry point under the reach recorder, then fail on
 # any src/repro function that none of them called (see report.py).
 #
-#     bash tests/reach/drive.sh        # from anywhere; about 4 minutes
+#     bash tests/reach/drive.sh        # from anywhere; 2-3 minutes on 2 CPUs
 #
 # Each `expect CODE command...` line is one entry point and the exit code
 # it must return; a different code fails the gate, so the script is also
