@@ -19,12 +19,17 @@ identical* to the scalar reference in ``tests/_evolution_oracle.py``,
 which applies the operators of §3.2.2 to one ``Schedule`` at a time:
 
 * identical genomes out of every operator for identical genomes in,
-* identical RNG consumption — stochastic draws (crossover parent pairs
-  and masks, mutation victim picks and per-job preemption coins, the
-  shared progress samples of Algorithm 1) are issued in exactly the
-  scalar call order, so a kernel and an oracle search started from the
-  same seed produce identical populations, scores, selection order and
-  full simulation trajectories,
+* identical RNG consumption — the kernel draws the same numbers from
+  the generator, in the same order, as the scalar operators (crossover
+  parent pairs and masks, mutation victim picks and per-job preemption
+  coins, the shared progress samples of Algorithm 1), so a kernel and
+  an oracle search started from the same seed produce identical
+  populations, scores, selection order and full simulation
+  trajectories.  It need not make the same calls: one ``integers`` call
+  over per-value bounds replaces every pair's ``choice`` and mask call
+  (:func:`_crossover_draws` derives it), while the oracle keeps
+  ``rng.choice``, so a numpy release that changes ``choice`` fails the
+  parity suites instead of passing unnoticed,
 * identical tie-breaking — the greedy fill reproduces the scalar
   first-strictly-smaller scan (including its behaviour on ``inf`` and
   ``nan`` utilisation deltas).
@@ -215,21 +220,55 @@ def _charge(phases: Optional[Dict[str, float]], key: str, start: float) -> float
     return now
 
 
+def _crossover_draws(
+    num_rows: int, pairs: int, num_gpus: int, rng: np.random.Generator
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Uniform crossover's (Fig. 8) draws for ``pairs`` parent pairs.
+
+    The scalar operator draws, per pair, two distinct parents with
+    ``rng.choice(num_rows, size=2, replace=False)`` and then the
+    inheritance mask with ``rng.integers(0, 2, size=num_gpus)``.  Each
+    of those values is one bounded uint32 draw (Lemire's method), so one
+    ``rng.integers(0, bounds)`` call over the per-pair bounds
+    ``num_rows − 1, num_rows, 2`` and ``num_gpus`` times ``2`` makes
+    the same draws in the same order:
+
+    * ``choice`` runs Floyd's algorithm: ``a`` below ``num_rows − 1``,
+      then ``b`` below ``num_rows``, where a repeat ``b == a`` becomes
+      ``num_rows − 1``;
+    * it then shuffles the two picks: a third draw of 0 swaps them, so
+      the pair is ``(b, a)``;
+    * the mask bits follow.
+
+    ``tests/_evolution_oracle.py`` keeps ``rng.choice``, so the parity
+    suites catch a numpy release that changes how ``choice`` draws.
+    Returns ``(picks, masks)``: ``(pairs, 2)`` parent rows and
+    ``(pairs, num_gpus)`` booleans (True: the first child takes the
+    first parent's gene).
+    """
+    bounds = np.full((pairs, 3 + num_gpus), 2, dtype=np.int64)
+    bounds[:, 0] = num_rows - 1
+    bounds[:, 1] = num_rows
+    draws = rng.integers(0, bounds)
+    a = draws[:, 0]
+    b = np.where(draws[:, 1] == a, num_rows - 1, draws[:, 1])
+    swap = draws[:, 2] == 0
+    picks = np.stack([np.where(swap, b, a), np.where(swap, a, b)], axis=1)
+    return picks, draws[:, 3:] != 0
+
+
 def _crossover_children(
     parents: np.ndarray, pairs: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Uniform crossover (Fig. 8) of ``pairs`` random parent pairs.
 
-    The loop makes only the draws, in the scalar operator's order (two
-    distinct parents, then the inheritance mask, per pair); the
-    ``2·pairs`` children are then built in two array ops.
+    All draws come from one ``rng.integers`` call that reproduces the
+    scalar operator's per-pair ``choice`` and mask calls
+    (:func:`_crossover_draws`); the ``2·pairs`` children are then built
+    in two array ops.
     """
     num_rows, num_gpus = parents.shape
-    picks = np.empty((pairs, 2), dtype=np.int64)
-    masks = np.empty((pairs, num_gpus), dtype=bool)
-    for pair in range(pairs):
-        picks[pair] = rng.choice(num_rows, size=2, replace=False)
-        masks[pair] = rng.integers(0, 2, size=num_gpus)
+    picks, masks = _crossover_draws(num_rows, pairs, num_gpus, rng)
     first = parents[picks[:, 0]]
     second = parents[picks[:, 1]]
     children = np.empty((2 * pairs, num_gpus), dtype=np.int64)

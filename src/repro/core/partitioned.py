@@ -161,7 +161,6 @@ class HierarchicalONESScheduler(SchedulerBase):
         #: visible node set per partition at the previous event, for
         #: capacity-change detection (faults, reservations, give-backs).
         self._last_visible: Dict[int, Tuple[int, ...]] = {}
-        self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_broken = False
         self.num_wide_placements = 0
 
@@ -482,14 +481,16 @@ class HierarchicalONESScheduler(SchedulerBase):
                     p.index: pickle.dumps((p.inner, views[p.index].state))
                     for p in live
                 }
-                if self._pool is None:
-                    self._pool = ProcessPoolExecutor(max_workers=workers)
-                futures = {
-                    index: self._pool.submit(_evolve_partition_task, payload)
-                    for index, payload in payloads.items()
-                }
+                # The pool lives for this pass only: leaving the block
+                # joins its worker processes, so none outlives the run.
+                with ProcessPoolExecutor(max_workers=workers) as pool:
+                    futures = {
+                        index: pool.submit(_evolve_partition_task, payload)
+                        for index, payload in payloads.items()
+                    }
+                    replies = {index: future.result() for index, future in futures.items()}
                 for partition in live:
-                    proposal, updated = pickle.loads(futures[partition.index].result())
+                    proposal, updated = pickle.loads(replies[partition.index])
                     self._partitions[partition.index].inner = updated
                     results[partition.index] = proposal
                 return results
@@ -497,9 +498,6 @@ class HierarchicalONESScheduler(SchedulerBase):
                 # Anything unpicklable (or a broken pool) demotes this
                 # scheduler to the sequential path for the rest of the run.
                 self._pool_broken = True
-                if self._pool is not None:
-                    self._pool.shutdown(wait=False, cancel_futures=True)
-                    self._pool = None
         for partition in live:
             results[partition.index] = partition.inner.on_fault(views[partition.index].state)
         return results

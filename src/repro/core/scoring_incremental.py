@@ -263,15 +263,17 @@ def fill_idle_decomposed(
     sole = decomp.sole_node
     node_of = decomp.node_of
 
-    # Ragged per-row idle-GPU lists as a padded matrix: ascending
-    # positions in the first n_idle[k] slots, sentinel num_gpus after.
+    # Every row's ascending idle-GPU list, concatenated: row k's list
+    # starts at cursor[k], and each round advances the cursor past the
+    # GPUs it grabbed.  num_gpus sentinel slots (server 0) pad the end,
+    # so a round may read past any row's list; slot_valid masks that.
     idle_mask = genomes == IDLE
     n_idle = idle_mask.sum(axis=1)
-    slot_order = np.argsort(~idle_mask, axis=1, kind="stable")
-    idle_pos = np.where(
-        np.arange(num_gpus)[None, :] < n_idle[:, None], slot_order, num_gpus
+    idle_gpus = np.concatenate(
+        [np.nonzero(idle_mask)[1], np.full(num_gpus, num_gpus, dtype=np.int64)]
     )
-    node_ext = np.append(node_of, 0)  # sentinel slots masked out below
+    cursor = n_idle.cumsum() - n_idle
+    node_ext = np.append(node_of, 0)
 
     rows = np.flatnonzero(n_idle > 0)
     while rows.size:
@@ -298,7 +300,7 @@ def fill_idle_decomposed(
         # first slot's node (q0).
         max_idle = int(n_idle_a.max())
         slot_ids = np.arange(max_idle)
-        slots = idle_pos[rows, :max_idle]
+        slots = idle_gpus[cursor[rows][:, None] + slot_ids[None, :]]
         slot_nodes = node_ext[slots]
         slot_valid = slot_ids[None, :] < n_idle_a[:, None]
         q0 = slot_nodes[:, 0]
@@ -318,33 +320,29 @@ def fill_idle_decomposed(
             | ((take >= 1) & (counts_a > 0) & ~crosses_a & (sole_a != q0[:, None]))
         )
 
-        # Idle jobs and masked-out entries look up count 0 (prefilled,
-        # zero model calls), so no table entry is filled for a move
-        # that is never priced.
-        before_counts = np.where(eligible & (counts_a > 0), counts_a, 0)
-        after_counts = np.where(eligible, counts_a + take, 0)
-        thr_before = table.lookup(before_counts, crosses_a)
-        thr_after = table.lookup(after_counts, crosses_after)
+        # Price every row's before and after counts in one lookup: the
+        # first ``active`` rows hold the counts before the move, the
+        # rest after.  Idle jobs and masked-out entries look up count 0
+        # (prefilled, zero model calls), so no table entry is filled for
+        # a move that is never priced.
+        priced = np.concatenate(
+            [
+                np.where(eligible & (counts_a > 0), counts_a, 0),
+                np.where(eligible, counts_a + take, 0),
+            ]
+        )
+        throughput = table.lookup(priced, np.concatenate([crosses_a, crosses_after]))
         with np.errstate(divide="ignore", invalid="ignore"):
-            util_before = np.where(
-                before_counts > 0,
+            util = np.where(
+                priced > 0,
                 np.where(
-                    thr_before > 0,
-                    remaining[None, :] * before_counts / thr_before,
+                    throughput > 0,
+                    remaining[None, :] * priced / throughput,
                     np.inf,
                 ),
                 0.0,
             )
-            util_after = np.where(
-                after_counts > 0,
-                np.where(
-                    thr_after > 0,
-                    remaining[None, :] * after_counts / thr_after,
-                    np.inf,
-                ),
-                0.0,
-            )
-            delta = util_after - util_before
+            delta = util[active:] - util[:active]
 
         # The scalar scan keeps the first strictly-smaller delta in
         # roster order; a nan first candidate (or an all-inf round)
@@ -370,13 +368,7 @@ def fill_idle_decomposed(
         )
         crosses[cells] |= grown_crosses
         counts[cells] += grabbed
-        # Drop the grabbed slots: shift each idle list left by its grab
-        # (past-the-end reads land on the sentinel column).
-        sentinel = np.full((active, 1), num_gpus, dtype=slots.dtype)
-        shifted = np.minimum(slot_ids[None, :] + grabbed[:, None], max_idle)
-        idle_pos[rows, :max_idle] = np.take_along_axis(
-            np.concatenate([slots, sentinel], axis=1), shifted, axis=1
-        )
+        cursor[rows] += grabbed
         n_idle[rows] -= grabbed
         rows = rows[n_idle[rows] > 0]
     return genomes
@@ -390,14 +382,15 @@ def reorder_decomposed(
     """Reorder (Fig. 10) of every row, with an analytic decomposition update.
 
     Each row's workers are packed contiguously in order of the job's
-    first occurrence, idle genes at the end: one stable argsort per
-    matrix on "first occurrence of my gene" keys, found by a
-    scatter-min.  Reordering never changes ``counts``, but it *packs*
-    each job contiguously, so on a monotone GPU→server map the crossing
-    flag reduces to "first and last GPU of the packed run live on
-    different servers"; when the map is not monotone (never true for
-    the star topology's ``arange // gpus_per_node``) the affected rows
-    are simply rebuilt.
+    first occurrence, idle genes at the end.  The first occurrences come
+    from one scatter-min; sorting each row's jobs by them gives the run
+    layout (job order and, from the cached ``counts``, run lengths), and
+    one ``np.repeat`` over all rows writes the packed genes.
+    Reordering never changes ``counts``, but it *packs* each job
+    contiguously, so on a monotone GPU→server map the crossing flag
+    reduces to "first and last GPU of the packed run live on different
+    servers"; when the map is not monotone (never true for the star
+    topology's ``arange // gpus_per_node``) the rows are simply rebuilt.
     """
     genomes = np.asarray(genomes, dtype=np.int64)
     num_candidates, num_gpus = genomes.shape
@@ -407,7 +400,7 @@ def reorder_decomposed(
     node_of = decomp.node_of
 
     # First occurrence position of every job in every row (num_gpus for
-    # absent jobs), via unbuffered scatter-min.
+    # absent jobs, which therefore sort last), via unbuffered scatter-min.
     first_pos = np.full((num_candidates, num_jobs), num_gpus, dtype=np.int64)
     placed = genomes != IDLE
     row_ids = np.broadcast_to(
@@ -418,22 +411,21 @@ def reorder_decomposed(
     )
     np.minimum.at(first_pos, (row_ids[placed], genomes[placed]), col_ids[placed])
 
-    gene = np.where(genomes == IDLE, 0, genomes)
-    keys = np.take_along_axis(first_pos, gene, axis=1)
-    keys = np.where(genomes == IDLE, num_gpus, keys)
-    order = np.argsort(keys, axis=1, kind="stable")
-    out = np.take_along_axis(genomes, order, axis=1)
+    # The run layout: jobs in first-occurrence order, each repeated for
+    # its GPU count; the rest of the row is idle.
+    job_order = np.argsort(first_pos, axis=1, kind="stable")
+    counts_sorted = np.take_along_axis(decomp.counts, job_order, axis=1)
+    ends = counts_sorted.cumsum(axis=1)
+    out = np.full(genomes.shape, IDLE, dtype=np.int64)
+    out[np.arange(num_gpus)[None, :] < ends[:, -1:]] = np.repeat(
+        job_order.ravel(), counts_sorted.ravel()
+    )
 
     if not node_monotone:
         decomp.rebuild_rows(out, np.arange(num_candidates))
         return out
 
-    # Post-reorder, jobs occupy contiguous runs in first-occurrence
-    # order: run starts are the exclusive cumsum of the sorted counts.
-    job_keys = np.where(decomp.counts > 0, first_pos, num_gpus)
-    job_order = np.argsort(job_keys, axis=1, kind="stable")
-    counts_sorted = np.take_along_axis(decomp.counts, job_order, axis=1)
-    ends = counts_sorted.cumsum(axis=1)
+    # Run starts are the exclusive cumsum of the sorted counts.
     starts = ends - counts_sorted
     present_sorted = counts_sorted > 0
     start_node = node_of[np.clip(starts, 0, num_gpus - 1)]

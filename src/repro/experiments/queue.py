@@ -27,8 +27,9 @@ Everything lives in one *queue directory*:
     backoff; every :class:`WorkQueue` instance tails it incrementally,
     so a fresh process resumes exactly where the queue stopped.
 ``queue.json``
-    Queue-wide configuration (lease TTL + retry policy), written by
-    whoever creates the queue and shared by all workers.
+    Queue-wide configuration (lease TTL + retry policy), written by the
+    enqueuing sweep (until it runs, by whichever process opened the
+    directory first) and followed by every worker.
 ``cells/cell-<key>.json``
     The enqueued :class:`~repro.experiments.spec.RunSpec` payloads,
     keyed by content hash — enqueueing is idempotent by construction.
@@ -187,10 +188,16 @@ class WorkQueue:
     Instances are cheap, stateless views over the shared directory: all
     durable state lives in the log, the lease files and the result
     files, so any number of :class:`WorkQueue` objects (in any number of
-    processes) can point at the same directory.  ``lease_ttl``,
-    ``policy`` and ``skew_margin`` default to the values stored in
-    ``queue.json`` when the queue already exists; explicit arguments
-    override them for this instance only.
+    processes) can point at the same directory.
+
+    ``queue.json`` holds the queue's lease TTL, retry policy and skew
+    margin.  The enqueuing side (a sweep) passes ``policy``: such an
+    instance writes its values there, replacing whatever an earlier
+    opener stored, so the sweep's retry budget holds even when a worker
+    opened the directory first.  An instance opened without ``policy``
+    creates ``queue.json`` with its values only if none exists yet.
+    Every instance takes the stored value of each setting it was not
+    given, and takes it again whenever ``queue.json`` changes.
 
     Lease deadlines are wall-clock timestamps compared across hosts, so
     every expiry decision adds ``skew_margin`` seconds of slack (default
@@ -215,25 +222,17 @@ class WorkQueue:
         self.path = Path(path)
         for sub in ("cells", "leases", "results", "dead", "expired"):
             (self.path / sub).mkdir(parents=True, exist_ok=True)
-        stored = self._load_config()
-        if stored is not None:
-            ttl, stored_policy, stored_margin = stored
-            self.lease_ttl = float(lease_ttl if lease_ttl is not None else ttl)
-            self.policy = policy if policy is not None else stored_policy
-            self.skew_margin = float(
-                skew_margin if skew_margin is not None else stored_margin
-            )
-        else:
-            self.lease_ttl = float(lease_ttl if lease_ttl is not None else 30.0)
-            self.policy = policy if policy is not None else ExecutionPolicy()
-            self.skew_margin = float(
-                skew_margin if skew_margin is not None else self.DEFAULT_SKEW_MARGIN
-            )
-            self._write_config()
+        self._config_path = self.path / "queue.json"
+        self._explicit = (lease_ttl, policy, skew_margin)
+        self._config_stamp: Optional[Tuple[int, int, int]] = None
+        self._adopt_config()
         if self.lease_ttl <= 0:
             raise ValueError("lease_ttl must be positive")
         if self.skew_margin < 0:
             raise ValueError("skew_margin must be >= 0")
+        if policy is not None or self._config_stamp is None:
+            self._write_config(replace=policy is not None)
+            self._adopt_config()
         self._log_offset = 0
         self._cells: Dict[str, _CellRecord] = {}
         self._order: List[str] = []  # enqueue order (== spec order)
@@ -259,33 +258,64 @@ class WorkQueue:
 
     # -- queue config -------------------------------------------------------------------
 
-    def _load_config(self) -> Optional[Tuple[float, ExecutionPolicy, float]]:
-        config_path = self.path / "queue.json"
-        if not config_path.exists():
-            return None
-        payload = json.loads(config_path.read_text())
-        return (
-            float(payload["lease_ttl"]),
-            ExecutionPolicy.from_dict(payload["policy"]),
+    def _adopt_config(self) -> None:
+        """Take ``queue.json``'s value of every setting not given explicitly.
+
+        Reads the file only when it changed since the last read (writers
+        replace it, so its inode and mtime move); without a file the
+        defaults stand in.
+        """
+        try:
+            stat = self._config_path.stat()
+            stamp: Optional[Tuple[int, int, int]] = (
+                stat.st_ino, stat.st_mtime_ns, stat.st_size
+            )
+        except FileNotFoundError:
+            stamp = None
+        if stamp is not None and stamp == self._config_stamp:
+            return
+        self._config_stamp = stamp
+        ttl, policy, margin = 30.0, ExecutionPolicy(), self.DEFAULT_SKEW_MARGIN
+        if stamp is not None:
+            payload = json.loads(self._config_path.read_text())
+            ttl = float(payload["lease_ttl"])
+            policy = ExecutionPolicy.from_dict(payload["policy"])
             # Queues created before the margin existed behave as written
             # (no slack), not as the new default would dictate.
-            float(payload.get("skew_margin", 0.0)),
-        )
+            margin = float(payload.get("skew_margin", 0.0))
+        explicit_ttl, explicit_policy, explicit_margin = self._explicit
+        self.lease_ttl = float(explicit_ttl if explicit_ttl is not None else ttl)
+        self.policy = explicit_policy if explicit_policy is not None else policy
+        self.skew_margin = float(explicit_margin if explicit_margin is not None else margin)
 
-    def _write_config(self) -> None:
-        _atomic_write(
-            self.path / "queue.json",
-            json.dumps(
-                {
-                    "lease_ttl": self.lease_ttl,
-                    "policy": self.policy.to_dict(),
-                    "skew_margin": self.skew_margin,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
-        )
+    def _write_config(self, replace: bool) -> None:
+        """Store this instance's settings in ``queue.json``.
+
+        ``replace=False`` creates the file only if no other process has:
+        the hard link of a complete temporary file is the atomic
+        create-if-absent, so a sweep's settings are never overwritten by
+        a worker that found no ``queue.json`` a moment earlier.
+        """
+        text = json.dumps(
+            {
+                "lease_ttl": self.lease_ttl,
+                "policy": self.policy.to_dict(),
+                "skew_margin": self.skew_margin,
+            },
+            indent=2,
+            sort_keys=True,
+        ) + "\n"
+        if replace:
+            _atomic_write(self._config_path, text)
+            return
+        tmp = self._config_path.with_name(f".queue.json.{uuid.uuid4().hex}.tmp")
+        tmp.write_text(text)
+        try:
+            os.link(tmp, self._config_path)
+        except FileExistsError:
+            pass  # another process created it first; adopt theirs
+        finally:
+            tmp.unlink()
 
     # -- the work log -------------------------------------------------------------------
 
@@ -321,7 +351,11 @@ class WorkQueue:
         self._refresh()
 
     def _refresh(self) -> None:
-        """Tail the shared log: apply records appended since the last read."""
+        """Tail the shared log: apply records appended since the last read.
+
+        Also picks up a rewritten ``queue.json`` (see :meth:`_adopt_config`).
+        """
+        self._adopt_config()
         if not self.log_path.exists():
             return
         with open(self.log_path, "r") as handle:

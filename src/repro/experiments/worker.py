@@ -106,7 +106,6 @@ def run_worker(
         installed_here = True
     queue = WorkQueue(queue_dir, lease_ttl=lease_ttl, skew_margin=skew_margin)
     worker = worker_id or f"worker-{uuid.uuid4().hex[:8]}"
-    heartbeat_interval = max(queue.lease_ttl / 3.0, 0.05)
     settled = 0
 
     def say(message: str) -> None:
@@ -134,7 +133,9 @@ def run_worker(
             say(f"claimed {key} ({spec.label()}, attempt {queue.attempts(key) + 1})")
             if hold_s > 0:
                 time.sleep(hold_s)
-            heartbeat = _Heartbeat(queue, key, worker, heartbeat_interval)
+            # Paced off the TTL in force now: a sweep that enqueues after
+            # this worker attached may have replaced the queue's TTL.
+            heartbeat = _Heartbeat(queue, key, worker, max(queue.lease_ttl / 3.0, 0.05))
             heartbeat.start()
             tracer = active_tracer()
             span = None

@@ -400,7 +400,8 @@ class ThroughputTable:
         whether that placement spans servers (``None`` assumes packed
         placements).  Missing table entries are filled on demand
         (distinct triples only) before the gather, so repeated lookups
-        across evolution iterations are pure array indexing.
+        across evolution iterations are pure array indexing.  A count
+        outside ``[0, num_gpus]`` raises :class:`IndexError`.
         """
         counts = np.asarray(counts, dtype=np.int64)
         if counts.ndim != 2 or counts.shape[1] != len(self._roster):
@@ -410,26 +411,31 @@ class ThroughputTable:
         if counts.size == 0:
             return np.zeros(counts.shape, dtype=float)
         if crosses_nodes is None:
-            planes = (counts > self._gpus_per_node).astype(np.int64)
+            planes = counts > self._gpus_per_node
         else:
-            planes = np.asarray(crosses_nodes).astype(np.int64)
+            planes = np.asarray(crosses_nodes, dtype=bool)
             if planes.shape != counts.shape:
                 raise ValueError(
                     f"crosses_nodes shape {planes.shape} != counts shape {counts.shape}"
                 )
-        job_idx = np.broadcast_to(np.arange(counts.shape[1]), counts.shape)
-        values = self._table[job_idx, counts, planes]
+        # The flat index would silently read a neighbouring job's row.
+        if counts.min() < 0 or counts.max() > self._num_gpus:
+            raise IndexError(
+                f"GPU counts must lie in [0, {self._num_gpus}], got "
+                f"[{counts.min()}, {counts.max()}]"
+            )
+        # One integer per (job, count, plane) triple, ordered like the
+        # triples themselves: the flat index of the triple in the table.
+        stride = 2 * (self._num_gpus + 1)
+        keys = np.arange(0, counts.shape[1] * stride, stride) + 2 * counts + planes
+        flat = self._table.reshape(-1)
+        values = flat[keys]
         nan_mask = np.isnan(values)
         if nan_mask.any():
-            # One integer per missing (job, count, plane) triple, ordered
-            # like the triples themselves: entries fill in (j, c, p) order.
-            stride = self._num_gpus + 1
-            keys = np.unique(
-                (job_idx[nan_mask] * stride + counts[nan_mask]) * 2 + planes[nan_mask]
-            )
-            for key in keys.tolist():
-                j, rest = divmod(key, 2 * stride)
+            # Missing entries fill in (j, c, p) order.
+            for key in np.unique(keys[nan_mask]).tolist():
+                j, rest = divmod(key, stride)
                 c, p = divmod(rest, 2)
-                self._table[j, c, p] = self._compute(j, c, bool(p))
-            values = self._table[job_idx, counts, planes]
+                flat[key] = self._compute(j, c, bool(p))
+            values = flat[keys]
         return values

@@ -114,8 +114,10 @@ victim_pid=$!
 await "$W/q2/log.jsonl" '"event": "claimed"'
 kill -9 $victim_pid
 wait $victim_pid 2>/dev/null
+# --ttl 0.3 renews the rescuer's leases every 0.1 s: its longest cell
+# takes ~0.25 s, shorter than the sweep TTL's 0.67-s heartbeat period.
 expect 0 $CLI worker "$W/q2" --worker-id rescuer --exit-when-done --skew-margin 0.5 \
-    --trace-out "$W/worker.jsonl"
+    --ttl 0.3 --trace-out "$W/worker.jsonl"
 wait $sweep_pid
 echo "ok    (exit $?) background queue sweep"
 expect 0 $CLI queue-status "$W/q2" --cells --since 3600

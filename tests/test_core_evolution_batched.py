@@ -20,6 +20,7 @@ import tests._evolution_oracle as oracle
 from repro.core.evolution import EvolutionConfig, EvolutionarySearch
 from repro.core.evolution_batched import (
     _crossover_children,
+    _crossover_draws,
     _mutants,
     _mutation_draws,
     first_seen_rows,
@@ -157,6 +158,37 @@ def test_crossover_and_mutation_consume_identical_rng_stream():
     assert np.array_equal(_rows(scalar_mutants), mutants)
     # Both paths must leave the shared generator in the same state.
     assert ctx_a.rng.integers(2**31) == ctx_b.rng.integers(2**31)
+
+
+@pytest.mark.parametrize("num_rows", [2, 3, 64, 65, 193])
+@pytest.mark.parametrize("num_gpus", [1, 16, 64])
+@pytest.mark.parametrize("half_word", [False, True], ids=["aligned", "half-word"])
+def test_crossover_draws_replay_choice_and_mask_calls(num_rows, num_gpus, half_word):
+    """One ``integers`` call makes the per-pair ``choice`` + mask draws.
+
+    With ``half_word`` an odd number of uint32 draws precedes the
+    crossover, so PCG64 holds a buffered half word that both streams
+    must consume first.
+    """
+    pairs = 32
+    for seed in range(20):
+        scalar_rng = np.random.default_rng(seed)
+        kernel_rng = np.random.default_rng(seed)
+        if half_word:
+            for rng in (scalar_rng, kernel_rng):
+                rng.integers(0, 2, size=3)
+                assert rng.bit_generator.state["has_uint32"] == 1
+        scalar_picks = np.empty((pairs, 2), dtype=np.int64)
+        scalar_masks = np.empty((pairs, num_gpus), dtype=bool)
+        for pair in range(pairs):
+            scalar_picks[pair] = scalar_rng.choice(num_rows, size=2, replace=False)
+            scalar_masks[pair] = scalar_rng.integers(0, 2, size=num_gpus)
+
+        picks, masks = _crossover_draws(num_rows, pairs, num_gpus, kernel_rng)
+
+        assert np.array_equal(picks, scalar_picks)
+        assert np.array_equal(masks, scalar_masks)
+        assert kernel_rng.bit_generator.state == scalar_rng.bit_generator.state
 
 
 # --- generation-level parity ---------------------------------------------------------------------

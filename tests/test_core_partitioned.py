@@ -12,10 +12,12 @@ whole-node wide path and get placed.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import warnings
 from dataclasses import replace
 
 from repro.cluster.topology import make_longhorn_cluster
+from repro.core import partitioned
 from repro.core.evolution import EvolutionConfig
 from repro.core.ones_scheduler import ONESConfig, ONESScheduler
 from repro.core.partitioned import (
@@ -219,21 +221,28 @@ class TestReconcilerProperties:
         fits = [p.inner.predictor.fit_count for p in scheduler._partitions]
         assert summary["predictor_fits"] == sum(fits) > 0
 
-    def test_parallel_workers_bit_identical_to_sequential(self):
+    def test_parallel_workers_bit_identical_to_sequential(self, monkeypatch):
         # Background passes go to the process pool only when two
         # partitions are dirty at once; under these outages some are, and
-        # the assertion below checks that the pool ran.
+        # the assertions below check that a pool ran and that none of its
+        # worker processes outlives the run.
         _, _, seq_result = self._run_recorded(_trace(num_jobs=6), faults=_faults())
+        pools = []
+
+        class CountedPool(partitioned.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        monkeypatch.setattr(partitioned, "ProcessPoolExecutor", CountedPool)
         parallel = _Recording(
             HierarchicalConfig(
                 partition_size=16, ones=_ones_config(), parallel_workers=2
             ),
             seed=SEED,
         )
-        try:
-            par_result = _run(parallel, _trace(num_jobs=6), num_gpus=32, faults=_faults())
-            assert parallel._pool is not None and not parallel._pool_broken
-        finally:
-            if parallel._pool is not None:
-                parallel._pool.shutdown()
+        children_before = set(multiprocessing.active_children())
+        par_result = _run(parallel, _trace(num_jobs=6), num_gpus=32, faults=_faults())
+        assert pools and not parallel._pool_broken
+        assert set(multiprocessing.active_children()) <= children_before
         assert _payload(seq_result) == _payload(par_result)

@@ -212,6 +212,26 @@ class TestWorkQueue:
         assert status.pending == 1 and status.failed == 1
         assert second.enqueue(_spec(seed=1)) == (keys[0], False)
 
+    def test_sweep_settings_hold_when_a_worker_opened_the_queue_first(self, tmp_path):
+        path = tmp_path / "q"
+        # A worker started before its sweep creates queue.json with the
+        # defaults (no retries, 30-s leases) ...
+        worker = WorkQueue(path)
+        assert worker.policy.max_retries == 0
+        # ... and the sweep's explicit budget and TTL replace them.
+        sweep = WorkQueue(path, lease_ttl=5.0, policy=ExecutionPolicy(max_retries=2))
+        (key,) = sweep.enqueue_all(_specs(1))
+        assert worker.claim("victim", now=100.0) is not None
+        assert worker.lease_ttl == 5.0
+        # The victim dies; the worker-side instance expires its lease and
+        # charges the sweep's budget: the cell is retried, not DEAD.
+        assert worker.expire_leases(now=106.0) == 1
+        assert worker.state(key, now=106.0) is CellState.FAILED
+        assert worker.claim("rescuer", now=106.0)[0] == key
+        fresh = WorkQueue(path)
+        assert fresh.policy.max_retries == 2
+        assert fresh.lease_ttl == 5.0
+
 
 class TestClockSafety:
     """Stepped-clock regressions: NTP steps/skew must not break leases.

@@ -260,6 +260,21 @@ class TestThroughputTable:
         with pytest.raises(ValueError):
             table.lookup(np.zeros((2, 99), dtype=np.int64))
 
+    @pytest.mark.parametrize("bad_count", [9, 17, -1])
+    def test_lookup_rejects_counts_outside_the_table(self, bad_count):
+        # The gather goes through one flat index, where job 0's count 9
+        # (on 8 GPUs) would be job 1's count 0: it must raise, not read.
+        jobs, model, limits, num_gpus = self._fixture()
+        table = ThroughputTable(model, jobs, limits, num_gpus)
+        _fill(table)
+        for job in range(len(table.roster)):
+            counts = np.ones((2, len(table.roster)), dtype=np.int64)
+            counts[1, job] = bad_count
+            with pytest.raises(IndexError):
+                table.lookup(counts)
+            with pytest.raises(IndexError):
+                table.lookup(counts, np.zeros(counts.shape, dtype=bool))
+
     def test_shared_memo_avoids_repeat_model_calls(self):
         jobs, model, limits, num_gpus = self._fixture()
         memo = BoundedMemo(max_entries=1024)
