@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -94,13 +94,19 @@ CAPABILITIES: Dict[str, SchedulerCapabilities] = {
 class ClusterState:
     """Read-only snapshot handed to scheduler callbacks.
 
-    Freshness contract: the simulator keeps per-job progress in a
-    vectorized ledger between events (:mod:`repro.sim.ledger`) and
-    materializes it back into the ``Job`` objects immediately before a
-    snapshot is built — so within a callback every job attribute is
-    exact for ``now``.  Do *not* stash ``Job`` references and read their
+    Freshness contract: the simulator keeps the progress of running
+    jobs in a vectorized ledger between events (:mod:`repro.sim.ledger`)
+    and passes its bulk write-back as ``writeback``.  :meth:`flush` runs
+    it once, and :meth:`active_jobs` — so every job view built on it —
+    flushes before it first reads ``jobs``: a job reached through a view
+    is exact for ``now`` within the callback, and a callback that reads
+    no job view costs no write-back.  Code that hands ``jobs`` itself to
+    another reader calls :meth:`flush` first (as
+    :func:`~repro.faults.masking.compact_state` does).  Derived states
+    carry no ``writeback``, so no state built from this one refers to
+    the ledger.  Do *not* stash ``Job`` references and read their
     progress outside a callback: between events they may lag behind the
-    ledger until the next materialization point.
+    ledger until the next write-back.
 
     Job contract: the simulator passes ``jobs`` as its index of admitted,
     uncompleted jobs in admission order — never the jobs that already
@@ -132,16 +138,28 @@ class ClusterState:
     allocation: Allocation
     jobs: Dict[str, Job]
     unavailable_gpus: FrozenSet[int] = frozenset()
+    #: Brings ``jobs`` up to date with ``now``; ``None`` when they are.
+    writeback: Optional[Callable[[], None]] = field(
+        default=None, repr=False, compare=False
+    )
     _active: Optional[Dict[str, Job]] = field(
         default=None, init=False, repr=False, compare=False
     )
 
     # -- job views ------------------------------------------------------------------
 
+    def flush(self) -> None:
+        """Run the pending ``writeback`` once; later calls do nothing."""
+        writeback = self.writeback
+        if writeback is not None:
+            self.writeback = None
+            writeback()
+
     def active_jobs(self) -> Dict[str, Job]:
         """Jobs that have arrived and not yet completed (shared; do not mutate)."""
         active = self._active
         if active is None:
+            self.flush()
             active = {
                 job_id: job
                 for job_id, job in self.jobs.items()

@@ -163,12 +163,17 @@ class Allocation:
         A job counts as changed if its set of GPUs or any local batch size
         differs.  Jobs present in only one allocation are included.
         """
+        mine, theirs = self._job_index(), other._job_index()
         changed: Set[str] = set()
-        for job_id in self.jobs() | other.jobs():
-            mine = self.config_of(job_id)
-            theirs = other.config_of(job_id)
-            if mine != theirs:
+        for job_id, gpus in mine.items():
+            if theirs.get(job_id) != gpus:
                 changed.add(job_id)
+                continue
+            for gpu in gpus:
+                if self._assignments[gpu].local_batch != other._assignments[gpu].local_batch:
+                    changed.add(job_id)
+                    break
+        changed.update(job_id for job_id in theirs if job_id not in mine)
         return changed
 
     def __eq__(self, other: object) -> bool:

@@ -112,9 +112,9 @@ def run_worker(
         if verbose:
             print(f"[{worker}] {message}", flush=True)
 
-    say(f"attached to {queue.path} (lease TTL {queue.lease_ttl:.1f}s, "
-        f"policy retries={queue.policy.max_retries} "
-        f"backoff={queue.policy.retry_backoff_s:.1f}s)")
+    # The settings in force are logged per claim: a sweep that enqueues
+    # after this worker attached may replace the queue's TTL and policy.
+    say(f"attached to {queue.path}")
     try:
         while True:
             queue.expire_leases()
@@ -130,11 +130,13 @@ def run_worker(
                 time.sleep(poll_interval)
                 continue
             key, spec = claim
-            say(f"claimed {key} ({spec.label()}, attempt {queue.attempts(key) + 1})")
+            say(f"claimed {key} ({spec.label()}, attempt {queue.attempts(key) + 1}; "
+                f"lease TTL {queue.lease_ttl:.1f}s, "
+                f"policy retries={queue.policy.max_retries} "
+                f"backoff={queue.policy.retry_backoff_s:.1f}s)")
             if hold_s > 0:
                 time.sleep(hold_s)
-            # Paced off the TTL in force now: a sweep that enqueues after
-            # this worker attached may have replaced the queue's TTL.
+            # Paced off the TTL in force for this claim.
             heartbeat = _Heartbeat(queue, key, worker, max(queue.lease_ttl / 3.0, 0.05))
             heartbeat.start()
             tracer = active_tracer()

@@ -129,7 +129,6 @@ class NodeDownHandler(EventHandler):
         # stop_running bumps the generation, so pending EPOCH_END events
         # scheduled for the dead configuration are lazily invalidated.
         job.stop_running(sim.now)
-        sim.ledger.clear_runtime(job_id)
         sim.ledger.pull(job)
 
 

@@ -147,8 +147,10 @@ def compact_state(
     ``topology`` / ``throughput_model`` are the virtual-cluster instances
     (usually cached per down-node set via :func:`virtual_cluster`); the
     job dictionary is shared by reference, so the scheduler observes the
-    same live :class:`~repro.jobs.job.Job` objects either way.
+    same live :class:`~repro.jobs.job.Job` objects either way.  The view
+    carries no write-back of its own, so ``state`` is flushed first.
     """
+    state.flush()
     return compact_nodes(state, _up_nodes(state), topology, throughput_model)
 
 

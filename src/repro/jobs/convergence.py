@@ -100,19 +100,15 @@ class ConvergenceProfile:
         )
         check_non_negative(self.loss_spike_per_doubling, "loss_spike_per_doubling")
         check_positive(self.spike_recovery_epochs, "spike_recovery_epochs")
-
-    # -- time constants of the saturating curves --------------------------------------
-
-    @property
-    def _accuracy_tau(self) -> float:
-        """Exponential time constant so accuracy hits target at base epochs."""
+        # Time constants of the saturating curves, computed once: every
+        # epoch reads both.  Plain attributes, not fields, so equality,
+        # hashing and repr still see the parameters only.
         ratio = self.max_accuracy / (self.max_accuracy - self.target_accuracy)
-        return self.base_epochs_to_target / math.log(ratio)
-
-    @property
-    def _loss_tau(self) -> float:
-        """Loss decays a little faster than accuracy rises."""
-        return self._accuracy_tau * 0.8
+        # Exponential time constant so accuracy hits target at base epochs.
+        accuracy_tau = self.base_epochs_to_target / math.log(ratio)
+        object.__setattr__(self, "_accuracy_tau", accuracy_tau)
+        # Loss decays a little faster than accuracy rises.
+        object.__setattr__(self, "_loss_tau", accuracy_tau * 0.8)
 
     # -- core model ----------------------------------------------------------------------
 

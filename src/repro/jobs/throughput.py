@@ -121,6 +121,10 @@ class ThroughputModel:
 
         ``local_batches[i]`` is the batch handled by the worker on
         ``gpu_ids[i]``; the slowest worker gates the step (stragglers).
+        Every GPU of a :class:`ClusterTopology` has the node's spec, so the
+        compute time is evaluated once per distinct local batch (an even
+        split has at most two); an id outside the cluster raises
+        ``IndexError``.
         """
         if len(local_batches) != len(gpu_ids):
             raise ValueError(
@@ -129,10 +133,11 @@ class ThroughputModel:
             )
         if len(gpu_ids) == 0 or sum(local_batches) <= 0:
             return StepTimeBreakdown(0.0, 0.0)
-        compute = max(
-            self.compute_time(model, b, self._topology.gpu(int(g)).spec)
-            for b, g in zip(local_batches, gpu_ids)
-        )
+        topology = self._topology
+        for gpu in (min(gpu_ids), max(gpu_ids)):
+            topology.gpu(int(gpu))  # rejects ids outside the cluster
+        spec = topology.gpu_spec
+        compute = max(self.compute_time(model, b, spec) for b in set(local_batches))
         comm = self.allreduce_time(model, gpu_ids)
         return StepTimeBreakdown(compute_time=compute, communication_time=comm)
 

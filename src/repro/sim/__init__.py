@@ -17,12 +17,12 @@ The simulation engine is split into three layers, composed by the
     jobs or schedulers.
 ``ledger``
     :class:`~repro.sim.ledger.ProgressLedger` — dense NumPy arrays of
-    per-job rate / resume-time / last-progress plus the progress-bearing
-    ``Job`` state, keyed by a job-index map.  Advancing the clock is a
-    handful of array expressions over the *running* jobs (bit-identical
-    to the scalar ``Job.advance`` it replaced); values are lazily
-    materialized back into ``Job`` objects only when a handler or a
-    scheduler snapshot is about to read them.
+    rate / resume-time / last-progress plus the progress-bearing ``Job``
+    state, one packed slot per *running* job.  Advancing the clock is a
+    handful of array expressions over those slots (bit-identical to the
+    scalar ``Job.advance`` it replaced); values are lazily materialized
+    back into ``Job`` objects only when a handler, or a scheduler
+    callback through its snapshot's job views, is about to read them.
 ``handlers``
     :mod:`repro.sim.handlers` — one small strategy object per event
     kind (arrival, epoch end, timer) holding the domain logic.  ONES and

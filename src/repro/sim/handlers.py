@@ -9,9 +9,14 @@ events reach it.
 Handlers follow the ledger synchronisation contract (see
 :mod:`repro.sim.ledger`): call ``sim.ledger.materialize(job_id)`` before
 *reading* a job's progress, and ``sim.ledger.pull(job)`` after
-*mutating* it outside the ledger.  Building a scheduler snapshot via
-``sim._state()`` materializes everything, so scheduler callbacks always
-observe fully up-to-date ``Job`` objects.
+*mutating* it outside the ledger — which is also how a job that starts
+running takes a ledger slot and one that stops gives it up.  A snapshot
+built by ``sim._state()`` writes every running job back the first time
+its callback asks for a job view, so scheduler callbacks always observe
+up-to-date ``Job`` objects, and a callback that reads none (FIFO's
+``on_epoch_end``) costs no write-back.  Outside a callback, read job
+progress only after a flush: ``sim._apply_allocation`` flushes before
+it re-configures jobs, and ``sim._build_result`` before it reports.
 
 Adding a new event kind — the ``NODE_DOWN`` worked example
 ----------------------------------------------------------
@@ -31,8 +36,9 @@ exactly this recipe; ``NODE_DOWN`` is the richest one to copy from:
    victim before reading its progress, mutates the ``Job`` (rolls back
    uncheckpointed work, ``stop_running`` — which bumps the generation so
    stale ``EPOCH_END`` events are lazily dropped), then ``pull()``\\ s the
-   job back into the ledger.  Domain-specific handlers can live next to
-   their subsystem (``repro/faults/handlers.py``) rather than here.
+   job, which gives its ledger slot up.  Domain-specific handlers can
+   live next to their subsystem (``repro/faults/handlers.py``) rather
+   than here.
 3. **Register it** in :func:`default_handlers` (or pass a custom handler
    map to the simulator) and **push the first event** from wherever it
    originates — fault events are seeded by ``ClusterSimulator.run`` from
@@ -99,7 +105,7 @@ class EpochEndHandler(EventHandler):
         boundary = round(job.samples_processed / job.dataset_size) * job.dataset_size
         if boundary > 0 and abs(job.samples_processed - boundary) < 0.5:
             job.samples_processed = float(boundary)
-            sim.ledger.pull(job)
+            sim.ledger.set_samples(job.job_id, job.samples_processed)
         record = job.complete_epoch(sim.now)
         if job.is_converged:
             sim._complete_job(job)

@@ -1,4 +1,4 @@
-"""Vectorized per-job progress state: the simulator's hot-path ledger.
+"""Vectorized progress state of the running jobs: the simulator's hot-path ledger.
 
 Historically ``ClusterSimulator._advance_time`` walked *every* job in a
 Python loop at *every* event — three dict lookups, a ``max``, and a
@@ -7,13 +7,24 @@ long traces that loop, not the scheduler, became the simulation floor.
 
 The :class:`ProgressLedger` replaces the per-job dicts
 (``_job_throughput`` / ``_progress_resume`` / ``_last_progress``) and the
-progress-bearing ``Job`` attributes with dense NumPy arrays keyed by a
-job-index map, so advancing the clock is a handful of array expressions
-over the *running* jobs only:
+progress-bearing ``Job`` attributes with dense NumPy arrays, so advancing
+the clock is a handful of array expressions over the running jobs:
 
 ``start = max(last_progress, resume)``, ``delta = rate * (t - start)``,
 then vectorized equivalents of ``Job.advance`` (samples, effective
-epochs, loss-spike decay, Welford throughput profile).
+epochs, loss-spike decay, the running mean of the throughput profile).
+
+Running slots
+-------------
+A job holds a slot only while it runs.  The slots are packed into
+``[0, n)``, ``n`` being the number of running jobs: :meth:`pull` of a
+running job without a slot appends one at ``n``, and :meth:`pull` of a
+job that stopped (preemption, eviction, completion) swap-removes its
+slot, moving the last one into the hole.  :meth:`advance_to` and
+:meth:`materialize_all` therefore work on ``[:n]`` slices, whatever the
+length of the job history; ``advance_to`` gathers an index subset only
+when some running job is still inside its re-configuration overhead
+(makes no progress at this event).
 
 Bit-exactness contract
 ----------------------
@@ -27,108 +38,129 @@ libm; spikes are zero for almost every job at almost every event, so the
 scalar fallback costs nothing.  The golden-trace and differential parity
 suites pin this contract.
 
-Lazy materialization
---------------------
-Between events the arrays are authoritative for the progress state of
-running jobs; the ``Job`` objects are stale.  ``materialize()`` writes
-the arrays back into the ``Job`` attributes, and is called by the
-simulator only when a handler (or a scheduler callback, via
-``ClusterSimulator._state``) is about to *read* a job.  Conversely,
-``pull()`` refreshes the arrays after a handler *mutates* a job
-(epoch-boundary snapping, re-configuration).  A dirty mask keeps both
-directions O(changed jobs).
+Synchronisation with the ``Job`` objects
+----------------------------------------
+The arrays are authoritative for the progress state of running jobs;
+their ``Job`` objects are stale between write-backs.  A job without a
+slot is authoritative in its ``Job``.  :meth:`materialize` writes one
+running job back, :meth:`materialize_all` every running job (a no-op
+when the clock moved none since the last bulk write-back).  The
+simulator materializes the event's job before a handler reads it, and
+hands ``materialize_all`` to each scheduler snapshot, which runs it the
+first time a callback asks for a job view (see
+:class:`~repro.baselines.base.ClusterState`).  Conversely, :meth:`pull`
+refreshes the arrays after a handler *mutates* a job (re-configuration,
+preemption, eviction, completion) — the job must have been materialized
+before the mutation — and :meth:`set_samples` writes the one value the
+epoch-boundary snap changes.
 
-``materialize_all()`` — the write-back in front of every scheduler
-callback — gathers the dirty slots of each array at once and converts
-them with ``ndarray.tolist()``, one call per array instead of seven
-NumPy-scalar reads per job.  ``tolist()`` yields exactly the Python
-``float`` / ``int`` that ``float(arr[slot])`` / ``int(arr[slot])`` do
-(the same IEEE-754 double, the same integer), so the ``Job`` objects
+``materialize_all`` converts each array slice with ``ndarray.tolist()``,
+one call per array instead of five NumPy-scalar reads per job;
+``tolist()`` yields exactly the Python ``float`` / ``int`` that
+``float(arr[slot])`` / ``int(arr[slot])`` do, so the ``Job`` objects
 receive bit-identical values of the same types as through the per-slot
-``materialize()`` path, which single-job reads still use.
+``materialize`` path.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
 from repro.jobs.job import Job
 
-#: Initial slot capacity; the arrays double when a trace outgrows them.
+#: Initial slot capacity; the arrays double when more jobs run at once.
 _INITIAL_CAPACITY = 64
 
 
 class ProgressLedger:
-    """Dense per-job runtime state keyed by a job-index map."""
+    """Dense progress state of the running jobs, one packed slot each."""
 
     def __init__(self, capacity: int = _INITIAL_CAPACITY) -> None:
         capacity = max(1, int(capacity))
         self._index: Dict[str, int] = {}
-        self._jobs: List[Optional[Job]] = []
-        self._size = 0
-        # simulator-owned runtime state (previously per-job dicts)
-        self.rate = np.zeros(capacity)
-        self.resume = np.zeros(capacity)
-        self.last_progress = np.zeros(capacity)
-        self.running = np.zeros(capacity, dtype=bool)
-        # mirrored Job progress state (vectorized Job.advance)
-        self.samples = np.zeros(capacity)
-        self.effective_epochs = np.zeros(capacity)
-        self.spike = np.zeros(capacity)
-        self.gain = np.zeros(capacity)
-        self.recovery = np.ones(capacity)
-        self.dataset = np.ones(capacity)
+        #: slot -> job; its length is the number of slots.
+        self._jobs: List[Job] = []
+        #: Time of the last :meth:`advance_to`: where a new slot starts.
+        self._clock = 0.0
+        #: Whether a slot advanced since the last :meth:`materialize_all`.
+        self._unflushed = False
+        # One row per float field, so growing and swap-removing a slot
+        # are one array operation each.
+        self._values = np.zeros((10, capacity))
         self.tp_count = np.zeros(capacity, dtype=np.int64)
-        self.tp_mean = np.zeros(capacity)
-        self.tp_m2 = np.zeros(capacity)
-        self._dirty = np.zeros(capacity, dtype=bool)
+        self._bind_rows()
+
+    def _bind_rows(self) -> None:
+        (
+            # simulator-owned runtime state (previously per-job dicts)
+            self.rate,
+            self.resume,
+            self.last_progress,
+            # mirrored Job progress state (vectorized Job.advance)
+            self.samples,
+            self.effective_epochs,
+            self.spike,
+            self.gain,
+            self.recovery,
+            self.dataset,
+            self.tp_mean,
+        ) = self._values
+
+    def __len__(self) -> int:
+        """Number of slots, i.e. of running jobs."""
+        return len(self._jobs)
 
     # -- slot management ----------------------------------------------------------------
 
     def _grow(self) -> None:
-        for name in (
-            "rate", "resume", "last_progress", "running", "samples",
-            "effective_epochs", "spike", "gain", "recovery", "dataset",
-            "tp_count", "tp_mean", "tp_m2", "_dirty",
-        ):
-            old = getattr(self, name)
-            new = np.zeros(2 * old.shape[0], dtype=old.dtype)
-            if name in ("recovery", "dataset"):
-                new[old.shape[0]:] = 1.0
-            new[: old.shape[0]] = old
-            setattr(self, name, new)
+        capacity = 2 * self.tp_count.shape[0]
+        values = np.zeros((self._values.shape[0], capacity))
+        values[:, : self._values.shape[1]] = self._values
+        count = np.zeros(capacity, dtype=np.int64)
+        count[: self.tp_count.shape[0]] = self.tp_count
+        self._values, self.tp_count = values, count
+        self._bind_rows()
 
-    def register(self, job: Job, now: float) -> int:
-        """Add a job to the ledger at its arrival; returns its slot index."""
-        if job.job_id in self._index:
-            raise ValueError(f"job {job.job_id!r} already registered")
-        if self._size == self.rate.shape[0]:
+    def _acquire(self, job: Job) -> int:
+        slot = len(self)
+        if slot == self.tp_count.shape[0]:
             self._grow()
-        slot = self._size
-        self._size += 1
         self._index[job.job_id] = slot
         self._jobs.append(job)
-        self.last_progress[slot] = now
+        self.rate[slot] = 0.0
+        self.resume[slot] = 0.0
+        self.last_progress[slot] = self._clock
         self.recovery[slot] = job.spec.convergence.spike_recovery_epochs
         self.dataset[slot] = float(job.dataset_size)
-        self.pull(job)
         return slot
+
+    def _release(self, job_id: str, slot: int) -> None:
+        del self._index[job_id]
+        moved = self._jobs.pop()
+        last = len(self._jobs)
+        if slot != last:
+            self._jobs[slot] = moved
+            self._index[moved.job_id] = slot
+            self._values[:, slot] = self._values[:, last]
+            self.tp_count[slot] = self.tp_count[last]
 
     # -- runtime state (mirrors the old simulator dicts) --------------------------------
 
     def rate_of(self, job_id: str) -> float:
         """Current progress rate (samples/s); 0.0 when not running."""
-        return float(self.rate[self._index[job_id]])
+        slot = self._index.get(job_id)
+        return 0.0 if slot is None else float(self.rate[slot])
 
     def resume_of(self, job_id: str) -> float:
-        """Time at which the job resumes making progress (overhead end)."""
-        return float(self.resume[self._index[job_id]])
+        """Time at which the job resumes making progress; 0.0 when not running."""
+        slot = self._index.get(job_id)
+        return 0.0 if slot is None else float(self.resume[slot])
 
     def set_rate(self, job_id: str, rate: float) -> None:
-        """Set the job's progress rate (deployed-configuration throughput)."""
+        """Set a running job's progress rate (deployed-configuration throughput, ≥ 0)."""
         self.rate[self._index[job_id]] = rate
 
     def set_resume(self, job_id: str, resume_at: float, now: float) -> None:
@@ -137,62 +169,40 @@ class ProgressLedger:
         self.resume[slot] = resume_at
         self.last_progress[slot] = now
 
-    def clear_runtime(self, job_id: str) -> None:
-        """Drop rate/resume state (completion or preemption)."""
-        slot = self._index[job_id]
-        self.rate[slot] = 0.0
-        self.resume[slot] = 0.0
-
     # -- synchronisation with the Job objects -------------------------------------------
 
     def pull(self, job: Job) -> None:
-        """Refresh the arrays from a job that was mutated outside the ledger."""
-        slot = self._index[job.job_id]
-        self.running[slot] = job.is_running
+        """Refresh the arrays from a job that was mutated outside the ledger.
+
+        A running job takes a slot if it holds none; a job that is not
+        running gives its slot up.  The job is only read, so it must have
+        been materialized before it was mutated.
+        """
+        slot = self._index.get(job.job_id)
+        if not job.is_running:
+            if slot is not None:
+                self._release(job.job_id, slot)
+            return
+        if slot is None:
+            slot = self._acquire(job)
         self.samples[slot] = job.samples_processed
         self.effective_epochs[slot] = job.effective_epochs
         self.spike[slot] = job._loss_spike
         profile = job.throughput_profile
         self.tp_count[slot] = profile.count
         self.tp_mean[slot] = profile.mean
-        self.tp_m2[slot] = profile._m2
-        if job.is_running:
-            batch = max(1, job.global_batch)
-            self.gain[slot] = job.spec.convergence.epoch_progress(batch, job.lr_scaled)
-        self._dirty[slot] = False
+        batch = max(1, job.global_batch)
+        self.gain[slot] = job.spec.convergence.epoch_progress(batch, job.lr_scaled)
+
+    def set_samples(self, job_id: str, samples: float) -> None:
+        """Write a running job's snapped sample count (its ``Job`` holds it too)."""
+        self.samples[self._index[job_id]] = samples
 
     def materialize(self, job_id: str) -> None:
-        """Write one job's array state back into its ``Job`` object."""
-        slot = self._index[job_id]
-        if self._dirty[slot]:
-            self._write_back(slot)
-
-    def materialize_all(self) -> None:
-        """Write every dirty job's array state back into its ``Job`` (in bulk)."""
-        dirty = np.flatnonzero(self._dirty[: self._size])
-        if dirty.size == 0:
+        """Write one job's array state back into its ``Job`` (no-op when not running)."""
+        slot = self._index.get(job_id)
+        if slot is None:
             return
-        jobs = self._jobs
-        for slot, samples, epochs, spike, count, mean, m2 in zip(
-            dirty.tolist(),
-            self.samples[dirty].tolist(),
-            self.effective_epochs[dirty].tolist(),
-            self.spike[dirty].tolist(),
-            self.tp_count[dirty].tolist(),
-            self.tp_mean[dirty].tolist(),
-            self.tp_m2[dirty].tolist(),
-        ):
-            job = jobs[slot]
-            job.samples_processed = samples
-            job.effective_epochs = epochs
-            job._loss_spike = spike
-            profile = job.throughput_profile
-            profile.count = count
-            profile.mean = mean
-            profile._m2 = m2
-        self._dirty[dirty] = False
-
-    def _write_back(self, slot: int) -> None:
         job = self._jobs[slot]
         job.samples_processed = float(self.samples[slot])
         job.effective_epochs = float(self.effective_epochs[slot])
@@ -200,8 +210,30 @@ class ProgressLedger:
         profile = job.throughput_profile
         profile.count = int(self.tp_count[slot])
         profile.mean = float(self.tp_mean[slot])
-        profile._m2 = float(self.tp_m2[slot])
-        self._dirty[slot] = False
+
+    def materialize_all(self) -> None:
+        """Write every running job's array state back into its ``Job`` (in bulk).
+
+        A no-op unless :meth:`advance_to` moved a job since the last call.
+        """
+        if not self._unflushed:
+            return
+        self._unflushed = False
+        n = len(self._jobs)
+        for job, samples, epochs, spike, count, mean in zip(
+            self._jobs,
+            self.samples[:n].tolist(),
+            self.effective_epochs[:n].tolist(),
+            self.spike[:n].tolist(),
+            self.tp_count[:n].tolist(),
+            self.tp_mean[:n].tolist(),
+        ):
+            job.samples_processed = samples
+            job.effective_epochs = epochs
+            job._loss_spike = spike
+            profile = job.throughput_profile
+            profile.count = count
+            profile.mean = mean
 
     # -- the vectorized hot path --------------------------------------------------------
 
@@ -215,43 +247,43 @@ class ProgressLedger:
             if duration > 0 and rate[j] > 0:
                 job.advance(rate[j] * duration, duration)
             last_progress[j] = to_time
+
+        Rates are never negative, so ``rate * (to_time - start) > 0``
+        selects exactly the jobs that loop advanced, and ``Job.advance``'s
+        early return on a zero delta (a product that underflows) with them.
         """
-        size = self._size
-        if size == 0:
+        self._clock = to_time
+        n = len(self._jobs)
+        if n == 0:
             return
-        running = np.flatnonzero(self.running[:size])
-        if running.size == 0:
-            return
-        start = np.maximum(self.last_progress[running], self.resume[running])
-        duration = np.maximum(to_time - start, 0.0)
-        active = (duration > 0.0) & (self.rate[running] > 0.0)
-        self.last_progress[running] = to_time
-        if not active.any():
-            return
-        idx = running[active]
-        duration = duration[active]
-        delta = self.rate[idx] * duration
-        # Job.advance returns early on a zero delta (possible only when
-        # rate * duration underflows); match it exactly.
-        nonzero = delta > 0.0
-        if not nonzero.all():
-            idx, duration, delta = idx[nonzero], duration[nonzero], delta[nonzero]
+        last_progress = self.last_progress[:n]
+        duration = to_time - np.maximum(last_progress, self.resume[:n])
+        last_progress.fill(to_time)
+        delta = self.rate[:n] * duration
+        moving = delta > 0.0
+        if moving.all():
+            idx = slice(0, n)
+        else:
+            # Some job is inside its re-configuration overhead.
+            idx = np.flatnonzero(moving)
             if idx.size == 0:
                 return
+            delta, duration = delta[idx], duration[idx]
+        self._unflushed = True
         fraction = delta / self.dataset[idx]
         self.samples[idx] += delta
         self.effective_epochs[idx] += fraction * self.gain[idx]
         # Loss-spike decay: scalar math.exp per *non-zero* spike (rare) so
         # the result stays bit-identical to Job.advance; zero spikes stay
         # exactly zero under any decay factor.
-        spiked = np.flatnonzero(self.spike[idx] != 0.0)
-        for k in spiked:
-            slot = int(idx[k])
-            self.spike[slot] *= math.exp(-float(fraction[k]) / float(self.recovery[slot]))
-        # Welford throughput profile (RunningMean.update, element-wise).
+        spike = self.spike[idx]
+        if spike.any():
+            recovery = self.recovery[idx]
+            for k in np.flatnonzero(spike).tolist():
+                spike[k] *= math.exp(-float(fraction[k]) / float(recovery[k]))
+            self.spike[idx] = spike
+        # Running mean of the throughput profile (RunningMean.update).
         value = delta / duration
         self.tp_count[idx] += 1
-        d1 = value - self.tp_mean[idx]
-        self.tp_mean[idx] += d1 / self.tp_count[idx]
-        self.tp_m2[idx] += d1 * (value - self.tp_mean[idx])
-        self._dirty[idx] = True
+        mean = self.tp_mean[idx]
+        self.tp_mean[idx] = mean + (value - mean) / self.tp_count[idx]

@@ -26,9 +26,9 @@ three collaborating layers (see the package docstring of
 
 * :class:`~repro.sim.kernel.SimulationKernel` — clock, event heap,
   max-event/max-time guards, handler dispatch;
-* :class:`~repro.sim.ledger.ProgressLedger` — vectorized per-job
-  rate/progress state, advanced with array expressions over the running
-  jobs only and lazily materialized back into ``Job`` objects;
+* :class:`~repro.sim.ledger.ProgressLedger` — vectorized rate/progress
+  state of the running jobs (one packed slot each), advanced with array
+  expressions and lazily materialized back into ``Job`` objects;
 * :mod:`repro.sim.handlers` — per-event-kind strategy objects holding
   the domain logic, shared by ONES and every baseline.
 
@@ -342,7 +342,10 @@ class ClusterSimulator:
         self.jobs: Dict[str, Job] = {}
         self.active: Dict[str, Job] = {}
         self.allocation: Allocation = Allocation.empty()
-        self.ledger = ProgressLedger(capacity=len(self.trace))
+        # Every running job holds at least one GPU, so the ledger's slots
+        # never outnumber the GPUs; an online run starts with no trace and
+        # the ledger grows with its submissions.
+        self.ledger = ProgressLedger(capacity=min(len(self.trace), topology.num_gpus))
         self.profile: Optional[SimProfile] = (
             SimProfile() if self.config.collect_profile else None
         )
@@ -484,9 +487,8 @@ class ClusterSimulator:
     # -- state snapshots ------------------------------------------------------------------------
 
     def _state(self) -> ClusterState:
-        # Scheduler callbacks may read any job, so flush the ledger's
-        # pending progress into the Job objects first.
-        self.ledger.materialize_all()
+        # The snapshot writes the ledger's progress back into the Job
+        # objects the first time the callback asks for a job view.
         return ClusterState(
             now=self.now,
             topology=self.topology,
@@ -494,6 +496,7 @@ class ClusterSimulator:
             allocation=self.allocation,
             jobs=self.active,
             unavailable_gpus=self.faults.unavailable_gpus(),
+            writeback=self.ledger.materialize_all,
         )
 
     def _all_done(self) -> bool:
@@ -517,18 +520,16 @@ class ClusterSimulator:
     # -- hooks the event handlers call ----------------------------------------------------------
 
     def admit_job(self, job_id: str) -> Job:
-        """Create the :class:`Job` for an arriving spec and register it."""
+        """Create the :class:`Job` for an arriving spec and index it."""
         spec = self._spec_index[job_id]
         job = Job(spec)
         self.jobs[spec.job_id] = job
         self.active[spec.job_id] = job
-        self.ledger.register(job, self.now)
         return job
 
     def _complete_job(self, job: Job) -> None:
         job.mark_completed(self.now)
         del self.active[job.job_id]
-        self.ledger.clear_runtime(job.job_id)
         self.ledger.pull(job)
         # Remove the job's workers from the deployed allocation; the
         # surviving workers are immutable and carried over as they are.
@@ -550,6 +551,9 @@ class ClusterSimulator:
         changed = self.allocation.changed_jobs(proposal)
         if not changed:
             return
+        # The callback may have returned without reading a job; the jobs
+        # re-configured below are read and mutated, so bring them up to date.
+        self.ledger.materialize_all()
         tracer = active_tracer()
         if tracer is not None:
             tracer.event(
@@ -562,7 +566,6 @@ class ClusterSimulator:
                 # Preemption: release the job's GPUs.
                 if job.is_running:
                     job.stop_running(self.now)
-                self.ledger.clear_runtime(job_id)
                 self.ledger.pull(job)
                 continue
             was_running = job.is_running

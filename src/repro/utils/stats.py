@@ -9,7 +9,7 @@ are derived identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Tuple
 
 import numpy as np
@@ -94,19 +94,17 @@ def fraction_below(values: Iterable[float], threshold: float) -> float:
 
 @dataclass
 class RunningMean:
-    """Numerically stable streaming mean/variance (Welford).
+    """Streaming mean, updated in place as Welford's algorithm does.
 
     The simulator uses this to profile per-job throughput online — the
-    paper (§3.2.1) uses "the mean value of collected measures".
+    paper (§3.2.1) uses "the mean value of collected measures".  It keeps
+    the count and the mean only; nothing reads a variance.
     """
 
     count: int = 0
     mean: float = 0.0
-    _m2: float = field(default=0.0, repr=False)
 
     def update(self, value: float) -> None:
-        """Fold one observation into the running statistics."""
+        """Fold one observation into the running mean."""
         self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
+        self.mean += (value - self.mean) / self.count

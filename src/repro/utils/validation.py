@@ -8,6 +8,7 @@ numerical error; these helpers centralise the checks.
 
 from __future__ import annotations
 
+import math
 from numbers import Real
 from typing import Any, Optional
 
@@ -68,9 +69,11 @@ def check_positive_int(value: Any, name: str) -> int:
 
 
 def _check_real(value: Real, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, Real):
-        raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
-    value = float(value)
-    if value != value or value in (float("inf"), float("-inf")):
+    # An exact float (the common case) skips the ``numbers.Real`` ABC check.
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
+        value = float(value)
+    if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     return value

@@ -70,6 +70,27 @@ class TestAllocationComparison:
     def test_changed_jobs_empty_for_identical(self, simple_allocation):
         assert simple_allocation.changed_jobs(simple_allocation) == set()
 
+    def test_changed_jobs_detects_a_move_at_the_same_batches(self, simple_allocation):
+        other = Allocation.from_job_map(
+            {
+                "job-a": [(0, 64), (1, 64)],
+                "job-b": [(4, 32), (5, 32)],
+            }
+        )
+        assert simple_allocation.changed_jobs(other) == {"job-b"}
+        assert other.changed_jobs(simple_allocation) == {"job-b"}
+
+    def test_changed_jobs_detects_an_added_job(self, simple_allocation):
+        other = Allocation.from_job_map(
+            {
+                "job-a": [(0, 64), (1, 64)],
+                "job-b": [(2, 32), (3, 32)],
+                "job-c": [(6, 16)],
+            }
+        )
+        assert simple_allocation.changed_jobs(other) == {"job-c"}
+        assert Allocation.empty().changed_jobs(simple_allocation) == {"job-a", "job-b"}
+
 
 class TestValidation:
     def test_gpu_out_of_range(self, simple_allocation):

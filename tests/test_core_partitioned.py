@@ -11,11 +11,16 @@ whole-node wide path and get placed.
 
 from __future__ import annotations
 
+import io
 import json
 import multiprocessing
+import pickle
 import warnings
+from concurrent.futures import Future
 from dataclasses import replace
+from types import SimpleNamespace
 
+from repro.baselines.base import ClusterState
 from repro.cluster.topology import make_longhorn_cluster
 from repro.core import partitioned
 from repro.core.evolution import EvolutionConfig
@@ -27,6 +32,7 @@ from repro.core.partitioned import (
 )
 from repro.faults.config import FaultConfig
 from repro.faults.plan import FaultInjection, FaultKind
+from repro.sim.ledger import ProgressLedger
 from repro.sim.simulator import ClusterSimulator, SimulationConfig
 from repro.sim.views import partition_nodes
 from repro.workload.trace import TraceConfig, TraceGenerator
@@ -246,3 +252,48 @@ class TestReconcilerProperties:
         assert pools and not parallel._pool_broken
         assert set(multiprocessing.active_children()) <= children_before
         assert _payload(seq_result) == _payload(par_result)
+
+    def test_pool_payloads_refer_to_no_ledger(self, monkeypatch):
+        # What a background pass sends to the pool is the inner scheduler
+        # and its partition's derived state; neither may reach the
+        # simulator's ledger (derived states carry no write-back).
+        pickled_types = set()
+
+        class Spy(pickle.Pickler):
+            def reducer_override(self, obj):
+                pickled_types.add(type(obj))
+                return NotImplemented
+
+        def dumps(obj):
+            buffer = io.BytesIO()
+            Spy(buffer).dump(obj)
+            return buffer.getvalue()
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(partitioned, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(
+            partitioned, "pickle", SimpleNamespace(dumps=dumps, loads=pickle.loads)
+        )
+        scheduler = HierarchicalONESScheduler(
+            HierarchicalConfig(partition_size=16, ones=_ones_config(), parallel_workers=2),
+            seed=SEED,
+        )
+        _run(scheduler, _trace(num_jobs=6), num_gpus=32, faults=_faults())
+        assert not scheduler._pool_broken
+        assert ClusterState in pickled_types and ONESScheduler in pickled_types
+        assert ProgressLedger not in pickled_types
+        assert ClusterSimulator not in pickled_types

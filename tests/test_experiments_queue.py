@@ -580,6 +580,36 @@ class TestQueueObservability:
         )
         assert fresh.cell_rows(since=3600.0)
 
+    def test_worker_logs_the_settings_in_force_at_each_claim(self, tmp_path, capsys):
+        import threading
+
+        from repro.experiments.worker import run_worker
+
+        path = tmp_path / "q"
+        settled = []
+        worker = threading.Thread(
+            target=lambda: settled.append(
+                run_worker(str(path), worker_id="early", max_cells=1, poll_interval=0.02)
+            )
+        )
+        worker.start()
+        # The worker attaches first and writes the default settings ...
+        deadline = time.monotonic() + 30.0
+        while not (path / "queue.json").exists():
+            assert time.monotonic() < deadline, "the worker never attached"
+            time.sleep(0.01)
+        # ... which the sweep then replaces before it enqueues.
+        sweep = WorkQueue(path, lease_ttl=5.0, policy=ExecutionPolicy(max_retries=2))
+        sweep.enqueue_all(_specs(1))
+        worker.join(timeout=60.0)
+        assert not worker.is_alive()
+        assert settled == [1]
+        lines = capsys.readouterr().out.splitlines()
+        claimed = [line for line in lines if line.startswith("[early] claimed ")]
+        assert len(claimed) == 1
+        assert "lease TTL 5.0s" in claimed[0]
+        assert "retries=2" in claimed[0]
+
     def test_worker_trace_out_writes_jsonl(self, tmp_path):
         from repro.experiments.worker import run_worker
         from repro.obs.trace import active_tracer, load_jsonl, validate_trace_file

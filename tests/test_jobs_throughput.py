@@ -6,6 +6,7 @@ import pytest
 from repro.jobs.model_zoo import get_model
 from repro.jobs.throughput import (
     BoundedMemo,
+    StepTimeBreakdown,
     ThroughputModel,
     ThroughputTable,
     derive_global_batch,
@@ -62,6 +63,28 @@ class TestStepTime:
     def test_step_time_mismatched_lengths(self, throughput_model):
         with pytest.raises(ValueError):
             throughput_model.step_time(get_model("resnet50"), [64], [0, 1])
+
+    @pytest.mark.parametrize(
+        "global_batch, gpu_ids", [(10, [0, 1, 2]), (127, [0, 1, 4, 5, 6]), (65, [3, 4])]
+    )
+    def test_step_time_is_the_per_worker_max(self, throughput_model, global_batch, gpu_ids):
+        model = get_model("resnet50")
+        local = split_batch(global_batch, len(gpu_ids))
+        assert len(set(local)) == 2  # an uneven remainder
+        topology = throughput_model.topology
+        expected = StepTimeBreakdown(
+            compute_time=max(
+                throughput_model.compute_time(model, b, topology.gpu(g).spec)
+                for b, g in zip(local, gpu_ids)
+            ),
+            communication_time=throughput_model.allreduce_time(model, gpu_ids),
+        )
+        assert throughput_model.step_time(model, local, gpu_ids) == expected
+
+    @pytest.mark.parametrize("gpu_ids", [[0, 8], [-1, 0], [0, 9, 1]])
+    def test_step_time_rejects_gpus_outside_the_cluster(self, throughput_model, gpu_ids):
+        with pytest.raises(IndexError, match="out of range"):
+            throughput_model.step_time(get_model("resnet50"), [32] * len(gpu_ids), gpu_ids)
 
 
 class TestThroughput:

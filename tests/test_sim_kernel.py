@@ -10,6 +10,7 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.baselines.fifo import FIFOScheduler
 from repro.cluster.allocation import Allocation
@@ -171,7 +172,6 @@ class TestProgressLedger:
         mirror = Job(make_spec(job_id="j0", dataset_size=2000))
         job = self._running_job()
         mirror.start_running(0.0, gpu_ids=[0], local_batches=[64])
-        ledger.register(job, 0.0)
         ledger.pull(job)
         ledger.set_rate("j0", 123.456)
         ledger.set_resume("j0", 2.5, 0.0)
@@ -193,7 +193,7 @@ class TestProgressLedger:
     def test_materialize_is_lazy(self):
         ledger = ProgressLedger()
         job = self._running_job()
-        ledger.register(job, 0.0)
+        ledger.pull(job)
         ledger.set_rate("j0", 10.0)
         ledger.advance_to(5.0)
         assert job.samples_processed == 0.0  # not yet materialized
@@ -203,7 +203,7 @@ class TestProgressLedger:
     def test_pull_after_external_mutation(self):
         ledger = ProgressLedger()
         job = self._running_job()
-        ledger.register(job, 0.0)
+        ledger.pull(job)
         ledger.set_rate("j0", 10.0)
         ledger.advance_to(5.0)
         ledger.materialize("j0")
@@ -216,7 +216,8 @@ class TestProgressLedger:
     def test_non_running_jobs_do_not_advance(self):
         ledger = ProgressLedger()
         job = Job(make_spec(job_id="idle", dataset_size=2000))
-        ledger.register(job, 0.0)
+        ledger.pull(job)
+        assert len(ledger) == 0  # a job that does not run holds no slot
         ledger.advance_to(100.0)
         ledger.materialize_all()
         assert job.samples_processed == 0.0
@@ -225,25 +226,27 @@ class TestProgressLedger:
         ledger = ProgressLedger(capacity=2)
         jobs = []
         for i in range(7):
-            job = Job(make_spec(job_id=f"j{i}", dataset_size=2000))
-            ledger.register(job, 0.0)
+            job = self._running_job(job_id=f"j{i}")
+            ledger.pull(job)
             jobs.append(job)
-        assert ledger._size == 7
+        assert len(ledger) == 7
         job = jobs[3]
-        job.start_running(0.0, gpu_ids=[0], local_batches=[64])
-        ledger.pull(job)
         ledger.set_rate("j3", 10.0)
         ledger.advance_to(2.0)
         ledger.materialize_all()
         assert job.samples_processed == 20.0
         assert all(j.samples_processed == 0.0 for j in jobs if j is not job)
 
-    def test_duplicate_registration_rejected(self):
+    def test_pull_of_a_running_job_keeps_one_slot(self):
         ledger = ProgressLedger()
-        job = Job(make_spec(job_id="dup"))
-        ledger.register(job, 0.0)
-        with pytest.raises(ValueError, match="already registered"):
-            ledger.register(job, 0.0)
+        job = self._running_job()
+        ledger.pull(job)
+        ledger.pull(job)
+        assert len(ledger) == 1
+        job.stop_running(0.0)
+        ledger.pull(job)
+        assert len(ledger) == 0
+        assert ledger.rate_of("j0") == 0.0 and ledger.resume_of("j0") == 0.0
 
 
 def _job_fields(job):
@@ -278,11 +281,13 @@ class TestBulkWriteBack:
                 if rng.random() < 0.7:
                     gpus = int(rng.integers(1, 4))
                     job.start_running(now, gpu_ids=list(range(gpus)), local_batches=[64] * gpus)
-                ledger.register(job, now)
+                ledger.pull(job)
                 jobs.append(job)
             elif op == 1:
                 job = jobs[rng.integers(0, len(jobs))]
-                ledger.set_rate(job.job_id, float(rng.uniform(1.0, 500.0)))
+                rate = float(rng.uniform(1.0, 500.0))
+                if job.is_running:
+                    ledger.set_rate(job.job_id, rate)
             elif op == 2:
                 now += float(rng.exponential(5.0))
                 ledger.advance_to(now)
@@ -295,23 +300,194 @@ class TestBulkWriteBack:
                 ledger.pull(job)
         now += 7.5
         ledger.advance_to(now)
-        return ledger
+        return ledger, jobs
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_matches_per_slot_materialize(self, seed):
-        ledger = self._exercised_ledger(seed)
-        size = ledger._size
-        assert np.count_nonzero(ledger._dirty[:size]) > 1
-        assert np.count_nonzero(ledger.spike[:size][ledger._dirty[:size]]) > 0
-        twin = copy.deepcopy(ledger)
+        ledger, jobs = self._exercised_ledger(seed)
+        assert len(ledger) == sum(job.is_running for job in jobs)
+        twin, twin_jobs = copy.deepcopy((ledger, jobs))
+        before = [_job_fields(job) for job in jobs]
 
         ledger.materialize_all()
-        for job_id in list(twin._index):
-            twin.materialize(job_id)
+        for job in twin_jobs:
+            twin.materialize(job.job_id)
 
-        assert not ledger._dirty[:size].any() and not twin._dirty[:size].any()
-        for bulk, single in zip(ledger._jobs, twin._jobs):
+        # More than one job had progress to write back, a spiked one among them.
+        moved = [
+            job for job, old in zip(jobs, before)
+            if old["samples_processed"] != job.samples_processed
+        ]
+        assert len(moved) > 1
+        assert any(job._loss_spike != 0.0 for job in moved)
+        for bulk, single in zip(jobs, twin_jobs):
             _assert_same_fields(_job_fields(bulk), _job_fields(single))
+        # Neither path leaves anything pending: another write-back of
+        # either kind changes no job.
+        for job in jobs:
+            ledger.materialize(job.job_id)
+        twin.materialize_all()
+        for bulk, single in zip(jobs, twin_jobs):
+            _assert_same_fields(_job_fields(bulk), _job_fields(single))
+
+
+#: Local batches a job may run at; a jump across them spikes the loss.
+_BATCHES = (16, 64, 1024, 4096)
+_SLOT_JOBS = 5
+
+
+def _progress_bits(job):
+    """The ledger-mirrored progress of ``job``, bit for bit."""
+    profile = job.throughput_profile
+    return (
+        job.samples_processed.hex(),
+        job.effective_epochs.hex(),
+        job._loss_spike.hex(),
+        profile.count,
+        profile.mean.hex(),
+    )
+
+
+class _SlotModel:
+    """Drives a ledger as the simulator does, next to scalar ``Job.advance`` mirrors.
+
+    Each op acts on job ``i`` with parameters ``a, b, c`` in ``[0, 1]``.
+    The model keeps the slot order the ledger documents (append on
+    start, the last slot moves into a stopped job's hole) only to count
+    which cases a sequence covered.
+    """
+
+    def __init__(self):
+        self.ledger = ProgressLedger(capacity=2)  # grows during the sequence
+        self.jobs = [Job(make_spec(job_id=f"j{i}", dataset_size=2000)) for i in range(_SLOT_JOBS)]
+        self.mirrors = [Job(make_spec(job_id=f"j{i}", dataset_size=2000)) for i in range(_SLOT_JOBS)]
+        self.rate, self.resume, self.last = {}, {}, {}
+        self.now = 0.0
+        self.slots = []
+        self.nonlast_removals = 0
+        self.overhead_rounds = 0
+        self.spiked = 0
+
+    def apply(self, op, i, a, b, c):
+        getattr(self, op)(i, a, b, c)
+        assert len(self.ledger) == sum(job.is_running for job in self.jobs)
+
+    def _read(self, i):
+        """Materialize job ``i`` as a handler does, and check it against its mirror."""
+        job, mirror = self.jobs[i], self.mirrors[i]
+        self.ledger.materialize(job.job_id)
+        assert _progress_bits(job) == _progress_bits(mirror)
+        return job, mirror
+
+    def _deploy(self, i, a, b, c):
+        job, mirror = self.jobs[i], self.mirrors[i]
+        gpus = 1 + int(3 * a)
+        batch = _BATCHES[min(int(4 * b), 3)]
+        for each in (job, mirror):
+            each.start_running(self.now, gpu_ids=list(range(gpus)), local_batches=[batch] * gpus)
+        self.spiked += job._loss_spike != 0.0
+        self.ledger.pull(job)
+        overhead, rate = 20.0 * c, 1.0 + 499.0 * b
+        self.ledger.set_resume(job.job_id, self.now + overhead, self.now)
+        self.ledger.set_rate(job.job_id, rate)
+        self.resume[i], self.last[i], self.rate[i] = self.now + overhead, self.now, rate
+
+    def start(self, i, a, b, c):
+        if not self.jobs[i].is_running:
+            self._deploy(i, a, b, c)
+            self.slots.append(i)
+
+    def reconfigure(self, i, a, b, c):
+        if self.jobs[i].is_running:
+            self._read(i)
+            self._deploy(i, a, b, c)
+
+    def stop(self, i, a, b, c):
+        if not self.jobs[i].is_running:
+            return
+        job, mirror = self._read(i)
+        if a > 0.5:
+            # An eviction rolls back uncheckpointed work before the stop.
+            for each in (job, mirror):
+                each.samples_processed = max(0.0, each.samples_processed - 500.0 * a)
+        for each in (job, mirror):
+            each.stop_running(self.now)
+        self.ledger.pull(job)
+        slot = self.slots.index(i)
+        self.nonlast_removals += slot != len(self.slots) - 1
+        self.slots[slot] = self.slots[-1]
+        self.slots.pop()
+
+    def advance(self, i, a, b, c):
+        self.now += 30.0 * a
+        self.ledger.advance_to(self.now)
+        for k in self.slots:
+            start = max(self.last[k], self.resume[k])
+            duration = max(0.0, self.now - start)
+            if duration > 0:
+                self.mirrors[k].advance(self.rate[k] * duration, duration)
+            self.last[k] = self.now
+        self.overhead_rounds += any(self.resume[k] > self.now for k in self.slots)
+
+    def snap(self, i, a, b, c):
+        if not self.jobs[i].is_running:
+            return
+        job, mirror = self._read(i)
+        size = job.dataset_size
+        boundary = float(round(job.samples_processed / size) * size)
+        for each in (job, mirror):
+            each.samples_processed = boundary
+        self.ledger.set_samples(job.job_id, boundary)
+
+    def flush(self, i, a, b, c):
+        self.ledger.materialize_all()
+        for job, mirror in zip(self.jobs, self.mirrors):
+            assert _progress_bits(job) == _progress_bits(mirror), job.job_id
+
+
+_OPS = st.tuples(
+    st.sampled_from(("start", "stop", "reconfigure", "advance", "snap", "flush")),
+    st.integers(min_value=0, max_value=_SLOT_JOBS - 1),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+#: Opens every sequence: three jobs start with overheads of 4, 10 and 16 s;
+#: the first round ends inside all of them and the second inside the last
+#: two; job 1 jumps from batch 16 to 4096 (a loss spike) and its spike
+#: decays in a round that job 2 spends inside a new overhead; job 0 stops
+#: from the first of three slots, so the last slot moves into its hole.
+_PREFIX = (
+    ("start", 0, 0.0, 0.0, 0.2),
+    ("start", 1, 0.4, 0.0, 0.5),
+    ("start", 2, 0.9, 0.6, 0.8),
+    ("advance", 0, 0.1, 0.0, 0.0),
+    ("advance", 0, 0.2, 0.0, 0.0),
+    ("advance", 0, 0.5, 0.0, 0.0),
+    ("reconfigure", 1, 0.4, 0.99, 0.1),
+    ("reconfigure", 2, 0.9, 0.6, 0.9),
+    ("advance", 0, 0.3, 0.0, 0.0),
+    ("stop", 0, 0.9, 0.0, 0.0),
+    ("advance", 0, 0.4, 0.0, 0.0),
+    ("snap", 2, 0.0, 0.0, 0.0),
+    ("flush", 0, 0.0, 0.0, 0.0),
+)
+
+
+class TestRunningSlots:
+    """Slots follow the running jobs, and a flush equals scalar ``Job.advance``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(ops=st.lists(_OPS, max_size=40))
+    def test_random_sequences_match_scalar_mirrors(self, ops):
+        model = _SlotModel()
+        for op in _PREFIX + tuple(ops):
+            model.apply(*op)
+        model.flush(0, 0.0, 0.0, 0.0)
+        assert model.nonlast_removals >= 1
+        assert model.overhead_rounds >= 1
+        assert model.spiked >= 1
 
 
 class TestProfiledSimulation:
