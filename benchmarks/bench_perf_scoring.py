@@ -160,7 +160,7 @@ def _bench_hierarchical_scale() -> Dict[str, Dict]:
     population = cluster size), so these tiers run only the hierarchical
     configuration — the flat side of the story is covered at 64 GPUs by
     the ``event_loop`` section and pinned bit-identical to ``ONES-hier``
-    with ``partitions=1`` by the differential parity suite.
+    with one cluster-wide partition by the differential parity suite.
     """
     tiers = ["quick"]
     if os.environ.get("REPRO_BENCH_FULL_SCALE"):

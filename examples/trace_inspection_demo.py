@@ -64,7 +64,7 @@ def run_traced_simulation() -> TraceRecorder:
     ).generate()
     scheduler = HierarchicalONESScheduler(
         HierarchicalConfig(
-            partitions=2,
+            partition_size=8,
             ones=ONESConfig(evolution=EvolutionConfig(population_size=4)),
         ),
         seed=2021,

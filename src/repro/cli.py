@@ -341,9 +341,6 @@ def _add_partition_arguments(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--partition-size", type=int, default=None, metavar="GPUS",
                        help="shard size in GPUs (default 64, the paper scale; "
                             "must tile the cluster in whole nodes)")
-    group.add_argument("--partition-workers", type=int, default=None, metavar="N",
-                       help="process-pool size for evolving multiple dirty "
-                            "partitions concurrently (default: sequential)")
 
 
 def _hier_options(args) -> Dict[str, object]:
@@ -351,8 +348,6 @@ def _hier_options(args) -> Dict[str, object]:
     options: Dict[str, object] = {}
     if getattr(args, "partition_size", None) is not None:
         options["partition_size"] = int(args.partition_size)
-    if getattr(args, "partition_workers", None) is not None:
-        options["parallel_workers"] = int(args.partition_workers)
     return options
 
 
@@ -460,8 +455,8 @@ def _experiment_spec(args, capacities: Sequence[int], seeds: Sequence[int]) -> E
     sizes = getattr(args, "partition_sizes", None)
     if (hier or sizes) and "ONES-hier" not in schedulers:
         raise SystemExit(
-            "--partition-size/--partition-workers/--partition-sizes configure the "
-            "ONES-hier scheduler; add it with --schedulers ones-hier"
+            "--partition-size/--partition-sizes configure the ONES-hier "
+            "scheduler; add it with --schedulers ones-hier"
         )
     option_axis: tuple = ({},)
     if sizes:
@@ -686,8 +681,8 @@ def cmd_run(args) -> int:
     options = _hier_options(args)
     if options and canonical != "ONES-hier":
         raise SystemExit(
-            "--partition-size/--partition-workers configure the ONES-hier "
-            "scheduler; pass --scheduler ones-hier"
+            "--partition-size configures the ONES-hier scheduler; "
+            "pass --scheduler ones-hier"
         )
     scheduler = create_scheduler(canonical, args.seed, **options)
     if args.trace:

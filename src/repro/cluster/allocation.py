@@ -135,6 +135,10 @@ class Allocation:
         """Ids of GPUs running a worker (sorted)."""
         return sorted(self._assignments)
 
+    def num_used_gpus(self) -> int:
+        """How many GPUs run a worker: ``len(used_gpus())`` without the sort."""
+        return len(self._assignments)
+
     def free_gpus(self, all_gpu_ids: Iterable[int]) -> List[int]:
         """Ids from ``all_gpu_ids`` that are idle under this allocation."""
         assigned = self._assignments

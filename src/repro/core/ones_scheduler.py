@@ -103,8 +103,7 @@ class ONESScheduler(SchedulerBase):
         self.num_incremental_fills: int = 0
         #: Shard label stamped onto trace records ("" for a flat
         #: scheduler; the hierarchical reconciler sets "p<i>" per
-        #: partition).  A plain string so pickled inner schedulers
-        #: (parallel evolution workers) carry no recorder reference.
+        #: partition).
         self.trace_label: str = ""
 
     # ------------------------------------------------------------------ callbacks
@@ -452,10 +451,9 @@ class ONESScheduler(SchedulerBase):
     def metrics_registry(self) -> MetricsRegistry:
         """The scheduler's live counters as a metrics registry.
 
-        Built on demand from plain instance counters (the hot path never
-        touches registry objects, and pickled inner schedulers in the
-        hierarchical process pool stay registry-free).  Metric names
-        deliberately match the historical ``describe_state()`` keys.
+        Built on demand from plain instance counters, so the hot path
+        never touches registry objects.  Metric names deliberately match
+        the historical ``describe_state()`` keys.
         """
         registry = MetricsRegistry()
         scoring = self.search.scoring_engine.stats()

@@ -32,30 +32,20 @@ node-compaction contract of :mod:`repro.faults.masking`), and a
 partition that loses every node has its waiting jobs handed to the
 surviving shards.
 
-**Parity contract** (the discipline PRs 1/3/4 used): with a single
-partition covering the whole cluster (``partitions=1``, or
-``partition_size >= num_gpus``) the scheduler *delegates wholesale* to
-one flat :class:`ONESScheduler` constructed with the same seed — every
-callback, every RNG draw, every proposal is the flat scheduler's own, so
-the hierarchical path is bit-identical to flat ONES by construction, not
-by test luck.  ``tests/test_core_partitioned.py`` pins this
-differentially over faulted and unfaulted trajectories.
-
-Multiple partitions dirty in one event (fault sweeps, reservation
-drains) can evolve concurrently: ``parallel_workers > 1`` ships each
-(scheduler, view) pair to a process pool — the same
-``concurrent.futures`` machinery the experiment backends use — and the
-results are bit-identical to the sequential loop because each inner
-scheduler round-trips through pickle with its full RNG/population state.
+**Parity contract**: with a single partition covering the whole
+cluster (``partition_size >= num_gpus``) the scheduler *delegates
+wholesale* to one flat :class:`ONESScheduler` constructed with the same
+seed — every callback, every RNG draw, every proposal is the flat
+scheduler's own, so the hierarchical path is bit-identical to flat ONES
+by construction, not by test luck.  ``tests/test_core_partitioned.py``
+pins this differentially over faulted and unfaulted trajectories.
 """
 
 from __future__ import annotations
 
 import math
-import pickle
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.baselines.base import (
     CAPABILITIES,
@@ -85,32 +75,13 @@ class HierarchicalConfig:
     """Configuration of the hierarchical partitioned scheduler.
 
     ``partition_size`` is in GPUs and must be node-aligned and tile the
-    cluster exactly; ``partitions`` (when set) overrides it with an
-    explicit partition *count* resolved against the cluster size at
-    start-up — ``partitions=1`` is the flat-ONES parity mode.  ``ones``
-    configures every per-partition search (the ``EvolutionConfig``
-    plumbing rides inside it unchanged).  ``parallel_workers > 1``
-    evolves concurrently-dirty partitions in a process pool.
+    cluster exactly; a size covering the whole cluster is the flat-ONES
+    parity mode.  ``ones`` configures every per-partition search (the
+    ``EvolutionConfig`` plumbing rides inside it unchanged).
     """
 
     partition_size: int = 64
-    partitions: Optional[int] = None
     ones: ONESConfig = field(default_factory=ONESConfig)
-    parallel_workers: int = 0
-
-    def resolved_partition_size(self, num_gpus: int) -> int:
-        """The effective shard size for a cluster of ``num_gpus``."""
-        if self.partitions is not None:
-            count = int(self.partitions)
-            if count < 1:
-                raise ValueError(f"partitions must be >= 1, got {count}")
-            if num_gpus % count != 0:
-                raise ValueError(
-                    f"cluster size ({num_gpus}) is not divisible into "
-                    f"{count} equal partitions"
-                )
-            return num_gpus // count
-        return int(self.partition_size)
 
 
 @dataclass
@@ -120,19 +91,6 @@ class _Partition:
     index: int
     nodes: Tuple[int, ...]
     inner: ONESScheduler
-
-
-def _evolve_partition_task(payload: bytes) -> bytes:
-    """Process-pool task: run one partition's evolve pass on a pickled pair.
-
-    The inner scheduler crosses the boundary *by value* (RNG state,
-    population, predictor and all) and comes back updated, so replacing
-    the parent's instance with the returned copy reproduces the
-    sequential execution exactly.
-    """
-    inner, substate = pickle.loads(payload)
-    proposal = inner.on_fault(substate)
-    return pickle.dumps((proposal, inner))
 
 
 class HierarchicalONESScheduler(SchedulerBase):
@@ -161,7 +119,6 @@ class HierarchicalONESScheduler(SchedulerBase):
         #: visible node set per partition at the previous event, for
         #: capacity-change detection (faults, reservations, give-backs).
         self._last_visible: Dict[int, Tuple[int, ...]] = {}
-        self._pool_broken = False
         self.num_wide_placements = 0
 
     # ------------------------------------------------------------------ setup
@@ -170,7 +127,7 @@ class HierarchicalONESScheduler(SchedulerBase):
         if self._flat is not None or self._partitions:
             return
         num_gpus = state.topology.num_gpus
-        size = self.config.resolved_partition_size(num_gpus)
+        size = int(self.config.partition_size)
         if size >= num_gpus:
             # Single partition == the whole cluster: delegate wholesale to
             # one flat ONES with the original seed.  This is the parity
@@ -248,24 +205,19 @@ class HierarchicalONESScheduler(SchedulerBase):
 
         merged = state.allocation.workers()
         changed = False
-        sequential: List[_Partition] = []
-        background: List[_Partition] = []
-        for index in sorted(dirty):
-            partition = self._partitions[index]
-            if index == event_partition and kind != "fault":
-                sequential.append(partition)
-            else:
-                background.append(partition)
-
-        proposals: Dict[int, Optional[Allocation]] = {}
+        # The event owner's partition handles the event itself; every other
+        # dirty partition gets an on_fault-style pass.  Views are built,
+        # and searches run, owner first and then in index order.
+        owner = event_partition if kind != "fault" else None
+        order = sorted(dirty, key=lambda index: (index != owner, index))
         views = {
-            p.index: self._view(state, p, visible[p.index], job) for p in dirty_list(sequential, background)
+            index: self._view(state, self._partitions[index], visible[index], job)
+            for index in order
         }
-        for partition in sequential:
-            proposals[partition.index] = self._invoke(
-                partition, views[partition.index], kind, job, record
-            )
-        proposals.update(self._evolve_background(background, views))
+        proposals: Dict[int, Optional[Allocation]] = {}
+        for index in order:
+            event = (kind, job, record) if index == owner else ("fault", None, None)
+            proposals[index] = self._invoke(self._partitions[index], views[index], *event)
 
         for index in sorted(proposals):
             proposal = proposals[index]
@@ -459,48 +411,6 @@ class HierarchicalONESScheduler(SchedulerBase):
         if kind == "completion":
             return inner.on_job_completion(job, view.state)
         return inner.on_fault(view.state)
-
-    def _evolve_background(
-        self, partitions: List[_Partition], views: Dict[int, object]
-    ) -> Dict[int, Optional[Allocation]]:
-        """Evolve capacity-dirty partitions (an ``on_fault``-style pass each).
-
-        With ``parallel_workers > 1`` and several dirty partitions the
-        passes run in a process pool; results are bit-identical to the
-        sequential loop (the inner scheduler state round-trips by value).
-        Pickling failures fall back to sequential permanently.
-        """
-        live = [p for p in partitions if views[p.index] is not None]
-        results: Dict[int, Optional[Allocation]] = {
-            p.index: None for p in partitions if views[p.index] is None
-        }
-        workers = int(self.config.parallel_workers)
-        if workers > 1 and len(live) > 1 and not self._pool_broken:
-            try:
-                payloads = {
-                    p.index: pickle.dumps((p.inner, views[p.index].state))
-                    for p in live
-                }
-                # The pool lives for this pass only: leaving the block
-                # joins its worker processes, so none outlives the run.
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    futures = {
-                        index: pool.submit(_evolve_partition_task, payload)
-                        for index, payload in payloads.items()
-                    }
-                    replies = {index: future.result() for index, future in futures.items()}
-                for partition in live:
-                    proposal, updated = pickle.loads(replies[partition.index])
-                    self._partitions[partition.index].inner = updated
-                    results[partition.index] = proposal
-                return results
-            except Exception:
-                # Anything unpicklable (or a broken pool) demotes this
-                # scheduler to the sequential path for the rest of the run.
-                self._pool_broken = True
-        for partition in live:
-            results[partition.index] = partition.inner.on_fault(views[partition.index].state)
-        return results
 
     # -- the wide-job path --------------------------------------------------------------
 
@@ -717,10 +627,3 @@ class HierarchicalONESScheduler(SchedulerBase):
             summary["partitions"] = 1
             return summary
         return dict(self.metrics_registry().values())
-
-
-def dirty_list(
-    sequential: Sequence[_Partition], background: Sequence[_Partition]
-) -> List[_Partition]:
-    """All dirty partitions, event-owner first (view-build order)."""
-    return list(sequential) + list(background)

@@ -43,6 +43,8 @@ from repro.jobs.job import JobSpec
 from repro.sim.simulator import ClusterSimulator, SimulationConfig, SimulationResult
 from repro.workload.trace import TraceGenerator
 
+PathLike = Union[str, Path]
+
 #: Resolver signature: ``(name, seed, **options) -> SchedulerBase``.
 SchedulerResolver = Callable[..., SchedulerBase]
 

@@ -226,8 +226,7 @@ def _make_ones_hier(
     *,
     config: Optional[HierarchicalConfig] = None,
     partition_size: Optional[int] = None,
-    partitions: Optional[int] = None,
-    parallel_workers: Optional[int] = None,
+    parallel_workers: int = 0,
     evolution: Optional[EvolutionConfig] = None,
     population_size: Optional[int] = None,
     mutation_rate: Optional[float] = None,
@@ -237,13 +236,19 @@ def _make_ones_hier(
     """Hierarchical ONES factory.
 
     Mirrors the flat ONES scalar knobs (they configure every per-partition
-    search) plus the hierarchy's own: ``partition_size`` in GPUs (default
-    64, the paper scale), ``partitions`` as an explicit shard-count
-    override (``partitions=1`` is the flat-parity mode), and
-    ``parallel_workers`` for the process-pool evolve burst.
+    search) plus the hierarchy's own ``partition_size`` in GPUs (default
+    64, the paper scale; a size covering the whole cluster is the
+    flat-parity mode).
     """
     from repro.core.partitioned import HierarchicalConfig, HierarchicalONESScheduler
 
+    # ``parallel_workers`` stays only because perfbench's hier-faults-256
+    # workload passes 0; it goes once a benchmark change drops that key.
+    if parallel_workers not in (0, 1):
+        raise ValueError(
+            f"parallel_workers={parallel_workers!r} is not supported: ONES-hier "
+            "shards evolve in-process (only 0 or 1 is accepted)"
+        )
     if config is None:
         inner = _make_ones(
             seed,
@@ -256,10 +261,6 @@ def _make_ones_hier(
         overrides: Dict[str, object] = {"ones": inner}
         if partition_size is not None:
             overrides["partition_size"] = int(partition_size)
-        if partitions is not None:
-            overrides["partitions"] = int(partitions)
-        if parallel_workers is not None:
-            overrides["parallel_workers"] = int(parallel_workers)
         config = HierarchicalConfig(**overrides)
     return HierarchicalONESScheduler(config, seed=seed)
 

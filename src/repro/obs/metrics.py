@@ -6,8 +6,7 @@ dicts.  The model follows the Prometheus client idiom — a *family* has
 a name, a type, and label names; a *series* is one labeled child — but
 stays dependency-free and cheap enough to rebuild on demand:
 schedulers construct a registry snapshot from their live counters when
-asked, so the hot path carries no metrics objects at all (and pickled
-inner schedulers in the hierarchical process pool stay registry-free).
+asked, so the hot path carries no metrics objects at all.
 
 :class:`LatencyHistogram` lives here now (moved from
 ``repro.service.engine``, which re-exports it for compatibility) so

@@ -435,7 +435,7 @@ class SchedulerService:
             "jobs_total": len(self.sim.jobs),
             "jobs_completed": len(self._completed_seen),
             "queue_depth": self.queue_depth(),
-            "gpus_busy": len(self.sim.allocation.used_gpus()),
+            "gpus_busy": self.sim.allocation.num_used_gpus(),
             "draining": bool(self.draining),
             "tenants": {
                 name: state.as_dict() for name, state in sorted(self.tenants.items())

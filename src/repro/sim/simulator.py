@@ -511,7 +511,7 @@ class ClusterSimulator:
 
     def _on_advance(self, to_time: float) -> None:
         """Kernel advance hook: GPU busy-time accounting + ledger progress."""
-        busy_gpus = len(self.allocation.used_gpus())
+        busy_gpus = self.allocation.num_used_gpus()
         self._busy_gpu_time += busy_gpus * (to_time - self.kernel.now)
         if self.faults.down_nodes:
             self.faults.charge_downtime(to_time - self.kernel.now)

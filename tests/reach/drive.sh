@@ -74,9 +74,10 @@ for profile in rack maintenance stragglers; do
 done
 expect 0 $CLI compare --schedulers gandiva srtf optimus --gpus 16 --jobs 5 \
     --arrival-interval 20 --faults mtbf --fault-mtbf-hours 0.2 --fault-seed 3
-# Two dirty shards at once put ONES-hier's partition pool to work.
+# Faults dirty several of the four shards at once, so ONES-hier runs
+# background passes for shards other than the event's own.
 expect 0 $CLI compare --schedulers ones-hier --gpus 64 --partition-size 16 \
-    --partition-workers 2 --jobs 12 --arrival-interval 10 --faults mtbf \
+    --jobs 12 --arrival-interval 10 --faults mtbf \
     --fault-mtbf-hours 0.5 --fault-repair-minutes 5 --fault-seed 3 --trace-out "$W/cmp.jsonl"
 cat >"$W/plan.json" <<'EOF'
 {"injections": [

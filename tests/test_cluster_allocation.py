@@ -146,9 +146,10 @@ class TestJobIndex:
                 else None
             )
             assert alloc.config_of(job_id) == expected
+        scanned_used = {g for g in alloc._assignments}
+        assert alloc.num_used_gpus() == len(scanned_used)
         # Free GPUs: ascending plain ints, whatever the order and integer
         # type of the ids asked about.
-        scanned_used = {g for g in alloc._assignments}
         asked = np.arange(72)[::-1]
         free = alloc.free_gpus(asked)
         assert free == sorted(int(g) for g in asked if int(g) not in scanned_used)

@@ -11,18 +11,11 @@ whole-node wide path and get placed.
 
 from __future__ import annotations
 
-import io
 import json
-import multiprocessing
-import pickle
 import warnings
-from concurrent.futures import Future
 from dataclasses import replace
-from types import SimpleNamespace
 
-from repro.baselines.base import ClusterState
 from repro.cluster.topology import make_longhorn_cluster
-from repro.core import partitioned
 from repro.core.evolution import EvolutionConfig
 from repro.core.ones_scheduler import ONESConfig, ONESScheduler
 from repro.core.partitioned import (
@@ -32,7 +25,6 @@ from repro.core.partitioned import (
 )
 from repro.faults.config import FaultConfig
 from repro.faults.plan import FaultInjection, FaultKind
-from repro.sim.ledger import ProgressLedger
 from repro.sim.simulator import ClusterSimulator, SimulationConfig
 from repro.sim.views import partition_nodes
 from repro.workload.trace import TraceConfig, TraceGenerator
@@ -67,9 +59,9 @@ def _faults():
     )
 
 
-def _run(scheduler, trace, num_gpus=16, faults=None):
+def _run(scheduler, trace, faults=None):
     simulator = ClusterSimulator(
-        make_longhorn_cluster(num_gpus),
+        make_longhorn_cluster(16),
         scheduler,
         trace,
         config=SimulationConfig(faults=faults),
@@ -87,13 +79,13 @@ def _payload(result):
 
 
 class TestFlatParity:
-    """partitions=1 must be bit-identical to flat ONES."""
+    """A partition covering the whole cluster must be bit-identical to flat ONES."""
 
     def test_unfaulted_run_is_bit_identical(self):
         flat = _run(ONESScheduler(_ones_config(), seed=SEED), _trace())
         hier = _run(
             HierarchicalONESScheduler(
-                HierarchicalConfig(partitions=1, ones=_ones_config()), seed=SEED
+                HierarchicalConfig(partition_size=16, ones=_ones_config()), seed=SEED
             ),
             _trace(),
         )
@@ -103,7 +95,7 @@ class TestFlatParity:
         flat = _run(ONESScheduler(_ones_config(), seed=SEED), _trace(), faults=_faults())
         hier = _run(
             HierarchicalONESScheduler(
-                HierarchicalConfig(partitions=1, ones=_ones_config()), seed=SEED
+                HierarchicalConfig(partition_size=16, ones=_ones_config()), seed=SEED
             ),
             _trace(),
             faults=_faults(),
@@ -226,74 +218,3 @@ class TestReconcilerProperties:
         assert summary["predictor_non_pd_evaluations"] == 0
         fits = [p.inner.predictor.fit_count for p in scheduler._partitions]
         assert summary["predictor_fits"] == sum(fits) > 0
-
-    def test_parallel_workers_bit_identical_to_sequential(self, monkeypatch):
-        # Background passes go to the process pool only when two
-        # partitions are dirty at once; under these outages some are, and
-        # the assertions below check that a pool ran and that none of its
-        # worker processes outlives the run.
-        _, _, seq_result = self._run_recorded(_trace(num_jobs=6), faults=_faults())
-        pools = []
-
-        class CountedPool(partitioned.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                pools.append(self)
-
-        monkeypatch.setattr(partitioned, "ProcessPoolExecutor", CountedPool)
-        parallel = _Recording(
-            HierarchicalConfig(
-                partition_size=16, ones=_ones_config(), parallel_workers=2
-            ),
-            seed=SEED,
-        )
-        children_before = set(multiprocessing.active_children())
-        par_result = _run(parallel, _trace(num_jobs=6), num_gpus=32, faults=_faults())
-        assert pools and not parallel._pool_broken
-        assert set(multiprocessing.active_children()) <= children_before
-        assert _payload(seq_result) == _payload(par_result)
-
-    def test_pool_payloads_refer_to_no_ledger(self, monkeypatch):
-        # What a background pass sends to the pool is the inner scheduler
-        # and its partition's derived state; neither may reach the
-        # simulator's ledger (derived states carry no write-back).
-        pickled_types = set()
-
-        class Spy(pickle.Pickler):
-            def reducer_override(self, obj):
-                pickled_types.add(type(obj))
-                return NotImplemented
-
-        def dumps(obj):
-            buffer = io.BytesIO()
-            Spy(buffer).dump(obj)
-            return buffer.getvalue()
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(partitioned, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(
-            partitioned, "pickle", SimpleNamespace(dumps=dumps, loads=pickle.loads)
-        )
-        scheduler = HierarchicalONESScheduler(
-            HierarchicalConfig(partition_size=16, ones=_ones_config(), parallel_workers=2),
-            seed=SEED,
-        )
-        _run(scheduler, _trace(num_jobs=6), num_gpus=32, faults=_faults())
-        assert not scheduler._pool_broken
-        assert ClusterState in pickled_types and ONESScheduler in pickled_types
-        assert ProgressLedger not in pickled_types
-        assert ClusterSimulator not in pickled_types

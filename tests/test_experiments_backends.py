@@ -7,6 +7,8 @@ a cached sweep executes nothing.
 """
 
 import json
+import typing
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,7 @@ from repro.baselines.fifo import FIFOScheduler
 from repro.experiments.artifacts import RunArtifact, SweepArtifact
 from repro.experiments.backends import (
     ProcessPoolBackend,
+    QueueBackend,
     SerialBackend,
     execute_run,
     make_backend,
@@ -113,6 +116,12 @@ class TestBackendParity:
             make_backend("process", resolver=lambda name, seed: FIFOScheduler())
         with pytest.raises(ValueError):
             ProcessPoolBackend(max_workers=0)
+
+    def test_queue_dir_annotations_resolve(self):
+        # The module defines every name its signatures use.
+        path_like = typing.Union[str, Path]
+        assert typing.get_type_hints(QueueBackend.__init__)["queue_dir"] == path_like
+        assert typing.get_type_hints(make_backend)["queue_dir"] == typing.Optional[path_like]
 
 
 class TestSweepArtifact:

@@ -5,6 +5,7 @@ import pytest
 from repro.baselines.base import SchedulerCapabilities
 from repro.baselines.fifo import FIFOScheduler
 from repro.core.ones_scheduler import ONESScheduler
+from repro.core.partitioned import HierarchicalONESScheduler
 from repro.experiments import registry
 from repro.experiments.registry import (
     UnknownSchedulerError,
@@ -65,6 +66,18 @@ class TestBuiltins:
         assert isinstance(scheduler, ONESScheduler)
         assert scheduler.config.evolution.population_size == 4
         assert scheduler.config.evolution.mutation_rate == 0.5
+
+    def test_create_ones_hier_options(self):
+        # perfbench's hier-faults-256 passes parallel_workers=0; shards
+        # evolve in-process, so no other worker count is accepted, and
+        # the shard size is the only shard-count knob.
+        scheduler = create_scheduler("ONES-hier", 2021, partition_size=8, parallel_workers=0)
+        assert isinstance(scheduler, HierarchicalONESScheduler)
+        assert scheduler.config.partition_size == 8
+        with pytest.raises(ValueError, match="in-process"):
+            create_scheduler("ONES-hier", 2021, partition_size=8, parallel_workers=2)
+        with pytest.raises(TypeError):
+            create_scheduler("ONES-hier", 2021, partitions=2)
 
     @pytest.mark.parametrize(
         "name", ["ONES", "ONES-hier", "DRL", "Tiresias", "Optimus", "Gandiva", "FIFO", "SRTF"]

@@ -65,10 +65,10 @@ def _ones():
     )
 
 
-def _hier(partitions=2):
+def _hier():
     return HierarchicalONESScheduler(
         HierarchicalConfig(
-            partitions=partitions,
+            partition_size=8,
             ones=ONESConfig(evolution=EvolutionConfig(population_size=4)),
         ),
         seed=SEED,

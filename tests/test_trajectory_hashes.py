@@ -39,8 +39,8 @@ FIXTURE = Path(__file__).resolve().parent / "fixtures" / "trajectory_hashes.json
 NUM_GPUS = 16
 NUM_JOBS = 8
 SEED = 2021
-#: Two 8-GPU shards, searched in-process.
-OPTIONS = {"ONES-hier": {"partition_size": 8, "parallel_workers": 0}}
+#: Two 8-GPU shards.
+OPTIONS = {"ONES-hier": {"partition_size": 8}}
 FAULTS = {
     "none": None,
     "mtbf": FaultConfig(profile="mtbf", seed=3, mtbf_hours=0.5, repair_minutes=5.0),
